@@ -214,8 +214,10 @@ def run_beta_study(problem: AnnularProblem, betas, *, sharp: SharpParams | None 
     pairs = {}
     unit = PenaltyParams(beta=1.0, u_hat=problem.u_hat)
     if sharp is not None:
-        K, f, st = assemble_sharp_penalty(problem.mesh, problem.cloud,
-                                          problem.dparams, sharp, unit)
+        segments = collect_sharp_segments(problem.mesh, problem.cloud,
+                                          problem.dparams, sharp)
+        K, f, st = assemble_sharp_penalty(problem.mesh, problem.cloud, segments,
+                                          unit, sharp.n_gauss)
         pairs["sharp"] = (K, f)
         out["sharp_points"] = st["penalty_points"]
     if diffuse is not None:
@@ -313,14 +315,14 @@ def build_membrane_problem(cloud: PointCloud, *, extent: float = 1.1,
     volume = assemble_volume(mesh, PoissonCoefficient(), IndicatorField(everywhere),
                              body=lambda xs: np.full(xs.shape[0], load))
     pen = PenaltyParams(beta=beta, u_hat=rim_value)
-    Kp, fp, pstats = assemble_sharp_penalty(mesh, cloud, dparams, sparams, pen)
+    segments = collect_sharp_segments(mesh, cloud, dparams, sparams)
+    Kp, fp, pstats = assemble_sharp_penalty(mesh, cloud, segments, pen, sparams.n_gauss)
     if pstats["penalty_points"] == 0:
         raise BoundaryNotFoundError(
             "sharp reconstruction found no boundary segments; check r and l_max")
     system = GlobalSystem(K=(volume.K + Kp).tocsr(), f=volume.f + fp, mesh=mesh)
     system = apply_strong_zero(system, mesh.boundary_scalar_dofs())
     u = solve(system)
-    segments = collect_sharp_segments(mesh, cloud, dparams, sparams)
     ends = [s.endpoints() for s in segments if s.intervals.size]
     if ends:
         allends = np.vstack(ends)

@@ -20,7 +20,8 @@ from .errors import (BoundaryNotFoundError, CloudLoadError, SolverError)
 from .fcm import evaluate, strain_energy
 from .geometry import DistanceParams
 from .penalty import (DiffuseParams, PenaltyParams, SharpParams,
-                      assemble_diffuse_penalty, assemble_sharp_penalty)
+                      assemble_diffuse_penalty, assemble_sharp_penalty,
+                      collect_sharp_segments)
 
 _KNOWN_KEYS = {
     "problem": {"kind", "cloud", "n_points", "r_inner", "r_outer", "amp",
@@ -168,8 +169,10 @@ def _cmd_solve(cfg, args) -> int:
         if method == "sharp":
             sparams = _sharp_params(cfg, args,
                                     default_l_max=3.0 * config.spacing)
+            segments = collect_sharp_segments(
+                problem.mesh, problem.cloud, problem.dparams, sparams)
             Kp, fp, stats = assemble_sharp_penalty(
-                problem.mesh, problem.cloud, problem.dparams, sparams, pen)
+                problem.mesh, problem.cloud, segments, pen, sparams.n_gauss)
         elif method == "diffuse":
             Kp, fp, stats = assemble_diffuse_penalty(
                 problem.mesh, problem.cloud, problem.dparams,
@@ -240,7 +243,6 @@ def _cmd_reconstruct(cfg, args) -> int:
     h = float(np.median(cloud.tree.query(cloud.points, k=2)[0][:, 1]))
     sparams = _sharp_params(cfg, args, default_l_max=3.0 * h)
     from .fcm import StructuredMesh
-    from .penalty import collect_sharp_segments
 
     extent = _get(cfg, "mesh", "extent", float, 1.1)
     n_cells = _get(cfg, "mesh", "n_cells", int, 16)

@@ -184,28 +184,30 @@ class GlobalSystem:
     def ndof(self):
         return self.f.size
 
-    def plus(self, K_add, f_add, scale: float = 1.0) -> "GlobalSystem":
-        """New system with scale * (K_add, f_add) added; inputs unchanged."""
-        return GlobalSystem(
-            K=(self.K + scale * K_add).tocsr(),
-            f=self.f + scale * f_add,
-            mesh=self.mesh,
-            ncomp=self.ncomp,
-            stats=dict(self.stats),
-        )
 
+def scatter_cells(mesh: StructuredMesh, ncomp: int, cell_pairs):
+    """Sum cell-local pairs into a global symmetric operator and load.
 
-def _scatter(rows, cols, vals, dofs, Ke, ncomp):
-    if ncomp == 1:
-        idx = dofs
-    else:
-        idx = np.empty(2 * dofs.size, dtype=int)
-        idx[0::2] = 2 * dofs
-        idx[1::2] = 2 * dofs + 1
-    n = idx.size
-    rows.append(np.repeat(idx, n))
-    cols.append(np.tile(idx, n))
-    vals.append(Ke.reshape(-1))
+    cell_pairs yields (ix, iy, Ke, fe) with Ke, fe in the cell's flat mode
+    order, the ncomp components of each mode interleaved.  Returns (K, f)
+    with K the CSR matrix 0.5 * (K + K^T).
+    """
+    ndof = mesh.n_scalar_dofs * ncomp
+    rows, cols, vals = [], [], []
+    f = np.zeros(ndof)
+    for ix, iy, Ke, fe in cell_pairs:
+        idx = mesh.cell_dofs(ix, iy)
+        if ncomp > 1:
+            idx = (ncomp * idx[:, None] + np.arange(ncomp)).reshape(-1)
+        rows.append(np.repeat(idx, idx.size))
+        cols.append(np.tile(idx, idx.size))
+        vals.append(Ke.reshape(-1))
+        np.add.at(f, idx, fe)
+    if not rows:
+        return sp.csr_matrix((ndof, ndof)), f
+    K = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(ndof, ndof)).tocsr()
+    return (0.5 * (K + K.T)).tocsr(), f
 
 
 def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
@@ -223,9 +225,7 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
         n_gauss = p + 1
     rule = gauss_legendre_1d(n_gauss)
     nmodes = (p + 1) ** 2
-    ndof = mesh.n_scalar_dofs * ncomp
-    fvec = np.zeros(ndof)
-    rows, cols, vals = [], [], []
+    pairs = []
     n_points = 0
     n_cut = 0
     for ix, iy in mesh.cells():
@@ -235,7 +235,6 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
             n_cut += 1
         pts, wts, _ = tree_quadrature_points(tree, rule)
         n_points += pts.shape[0]
-        dofs = mesh.cell_dofs(ix, iy)
         Ke = np.zeros((nmodes * ncomp, nmodes * ncomp))
         fe = np.zeros(nmodes * ncomp)
         for start in range(0, pts.shape[0], _CHUNK):
@@ -263,18 +262,9 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
                     b = np.asarray(body(cp), dtype=float).reshape(cp.shape[0], 2)
                     fe[0::2] += V.T @ (cw * b[:, 0])
                     fe[1::2] += V.T @ (cw * b[:, 1])
-        _scatter(rows, cols, vals, dofs, Ke, ncomp)
-        if ncomp == 1:
-            np.add.at(fvec, dofs, fe)
-        else:
-            np.add.at(fvec, 2 * dofs, fe[0::2])
-            np.add.at(fvec, 2 * dofs + 1, fe[1::2])
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof),
-    ).tocsr()
-    K = 0.5 * (K + K.T)
-    return GlobalSystem(K=K.tocsr(), f=fvec, mesh=mesh, ncomp=ncomp,
+        pairs.append((ix, iy, Ke, fe))
+    K, fvec = scatter_cells(mesh, ncomp, pairs)
+    return GlobalSystem(K=K, f=fvec, mesh=mesh, ncomp=ncomp,
                         stats={"volume_points": n_points, "cut_cells": n_cut})
 
 

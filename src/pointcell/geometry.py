@@ -212,12 +212,28 @@ def _smallest_eigvec_2x2(a, b, c):
     return vx, vy, isotropic
 
 
-def fit_local_plane(neighbors) -> LocalPlane:
-    """Total-least-squares line through a neighbor set.
+def fit_planes(neighbors):
+    """Batched total-least-squares lines through (m, k, 2) neighbor sets.
 
-    The support point is the centroid, the normal the unit eigenvector of the
-    smallest eigenvalue of the scatter matrix sum((p - mean) (p - mean)^T),
-    sign-fixed so its first nonzero component is positive.
+    The support point of each set is its centroid, the normal the unit
+    eigenvector of the smallest eigenvalue of the scatter matrix
+    sum((p - mean) (p - mean)^T), sign-fixed so its first nonzero component
+    is positive.  Returns (supports (m, 2), normals (m, 2), isotropic (m,),
+    coincident (m,)): isotropic flags equal eigenvalues (the normal is then
+    an arbitrary but deterministic axis), coincident a zero scatter matrix.
+    """
+    nb = np.asarray(neighbors, dtype=float)
+    cen = nb.mean(axis=1)
+    d = nb - cen[:, None, :]
+    a = np.einsum("mk,mk->m", d[:, :, 0], d[:, :, 0])
+    b = np.einsum("mk,mk->m", d[:, :, 0], d[:, :, 1])
+    c = np.einsum("mk,mk->m", d[:, :, 1], d[:, :, 1])
+    vx, vy, iso = _smallest_eigvec_2x2(a, b, c)
+    return cen, np.column_stack([vx, vy]), iso, (a == 0.0) & (b == 0.0) & (c == 0.0)
+
+
+def fit_local_plane(neighbors) -> LocalPlane:
+    """Total-least-squares line through one neighbor set (see fit_planes).
 
     Raises DegenerateGeometryError when all points coincide.  An isotropic
     scatter (equal eigenvalues, e.g. the corners of a square) yields
@@ -226,15 +242,10 @@ def fit_local_plane(neighbors) -> LocalPlane:
     pts = np.asarray(neighbors, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError(f"need an (m, 2) array with m >= 2, got shape {pts.shape}")
-    centroid = pts.mean(axis=0)
-    d = pts - centroid
-    if np.all(d == 0.0):
+    support, normal, iso, coincident = fit_planes(pts[None])
+    if coincident[0]:
         raise DegenerateGeometryError("all neighbor points coincide, no plane is defined")
-    a = np.dot(d[:, 0], d[:, 0])
-    b = np.dot(d[:, 0], d[:, 1])
-    c = np.dot(d[:, 1], d[:, 1])
-    vx, vy, iso = _smallest_eigvec_2x2(a, b, c)
-    return LocalPlane(support=centroid, normal=np.array([float(vx), float(vy)]), degenerate=bool(iso))
+    return LocalPlane(support=support[0], normal=normal[0], degenerate=bool(iso[0]))
 
 
 def pca_distance(cloud: PointCloud, x, params: DistanceParams) -> float:
@@ -259,17 +270,11 @@ def pca_distance_many(cloud: PointCloud, xs, params: DistanceParams) -> np.ndarr
     out = dist[:, 0].copy()
     near = dist[:, 0] <= params.r
     if np.any(near):
-        nb = cloud.points[idx[near]]            # (m_near, k, 2)
-        cen = nb.mean(axis=1)
-        d = nb - cen[:, None, :]
-        a = np.einsum("mk,mk->m", d[:, :, 0], d[:, :, 0])
-        b = np.einsum("mk,mk->m", d[:, :, 0], d[:, :, 1])
-        c = np.einsum("mk,mk->m", d[:, :, 1], d[:, :, 1])
+        cen, normal, _, coincident = fit_planes(cloud.points[idx[near]])
         if params.k < 2:
             raise DegenerateGeometryError("plane fit needs k >= 2 neighbors")
-        if np.any((a == 0.0) & (b == 0.0) & (c == 0.0)):
+        if np.any(coincident):
             raise DegenerateGeometryError("coincident neighbor set encountered in plane fit")
-        vx, vy, _ = _smallest_eigvec_2x2(a, b, c)
         rel = xs[near] - cen
-        out[near] = np.abs(vx * rel[:, 0] + vy * rel[:, 1])
+        out[near] = np.abs(normal[:, 0] * rel[:, 0] + normal[:, 1] * rel[:, 1])
     return out

@@ -8,13 +8,19 @@ distance, then integrated on a distance-driven quadtree per cell.  The layer
 has finite thickness, so at strong penalties the constraint also grips the
 solution just off the boundary, which flattens its normal gradient there.
 
-Sharp route: the boundary is rebuilt cell-locally as bounded plane segments.
-Each order-k Voronoi region met by a cell contributes the local TLS plane of
-its k defining points; the segment of that plane inside the region is bounded
-by bisection, and the resulting line quadrature points are kept only when they
-actually lie in the region and in the cell (two indicator checks per point).
-Points sit on the reconstructed boundary itself, so nothing constrains the
-field away from it, and far fewer points are needed than in the layer.
+Sharp route: the boundary is rebuilt as bounded plane segments, once per
+problem.  Reconstruct once: every cell's query lattice names the order-k
+Voronoi regions that may meet it; the union of those keys is fitted and
+bisected in one batched pass (the TLS plane of each region's k defining
+points, bounded to the region by bisection), giving one segment list that the
+penalty, the segment export and the membrane diagnostics all share.
+Integrate with per-point checks: Gauss points are laid once on every kept
+subsegment, and each point enters only if it lies in its own region and in
+the cell it is accumulated into (half-open cell membership), so pieces shared
+between neighboring cells are never double counted, and a piece reaching into
+a cell whose own lattice missed its region is still integrated there.  Points
+sit on the reconstructed boundary itself, so nothing constrains the field
+away from it, and far fewer points are needed than in the layer.
 
 A reference integrator over explicit polyline segments serves as the ground
 truth for both.
@@ -26,17 +32,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import basis as basis_mod
 from .errors import SharpBoundaryWarning
-from .fcm import GlobalSystem, StructuredMesh
+from .fcm import StructuredMesh, scatter_cells
 from .geometry import (DistanceParams, PointCloud, _knn_indices_many,
-                       _smallest_eigvec_2x2, pca_distance_many)
-from .quadrature import (DiffuseTreeParams, build_diffuse_tree,
+                       fit_planes, pca_distance_many)
+from .quadrature import (DiffuseTreeParams, _split, build_diffuse_tree,
                          gauss_legendre_1d, regularized_delta_raw,
                          tree_quadrature_points)
 from .voronoi import region_keys_many
+
+# Keys of skipped regions quoted in a SharpBoundaryWarning.
+_SHOWN_KEYS = 5
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,8 @@ class SharpParams:
             raise ValueError(f"l_max must be positive, got {self.l_max}")
         if self.test_grid < 1:
             raise ValueError(f"test_grid must be >= 1, got {self.test_grid}")
+        if self.n_gauss < 1:
+            raise ValueError(f"n_gauss must be >= 1, got {self.n_gauss}")
 
 
 @dataclass
@@ -210,17 +220,6 @@ def _subcell_test_points(cells, g):
     return np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(-1, 2)
 
 
-def _split_cells(cells):
-    x0, y0, x1, y1 = cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3]
-    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return np.concatenate([
-        np.column_stack([x0, y0, xm, ym]),
-        np.column_stack([xm, y0, x1, ym]),
-        np.column_stack([x0, ym, xm, y1]),
-        np.column_stack([xm, ym, x1, y1]),
-    ], axis=0)
-
-
 def identify_contributing_regions(cell_bounds, cloud: PointCloud,
                                   dparams: DistanceParams, sparams: SharpParams):
     """Order-k Voronoi region keys whose regions may intersect a cell.
@@ -251,7 +250,7 @@ def identify_contributing_regions(cell_bounds, cloud: PointCloud,
             if active.shape[0] == 0:
                 return []
         if depth < sparams.n_query:
-            active = _split_cells(active)
+            active = _split(active)
     pts = _subcell_test_points(active, sparams.test_grid)
     idx, dist = _knn_indices_many(cloud, pts, dparams.k)
     within = dist[:, 0] <= dparams.r
@@ -259,22 +258,6 @@ def identify_contributing_regions(cell_bounds, cloud: PointCloud,
         return []
     keys = np.sort(idx[within], axis=1)
     return [tuple(int(i) for i in row) for row in np.unique(keys, axis=0)]
-
-
-def _fit_planes_for_keys(cloud, keys_arr):
-    """Batched TLS plane fit over the defining points of each key row.
-
-    Returns (support, normal, degenerate) arrays.
-    """
-    pts = cloud.points[keys_arr]                 # (R, k, 2)
-    cen = pts.mean(axis=1)
-    d = pts - cen[:, None, :]
-    a = np.einsum("rk,rk->r", d[:, :, 0], d[:, :, 0])
-    b = np.einsum("rk,rk->r", d[:, :, 0], d[:, :, 1])
-    c = np.einsum("rk,rk->r", d[:, :, 1], d[:, :, 1])
-    vx, vy, iso = _smallest_eigvec_2x2(a, b, c)
-    normal = np.column_stack([vx, vy])
-    return cen, normal, iso
 
 
 def _bisect_batched(cloud: PointCloud, keys_arr, supports, tangents,
@@ -336,81 +319,77 @@ def _bisect_batched(cloud: PointCloud, keys_arr, supports, tangents,
     return row[starts], lo[starts], hi[ends]
 
 
+def _reconstruct(cloud: PointCloud, keys, sparams: SharpParams):
+    """Bounded plane segments of many regions in one batched pass.
+
+    Fits the TLS plane of each key's defining points, lays a segment of
+    length l_max along its tangent through the support point and bisects it
+    to depth n_sub, keeping subsegments fully inside the region and,
+    conservatively, the still-intersected ones at the final level.  Regions
+    whose fit is isotropic or whose support fell outside their own region
+    are skipped, with one SharpBoundaryWarning for the whole call.
+
+    keys is a sorted sequence of key tuples; returns a BoundedSegment per
+    kept key, in the same order.
+    """
+    if len(keys) == 0:
+        return []
+    keys_arr = np.asarray(keys, dtype=int)
+    k = keys_arr.shape[1]
+    supports, normals, iso, _ = fit_planes(cloud.points[keys_arr])
+    tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
+    outside = np.zeros_like(iso)
+    outside[~iso] = np.any(region_keys_many(cloud, supports[~iso], k) != keys_arr[~iso],
+                           axis=1)
+    skipped = {"isotropic neighbor set": keys_arr[iso],
+               "support point outside its region": keys_arr[outside]}
+    n_skipped = int(iso.sum() + outside.sum())
+    if n_skipped:
+        counts = ", ".join(f"{len(rows)} {reason}" for reason, rows in skipped.items()
+                           if len(rows))
+        first = [tuple(int(i) for i in row)
+                 for rows in skipped.values() for row in rows][:_SHOWN_KEYS]
+        warnings.warn(f"{n_skipped} of {len(keys_arr)} regions skipped ({counts}); "
+                      f"first keys: {', '.join(map(str, first))}",
+                      SharpBoundaryWarning, stacklevel=3)
+    keep = ~(iso | outside)
+    keys_arr, supports, tangents = keys_arr[keep], supports[keep], tangents[keep]
+    row, lo, hi = _bisect_batched(cloud, keys_arr, supports, tangents, sparams, k)
+    bounds = np.searchsorted(row, np.arange(keys_arr.shape[0] + 1))
+    return [BoundedSegment(key=tuple(int(i) for i in keys_arr[r]), support=supports[r],
+                           direction=tangents[r],
+                           intervals=np.column_stack([lo[a:b], hi[a:b]]))
+            for r, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+
+
 def bisect_plane_segments(cloud: PointCloud, key, dparams: DistanceParams,
                           sparams: SharpParams) -> BoundedSegment | None:
-    """Bounded plane segment of a single region.
+    """Bounded plane segment of a single region (see _reconstruct).
 
-    Fits the TLS plane of the key's defining points, lays a segment of length
-    l_max along its tangent through the support point and bisects it to depth
-    n_sub, keeping subsegments fully inside the region and, conservatively,
-    the still-intersected ones at the final level.  Returns None (with a
-    warning) when the fit is isotropic or the support fell outside its own
-    region; the caller skips such regions.
+    Returns None, with a warning, when the region is skipped.
     """
-    key_arr = np.asarray(key, dtype=int).reshape(1, -1)
-    k = key_arr.shape[1]
-    support, normal, iso = _fit_planes_for_keys(cloud, key_arr)
-    if bool(iso[0]):
-        warnings.warn(f"region {tuple(key)}: isotropic neighbor set, skipped",
-                      SharpBoundaryWarning, stacklevel=2)
-        return None
-    tangent = np.column_stack([-normal[:, 1], normal[:, 0]])
-    inside = region_keys_many(cloud, support, k)
-    if not np.array_equal(np.sort(inside[0]), key_arr[0]):
-        warnings.warn(f"region {tuple(key)}: support point outside its region, skipped",
-                      SharpBoundaryWarning, stacklevel=2)
-        return None
-    _, lo, hi = _bisect_batched(cloud, key_arr, support, tangent, sparams, k)
-    return BoundedSegment(key=tuple(int(i) for i in key_arr[0]), support=support[0],
-                          direction=tangent[0], intervals=np.column_stack([lo, hi]))
+    segments = _reconstruct(cloud, [tuple(key)], sparams)
+    return segments[0] if segments else None
 
 
-def sharp_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointCloud,
-                       dparams: DistanceParams, sparams: SharpParams,
-                       pen: PenaltyParams, ncomp: int = 1,
-                       collect_segments: bool = False):
-    """Penalty matrix/vector of one cell via implicit Voronoi plane segments.
+def _sharp_cell_pairs(mesh: StructuredMesh, cloud: PointCloud, segments,
+                      pen: PenaltyParams, n_gauss: int, ncomp: int, cells):
+    """Sharp penalty pairs (ix, iy, (Ke, fe, n_points)) of the given cells.
 
-    Quadrature points are laid on every kept subsegment of every contributing
-    region; each point enters only if it lies in its own region and in this
-    cell (half-open cell membership, closed at the mesh's upper edges), so
-    segments shared between neighboring cells are never double counted.
-
-    Returns (Ke, fe, n_points) plus the kept segments per region when
-    collect_segments is set.
+    Gauss points are laid once on every kept subsegment; a point enters a
+    cell's pair only if it lies in its own region and in that cell
+    (half-open against mesh.cell_bounds, closed at the mesh's upper edges).
+    n_points counts the points that enter; cells with none are not yielded.
     """
-    p = mesh.degree
-    nmodes = (p + 1) ** 2 * ncomp
-    bounds = mesh.cell_bounds(ix, iy)
-    empty = (np.zeros((nmodes, nmodes)), np.zeros(nmodes), 0)
-    keys = identify_contributing_regions(bounds, cloud, dparams, sparams)
-    if not keys:
-        return empty + ([],) if collect_segments else empty
-    k = len(keys[0])
-    keys_arr = np.asarray(keys, dtype=int)
-    supports, normals, iso = _fit_planes_for_keys(cloud, keys_arr)
-    if np.any(iso):
-        for row in np.nonzero(iso)[0]:
-            warnings.warn(f"region {tuple(keys_arr[row])}: isotropic neighbor set, skipped",
-                          SharpBoundaryWarning, stacklevel=2)
-        keys_arr = keys_arr[~iso]
-        supports = supports[~iso]
-        normals = normals[~iso]
-    tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
-    sup_keys = region_keys_many(cloud, supports, k)
-    sup_ok = np.all(sup_keys == keys_arr, axis=1)
-    if not np.all(sup_ok):
-        for row in np.nonzero(~sup_ok)[0]:
-            warnings.warn(f"region {tuple(keys_arr[row])}: support point outside its region, skipped",
-                          SharpBoundaryWarning, stacklevel=2)
-        keys_arr = keys_arr[sup_ok]
-        supports = supports[sup_ok]
-        tangents = tangents[sup_ok]
-    if keys_arr.shape[0] == 0:
-        return empty + ([],) if collect_segments else empty
-    seg_row, seg_lo, seg_hi = _bisect_batched(cloud, keys_arr, supports, tangents,
-                                              sparams, k)
-    rule = gauss_legendre_1d(sparams.n_gauss)
+    segments = [s for s in segments if s.intervals.size]
+    if not segments:
+        return
+    rule = gauss_legendre_1d(n_gauss)
+    keys_arr = np.asarray([s.key for s in segments], dtype=int)
+    supports = np.asarray([s.support for s in segments])
+    tangents = np.asarray([s.direction for s in segments])
+    seg_row = np.repeat(np.arange(len(segments)), [s.intervals.shape[0] for s in segments])
+    seg_lo, seg_hi = np.concatenate([s.intervals for s in segments]).T
     mid = 0.5 * (seg_lo + seg_hi)
     halflen = 0.5 * (seg_hi - seg_lo)
     t = mid[:, None] + halflen[:, None] * rule.points[None, :]
@@ -419,25 +398,40 @@ def sharp_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointCloud
     tf = t.reshape(-1)
     wf = w.reshape(-1)
     pts = supports[rows] + tf[:, None] * tangents[rows]
-    n_points = pts.shape[0]
-    in_region = np.all(region_keys_many(cloud, pts, k) == keys_arr[rows], axis=1)
-    ok_x = (pts[:, 0] >= bounds[0]) & (
-        pts[:, 0] <= bounds[2] if ix == mesh.nx - 1 else pts[:, 0] < bounds[2])
-    ok_y = (pts[:, 1] >= bounds[1]) & (
-        pts[:, 1] <= bounds[3] if iy == mesh.ny - 1 else pts[:, 1] < bounds[3])
-    ok = in_region & ok_x & ok_y
-    Ke, fe = _accumulate_point_penalty(mesh, ix, iy, pts[ok], wf[ok], pen, ncomp)
-    if not collect_segments:
-        return Ke, fe, n_points
-    segments = []
-    for r in range(keys_arr.shape[0]):
-        sel = seg_row == r
-        if not np.any(sel):
-            continue
-        segments.append(BoundedSegment(key=tuple(int(i) for i in keys_arr[r]),
-                                       support=supports[r], direction=tangents[r],
-                                       intervals=np.column_stack([seg_lo[sel], seg_hi[sel]])))
-    return Ke, fe, n_points, segments
+    in_region = np.all(region_keys_many(cloud, pts, keys_arr.shape[1]) == keys_arr[rows],
+                       axis=1)
+    pts, wf = pts[in_region], wf[in_region]
+    for ix, iy in cells:
+        bounds = mesh.cell_bounds(ix, iy)
+        ok_x = (pts[:, 0] >= bounds[0]) & (
+            pts[:, 0] <= bounds[2] if ix == mesh.nx - 1 else pts[:, 0] < bounds[2])
+        ok_y = (pts[:, 1] >= bounds[1]) & (
+            pts[:, 1] <= bounds[3] if iy == mesh.ny - 1 else pts[:, 1] < bounds[3])
+        ok = ok_x & ok_y
+        n = int(ok.sum())
+        if n:
+            Ke, fe = _accumulate_point_penalty(mesh, ix, iy, pts[ok], wf[ok], pen, ncomp)
+            yield ix, iy, (Ke, fe, n)
+
+
+def sharp_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointCloud,
+                       dparams: DistanceParams, sparams: SharpParams,
+                       pen: PenaltyParams, ncomp: int = 1):
+    """Penalty matrix/vector of one cell via implicit Voronoi plane segments.
+
+    Reconstructs the regions this cell's query lattice finds and integrates
+    them over the cell (see _sharp_cell_pairs).  A region that only a
+    neighboring cell's lattice finds is missing here, while
+    assemble_sharp_penalty over collect_sharp_segments integrates it.
+    Returns (Ke, fe, n_points).
+    """
+    keys = identify_contributing_regions(mesh.cell_bounds(ix, iy), cloud, dparams, sparams)
+    segments = _reconstruct(cloud, keys, sparams)
+    for _, _, pair in _sharp_cell_pairs(mesh, cloud, segments, pen, sparams.n_gauss,
+                                        ncomp, [(ix, iy)]):
+        return pair
+    nmodes = (mesh.degree + 1) ** 2 * ncomp
+    return np.zeros((nmodes, nmodes)), np.zeros(nmodes), 0
 
 
 # ---------------------------------------------------------------------------
@@ -524,35 +518,20 @@ def _cells_near_cloud(mesh: StructuredMesh, cloud: PointCloud, reach: float):
     return [c for c, k in zip(out, keep) if k]
 
 
-def _assemble_cells(mesh, ncomp, cell_iter):
-    """Run a per-cell penalty op over cells and gather a global pair."""
-    ndof = mesh.n_scalar_dofs * ncomp
-    rows, cols, vals = [], [], []
-    f = np.zeros(ndof)
+def _assemble_cells(mesh, ncomp, beta, cell_iter):
+    """Scatter per-cell penalty results (ix, iy, (Ke, fe, n)) into a global
+    pair scaled by beta, and count the points; all-zero pairs are dropped."""
     n_points = 0
-    for ix, iy, (Ke, fe, n) in cell_iter:
-        n_points += n
-        if not np.any(Ke) and not np.any(fe):
-            continue
-        dofs = mesh.cell_dofs(ix, iy)
-        if ncomp == 2:
-            idx = np.empty(2 * dofs.size, dtype=int)
-            idx[0::2] = 2 * dofs
-            idx[1::2] = 2 * dofs + 1
-        else:
-            idx = dofs
-        n_loc = idx.size
-        rows.append(np.repeat(idx, n_loc))
-        cols.append(np.tile(idx, n_loc))
-        vals.append(Ke.reshape(-1))
-        np.add.at(f, idx, fe)
-    if rows:
-        K = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(ndof, ndof)).tocsr()
-        K = (0.5 * (K + K.T)).tocsr()
-    else:
-        K = sp.csr_matrix((ndof, ndof))
-    return K, f, n_points
+
+    def pairs():
+        nonlocal n_points
+        for ix, iy, (Ke, fe, n) in cell_iter:
+            n_points += n
+            if np.any(Ke) or np.any(fe):
+                yield ix, iy, Ke, fe
+
+    K, f = scatter_cells(mesh, ncomp, pairs())
+    return (beta * K).tocsr(), beta * f, n_points
 
 
 def assemble_diffuse_penalty(mesh: StructuredMesh, cloud: PointCloud,
@@ -568,19 +547,22 @@ def assemble_diffuse_penalty(mesh: StructuredMesh, cloud: PointCloud,
     cells = _cells_near_cloud(mesh, cloud, reach)
     it = ((ix, iy, diffuse_penalty_cell(mesh, ix, iy, cloud, dparams, diff, unit, ncomp))
           for ix, iy in cells)
-    K, f, n = _assemble_cells(mesh, ncomp, it)
-    return (pen.beta * K).tocsr(), pen.beta * f, {"penalty_points": n, "cells": len(cells)}
+    K, f, n = _assemble_cells(mesh, ncomp, pen.beta, it)
+    return K, f, {"penalty_points": n, "cells": len(cells)}
 
 
-def assemble_sharp_penalty(mesh: StructuredMesh, cloud: PointCloud,
-                           dparams: DistanceParams, sparams: SharpParams,
-                           pen: PenaltyParams, ncomp: int = 1):
-    """Global sharp penalty pair (K, f) and the quadrature point count."""
+def assemble_sharp_penalty(mesh: StructuredMesh, cloud: PointCloud, segments,
+                           pen: PenaltyParams, n_gauss: int, ncomp: int = 1):
+    """Global sharp penalty pair over reconstructed segments.
+
+    segments is the output of collect_sharp_segments; each kept subsegment
+    carries an n_gauss rule, and penalty_points counts the Gauss points that
+    enter the integral.
+    """
     unit = PenaltyParams(beta=1.0, u_hat=pen.u_hat)
-    it = ((ix, iy, sharp_penalty_cell(mesh, ix, iy, cloud, dparams, sparams, unit, ncomp))
-          for ix, iy in mesh.cells())
-    K, f, n = _assemble_cells(mesh, ncomp, it)
-    return (pen.beta * K).tocsr(), pen.beta * f, {"penalty_points": n}
+    it = _sharp_cell_pairs(mesh, cloud, segments, unit, n_gauss, ncomp, mesh.cells())
+    K, f, n = _assemble_cells(mesh, ncomp, pen.beta, it)
+    return K, f, {"penalty_points": n}
 
 
 def assemble_reference_penalty(mesh: StructuredMesh, segments, pen: PenaltyParams,
@@ -589,24 +571,20 @@ def assemble_reference_penalty(mesh: StructuredMesh, segments, pen: PenaltyParam
     unit = PenaltyParams(beta=1.0, u_hat=pen.u_hat)
     it = ((ix, iy, reference_segment_penalty(mesh, ix, iy, segments, unit, n_gauss, ncomp))
           for ix, iy in mesh.cells())
-    K, f, n = _assemble_cells(mesh, ncomp, it)
-    return (pen.beta * K).tocsr(), pen.beta * f, {"penalty_points": n}
+    K, f, n = _assemble_cells(mesh, ncomp, pen.beta, it)
+    return K, f, {"penalty_points": n}
 
 
 def collect_sharp_segments(mesh: StructuredMesh, cloud: PointCloud,
                            dparams: DistanceParams, sparams: SharpParams):
-    """Kept subsegments of every contributing region across the mesh.
+    """The sharp boundary: kept subsegments of every contributing region.
 
-    Regions found by several cells appear once.  Returns a list of
-    BoundedSegment in lexicographic key order.
+    Each cell's query lattice names its regions (identify_contributing_regions);
+    the union is reconstructed once (see _reconstruct).  Returns a list of
+    BoundedSegment in lexicographic key order, one per kept region.
     """
-    seen = {}
+    keys = set()
     for ix, iy in mesh.cells():
-        bounds = mesh.cell_bounds(ix, iy)
-        for key in identify_contributing_regions(bounds, cloud, dparams, sparams):
-            if key in seen:
-                continue
-            seg = bisect_plane_segments(cloud, key, dparams, sparams)
-            if seg is not None:
-                seen[key] = seg
-    return [seen[k] for k in sorted(seen)]
+        keys.update(identify_contributing_regions(mesh.cell_bounds(ix, iy), cloud,
+                                                  dparams, sparams))
+    return _reconstruct(cloud, sorted(keys), sparams)

@@ -1,10 +1,13 @@
 """Manufactured annular problem, penalty sweeps, and the membrane pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pointcell import (AnnularConfig, BoundaryNotFoundError, DiffuseParams,
-                       DistanceParams, PointCloud, assemble_diffuse_penalty,
+                       DistanceParams, PointCloud, SharpBoundaryWarning,
+                       assemble_diffuse_penalty,
                        PenaltyParams, beta_grid, build_annular_problem,
                        build_membrane_problem, circle_cloud, circle_polyline,
                        count_diffuse_points, default_diffuse_params,
@@ -226,6 +229,23 @@ def test_membrane_raises_when_no_boundary_found():
     with pytest.warns():
         with pytest.raises(BoundaryNotFoundError):
             build_membrane_problem(corners, n_cells=4, degree=3)
+
+
+def test_membrane_square_cloud_warns_once():
+    """The corners of a square skip regions in every cell that meets them;
+    the whole run reports them in one warning with plain integer keys."""
+    s = -1.0 + 2.0 * np.arange(8) / 8
+    one = np.ones(8)
+    square = np.vstack([np.column_stack([s, -one]), np.column_stack([one, s]),
+                        np.column_stack([-s, one]), np.column_stack([-one, -s])])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_membrane_problem(PointCloud(square), n_cells=8, degree=4)
+    assert len(caught) == 1
+    assert caught[0].category is SharpBoundaryWarning
+    text = str(caught[0].message)
+    assert "np.int64" not in text
+    assert "support point outside its region" in text
 
 
 def test_membrane_circle_light_run():

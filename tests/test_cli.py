@@ -114,6 +114,15 @@ def test_unknown_method(tmp_path, capsys):
     assert "unknown method" in capsys.readouterr().err
 
 
+def test_zero_sharp_rule_order_is_config_error(tmp_path, capsys):
+    path = tmp_path / "circle.txt"
+    np.savetxt(path, circle_cloud(1.0, 96))
+    rc = main(["--cloud", str(path), "--out-dir", str(tmp_path / "o"),
+               "--n-gauss-s", "0", "solve"])
+    assert rc == 2
+    assert "config error: n_gauss must be >= 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 

@@ -9,7 +9,8 @@ from pointcell import (DiffuseParams, DistanceParams, PenaltyParams, PointCloud,
                        assemble_sharp_penalty, bisect_plane_segments,
                        brute_force_regions_in_box, circle_cloud,
                        collect_sharp_segments, diffuse_penalty_cell,
-                       identify_contributing_regions, reference_segment_penalty,
+                       gauss_legendre_1d, identify_contributing_regions,
+                       reference_segment_penalty, region_contains_many,
                        sharp_penalty_cell)
 
 _MESH1 = StructuredMesh((0.0, 0.0), (1.0, 1.0), 1, 1, 2)
@@ -63,6 +64,8 @@ def test_sharp_params_validation():
         SharpParams(n_query=2, n_sub=2, n_gauss=2, l_max=0.0)
     with pytest.raises(ValueError):
         SharpParams(n_query=2, n_sub=2, n_gauss=2, l_max=0.1, test_grid=0)
+    with pytest.raises(ValueError):
+        SharpParams(n_query=2, n_sub=2, n_gauss=0, l_max=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +272,6 @@ def test_sharp_cell_isotropic_cloud_warns_and_contributes_nothing():
     assert n == 0
 
 
-def test_sharp_cell_collect_segments_flag():
-    cloud = _line_cloud(0.5, 0.05)
-    dp = DistanceParams(k=4, r=np.inf)
-    sp = SharpParams(n_query=5, n_sub=8, n_gauss=2, l_max=0.2, test_grid=4)
-    out = sharp_penalty_cell(_MESH1, 0, 0, cloud, dp, sp, PenaltyParams(beta=1.0),
-                             collect_segments=True)
-    assert len(out) == 4
-    assert all(s.intervals.ndim == 2 for s in out[3])
-
-
 # ---------------------------------------------------------------------------
 # assemblers
 
@@ -306,7 +299,8 @@ def test_assemblers_scale_exactly_with_beta_power_of_two():
     sp = SharpParams(n_query=4, n_sub=6, n_gauss=2, l_max=0.2, test_grid=3)
     for assemble in (
         lambda pen: assemble_diffuse_penalty(_MESH1, cloud, dp, diff, pen),
-        lambda pen: assemble_sharp_penalty(_MESH1, cloud, dp, sp, pen),
+        lambda pen: assemble_sharp_penalty(
+            _MESH1, cloud, collect_sharp_segments(_MESH1, cloud, dp, sp), pen, sp.n_gauss),
     ):
         K1, f1, _ = assemble(PenaltyParams(beta=32.0, u_hat=1.0))
         K2, f2, _ = assemble(PenaltyParams(beta=64.0, u_hat=1.0))
@@ -325,13 +319,9 @@ def test_diffuse_assembler_stats_and_cell_consistency():
     assert stats == {"penalty_points": n, "cells": 1}
 
 
-def test_sharp_assembler_matches_cell_sum():
-    mesh = StructuredMesh((0.0, 0.0), (2.0, 1.0), 2, 1, 2)
-    cloud = _line_cloud(0.4, 0.02, lo=-0.5, hi=2.5)
-    dp = DistanceParams(k=4, r=0.1)
-    sp = SharpParams(n_query=5, n_sub=8, n_gauss=3, l_max=0.06, test_grid=3)
-    pen = PenaltyParams(beta=5.0, u_hat=1.0)
-    K, f, stats = assemble_sharp_penalty(mesh, cloud, dp, sp, pen)
+def _assert_sharp_assembler_matches_cell_sum(mesh, cloud, dp, sp, pen):
+    segments = collect_sharp_segments(mesh, cloud, dp, sp)
+    K, f, stats = assemble_sharp_penalty(mesh, cloud, segments, pen, sp.n_gauss)
     n_total = 0
     dense = np.zeros((mesh.n_scalar_dofs, mesh.n_scalar_dofs))
     rhs = np.zeros(mesh.n_scalar_dofs)
@@ -344,3 +334,64 @@ def test_sharp_assembler_matches_cell_sum():
     np.testing.assert_allclose(K.toarray(), dense, rtol=1e-12, atol=1e-13)
     np.testing.assert_allclose(f, rhs, rtol=1e-12, atol=1e-13)
     assert stats["penalty_points"] == n_total
+    return segments
+
+
+def test_sharp_assembler_matches_cell_sum():
+    mesh = StructuredMesh((0.0, 0.0), (2.0, 1.0), 2, 1, 2)
+    cloud = _line_cloud(0.4, 0.02, lo=-0.5, hi=2.5)
+    dp = DistanceParams(k=4, r=0.1)
+    sp = SharpParams(n_query=5, n_sub=8, n_gauss=3, l_max=0.06, test_grid=3)
+    pen = PenaltyParams(beta=5.0, u_hat=1.0)
+    _assert_sharp_assembler_matches_cell_sum(mesh, cloud, dp, sp, pen)
+
+    # A circle crossing both interior interfaces of a 2 x 2 mesh: regions
+    # near the crossings are found by several cells but reconstructed once.
+    mesh = StructuredMesh((0.0, 0.0), (2.0, 2.0), 2, 2, 3)
+    cloud = PointCloud(circle_cloud(0.6, 120, center=(1.0, 1.0), phase=0.01))
+    h = 2.0 * np.pi * 0.6 / 120
+    sp = SharpParams(n_query=5, n_sub=8, n_gauss=3, l_max=3.0 * h, test_grid=3)
+    pen = PenaltyParams(beta=5.0, u_hat=lambda q: q[:, 0] - 2.0 * q[:, 1])
+    found = [set(identify_contributing_regions(mesh.cell_bounds(ix, iy), cloud, dp, sp))
+             for ix, iy in mesh.cells()]
+    assert sum(len(keys) for keys in found) > len(set.union(*found))
+    segments = _assert_sharp_assembler_matches_cell_sum(mesh, cloud, dp, sp, pen)
+    keys = [s.key for s in segments]
+    assert keys == sorted(set(keys)) == sorted(set.union(*found))
+    for seg in segments:
+        direct = bisect_plane_segments(cloud, seg.key, dp, sp)
+        np.testing.assert_array_equal(seg.support, direct.support)
+        np.testing.assert_array_equal(seg.direction, direct.direction)
+        np.testing.assert_array_equal(seg.intervals, direct.intervals)
+
+
+def test_sharp_assembler_integrates_regions_a_cell_query_missed():
+    """Where the circle crosses an interface, some regions reach into a cell
+    whose own query lattice never sampled them.  The boundary is one object:
+    every Gauss point in its region enters the cell it lies in, so the
+    assembled mass of the constant mode is the total in-region weight."""
+    mesh = StructuredMesh((-1.2, -1.2), (2.4, 2.4), 2, 2, 1)
+    h = 2.0 * np.pi / 128
+    cloud = PointCloud(circle_cloud(1.0, 128, phase=0.0467))
+    dp = DistanceParams(k=4, r=3.0 * h)
+    sp = SharpParams(n_query=5, n_sub=8, n_gauss=6, l_max=3.0 * h)
+    segments = collect_sharp_segments(mesh, cloud, dp, sp)
+    found = {cell: set(identify_contributing_regions(mesh.cell_bounds(*cell), cloud, dp, sp))
+             for cell in mesh.cells()}
+    rule = gauss_legendre_1d(sp.n_gauss)
+    total, n_inside, missed = 0.0, 0, 0
+    for seg in segments:
+        for lo, hi in seg.intervals:
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * rule.points
+            pts = seg.support + t[:, None] * seg.direction
+            inside = region_contains_many(cloud, pts, seg.key)
+            total += float(np.sum(0.5 * (hi - lo) * rule.weights[inside]))
+            n_inside += int(inside.sum())
+            for x, y in pts[inside]:
+                cell = (int((x + 1.2) // mesh.hx), int((y + 1.2) // mesh.hy))
+                missed += seg.key not in found[cell]
+    assert missed > 0
+    _, f, stats = assemble_sharp_penalty(mesh, cloud, segments,
+                                         PenaltyParams(beta=1.0, u_hat=1.0), sp.n_gauss)
+    assert np.sum(f) == pytest.approx(total, rel=1e-12)
+    assert stats["penalty_points"] == n_inside
