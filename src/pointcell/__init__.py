@@ -23,14 +23,14 @@ from .geometry import (DistanceParams, LocalPlane, PointCloud, fit_local_plane,
                        pca_distance_many)
 from .voronoi import (brute_force_regions_in_box, region_contains,
                       region_contains_many, region_key, region_keys_many)
-from .quadrature import (DiffuseTreeParams, SpaceTree, build_alpha_tree,
-                         build_diffuse_tree, gauss_legendre_1d,
-                         integrate_over_tree, regularized_delta_raw,
-                         tree_quadrature_points)
+from .quadrature import (SpaceTree, build_alpha_tree, build_diffuse_tree,
+                         gauss_legendre_1d, integrate_over_tree,
+                         regularized_delta_raw, tree_quadrature_points)
 from .basis import eval_basis, eval_values, shape_functions_1d
 from .fcm import (GlobalSystem, IndicatorField, PlaneStress,
                   PoissonCoefficient, StructuredMesh, apply_strong_zero,
-                  assemble_volume, evaluate, everywhere, solve, strain_energy)
+                  assemble_volume, component_dofs, evaluate, everywhere, solve,
+                  strain_energy)
 from .penalty import (BoundedSegment, DiffuseParams, PenaltyParams,
                       SharpParams, assemble_diffuse_penalty,
                       assemble_reference_penalty, assemble_sharp_penalty,

@@ -252,11 +252,10 @@ def run_beta_study(problem: AnnularProblem, betas, *, sharp: SharpParams | None 
 def count_diffuse_points(mesh: StructuredMesh, cloud: PointCloud,
                          dparams: DistanceParams, diff: DiffuseParams) -> int:
     """Quadrature points the diffuse route would place, without assembling."""
-    tp = diff.tree_params()
     dist = lambda pts: pca_distance_many(cloud, pts, dparams)
     total = 0
     for ix, iy in mesh.cells():
-        tree = build_diffuse_tree(mesh.cell_bounds(ix, iy), dist, tp)
+        tree = build_diffuse_tree(mesh.cell_bounds(ix, iy), dist, diff)
         total += tree.n_leaves * diff.n_gauss ** 2
     return total
 

@@ -64,13 +64,27 @@ def _get(cfg, section, key, cast, default):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
-def _distance_params(cfg, args) -> DistanceParams:
+def _distance_params(cfg, args, default_r) -> DistanceParams:
     k = args.k if args.k is not None else _get(cfg, "distance", "k", int, 4)
-    r = args.r if args.r is not None else _get(cfg, "distance", "r", float, 0.05)
+    r = args.r if args.r is not None else _get(cfg, "distance", "r", float, default_r)
     try:
         return DistanceParams(k=k, r=r)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _checked_beta(beta, source) -> float:
+    """beta if it is a valid penalty factor (finite and positive)."""
+    try:
+        return PenaltyParams(beta=beta).beta
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
+def _beta(cfg, args, default) -> float:
+    if args.beta is not None:
+        return _checked_beta(args.beta, "--beta")
+    return _checked_beta(_get(cfg, "problem", "beta", float, default), "[problem] beta")
 
 
 def _sharp_params(cfg, args, default_l_max) -> SharpParams:
@@ -100,6 +114,7 @@ def _diffuse_params(cfg, args) -> DiffuseParams:
 
 
 def _annular_config(cfg, args) -> benchmarks.AnnularConfig:
+    dparams = _distance_params(cfg, args, default_r=0.01)
     try:
         return benchmarks.AnnularConfig(
             n_points=_get(cfg, "problem", "n_points", int, 2000),
@@ -111,8 +126,7 @@ def _annular_config(cfg, args) -> benchmarks.AnnularConfig:
             n_cells=_get(cfg, "mesh", "n_cells", int, 4),
             degree=_get(cfg, "mesh", "degree", int, 10),
             volume_depth=_get(cfg, "problem", "volume_depth", int, 10),
-            k=args.k if args.k is not None else _get(cfg, "distance", "k", int, 4),
-            r=args.r if args.r is not None else _get(cfg, "distance", "r", float, 0.01))
+            k=dparams.k, r=dparams.r)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -135,12 +149,11 @@ def _cmd_solve(cfg, args) -> int:
     out = _outdir(cfg, args)
     resolution = _get(cfg, "output", "field_resolution", int, 101)
     if kind == "membrane":
+        beta = _beta(cfg, args, 1e6)
         cloud = _load_cloud(cfg, args)
-        dparams = _distance_params(cfg, args)
+        dparams = _distance_params(cfg, args, default_r=0.05)
         h = float(np.median(cloud.tree.query(cloud.points, k=2)[0][:, 1]))
         sparams = _sharp_params(cfg, args, default_l_max=3.0 * h)
-        beta = args.beta if args.beta is not None else _get(
-            cfg, "problem", "beta", float, 1e6)
         result = benchmarks.build_membrane_problem(
             cloud,
             extent=_get(cfg, "mesh", "extent", float, 1.1),
@@ -161,9 +174,8 @@ def _cmd_solve(cfg, args) -> int:
         return 0
     if kind == "annular":
         config = _annular_config(cfg, args)
+        beta = _beta(cfg, args, 1e5)
         problem = benchmarks.build_annular_problem(config)
-        beta = args.beta if args.beta is not None else _get(
-            cfg, "problem", "beta", float, 1e5)
         method = args.method or _get(cfg, "problem", "method", str, "sharp")
         pen = PenaltyParams(beta=beta, u_hat=problem.u_hat)
         if method == "sharp":
@@ -197,7 +209,6 @@ def _cmd_solve(cfg, args) -> int:
 def _cmd_beta_study(cfg, args) -> int:
     out = _outdir(cfg, args)
     config = _annular_config(cfg, args)
-    problem = benchmarks.build_annular_problem(config)
     preset = _get(cfg, "study", "preset", str, "log26")
     raw = _get(cfg, "study", "betas", str, None)
     if raw is not None:
@@ -205,6 +216,8 @@ def _cmd_beta_study(cfg, args) -> int:
             betas = np.array([float(tok) for tok in raw.split(",")])
         except ValueError as exc:
             raise ConfigError(f"bad [study] betas list: {raw!r}") from exc
+        for beta in betas:
+            _checked_beta(beta, "[study] betas")
     else:
         betas = benchmarks.beta_grid(preset)
     methods = _get(cfg, "study", "methods", str, "sharp,diffuse").split(",")
@@ -221,6 +234,7 @@ def _cmd_beta_study(cfg, args) -> int:
                                               int, 2048)
         else:
             raise ConfigError(f"unknown study method {method!r}")
+    problem = benchmarks.build_annular_problem(config)
     table = benchmarks.run_beta_study(problem, betas, **kwargs)
     for name in ("sharp", "diffuse", "reference"):
         if name in table:
@@ -239,7 +253,7 @@ def _cmd_beta_study(cfg, args) -> int:
 def _cmd_reconstruct(cfg, args) -> int:
     out = _outdir(cfg, args)
     cloud = _load_cloud(cfg, args)
-    dparams = _distance_params(cfg, args)
+    dparams = _distance_params(cfg, args, default_r=0.05)
     h = float(np.median(cloud.tree.query(cloud.points, k=2)[0][:, 1]))
     sparams = _sharp_params(cfg, args, default_l_max=3.0 * h)
     from .fcm import StructuredMesh

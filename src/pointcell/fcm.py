@@ -124,6 +124,11 @@ class PoissonCoefficient:
         if not self.c > 0.0:
             raise ValueError(f"diffusion coefficient must be positive, got {self.c}")
 
+    def blocks(self):
+        """Nonzero coupling blocks (d, e, C_de); see assemble_volume."""
+        c = np.array([[self.c]])
+        return [(0, 0, c), (1, 1, c)]
+
 
 @dataclass(frozen=True)
 class PlaneStress:
@@ -142,6 +147,15 @@ class PlaneStress:
     def moduli(self):
         d11 = self.E / (1.0 - self.nu**2)
         return d11, self.nu * d11, 0.5 * self.E / (1.0 + self.nu)
+
+    def blocks(self):
+        """Nonzero coupling blocks (d, e, C_de) of eps(w)^T D eps(u); see
+        assemble_volume."""
+        d11, d12, d33 = self.moduli()
+        return [(0, 0, np.array([[d11, 0.0], [0.0, d33]])),
+                (1, 1, np.array([[d33, 0.0], [0.0, d11]])),
+                (0, 1, np.array([[0.0, d12], [d33, 0.0]])),
+                (1, 0, np.array([[0.0, d33], [d12, 0.0]]))]
 
 
 @dataclass(frozen=True)
@@ -169,8 +183,9 @@ def everywhere(pts):
 class GlobalSystem:
     """Assembled sparse operator and load vector.
 
-    ncomp is 1 for scalar problems and 2 for plane stress (dofs interleaved
-    per scalar dof).  stats carries assembly counters.
+    ncomp is 1 for scalar problems and 2 for plane stress; component c of
+    scalar dof s is dof ncomp * s + c (see component_dofs).  stats carries
+    assembly counters.
     """
 
     K: sp.csr_matrix
@@ -185,20 +200,29 @@ class GlobalSystem:
         return self.f.size
 
 
+def component_dofs(scalar_dofs, ncomp: int):
+    """Dof ids of all ncomp components of the given scalar dofs.
+
+    The layout is interleaved: component c of scalar dof s is dof
+    ncomp * s + c, so the result lists each scalar dof's components in turn.
+    For ncomp = 1 the scalar ids are returned unchanged.
+    """
+    scalar_dofs = np.asarray(scalar_dofs, dtype=int)
+    return (ncomp * scalar_dofs[:, None] + np.arange(ncomp)).reshape(-1)
+
+
 def scatter_cells(mesh: StructuredMesh, ncomp: int, cell_pairs):
     """Sum cell-local pairs into a global symmetric operator and load.
 
     cell_pairs yields (ix, iy, Ke, fe) with Ke, fe in the cell's flat mode
-    order, the ncomp components of each mode interleaved.  Returns (K, f)
-    with K the CSR matrix 0.5 * (K + K^T).
+    order, each mode's ncomp components in turn (the layout of
+    component_dofs).  Returns (K, f) with K the CSR matrix 0.5 * (K + K^T).
     """
     ndof = mesh.n_scalar_dofs * ncomp
     rows, cols, vals = [], [], []
     f = np.zeros(ndof)
     for ix, iy, Ke, fe in cell_pairs:
-        idx = mesh.cell_dofs(ix, iy)
-        if ncomp > 1:
-            idx = (ncomp * idx[:, None] + np.arange(ncomp)).reshape(-1)
+        idx = component_dofs(mesh.cell_dofs(ix, iy), ncomp)
         rows.append(np.repeat(idx, idx.size))
         cols.append(np.tile(idx, idx.size))
         vals.append(Ke.reshape(-1))
@@ -218,9 +242,15 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
     tree_depth with an n_gauss x n_gauss Gauss rule per leaf (default
     p + 1 points).  body maps (m, 2) points to (m,) values (scalar) or
     (m, ncomp) rows; the indicator's alpha multiplies both integrands.
+
+    The material's blocks() give the integrand as the sum over gradient
+    directions d, e of (d_d w)^T C_de (d_e u), with C_de ncomp x ncomp, so
+    the cell matrix is the sum of kron(G_d^T W G_e, C_de) in the layout of
+    component_dofs.
     """
     p = mesh.degree
     ncomp = material.ncomp
+    blocks = material.blocks()
     if n_gauss is None:
         n_gauss = p + 1
     rule = gauss_legendre_1d(n_gauss)
@@ -242,26 +272,11 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
             cw = wts[start:start + _CHUNK] * indicator.alpha(cp)
             xi, eta = mesh.local_coords(ix, iy, cp)
             V, Gxi, Geta = basis_mod.eval_basis(p, xi, eta)
-            Gx = Gxi * (2.0 / mesh.hx)
-            Gy = Geta * (2.0 / mesh.hy)
-            if ncomp == 1:
-                c = material.c
-                Ke += c * ((Gx * cw[:, None]).T @ Gx + (Gy * cw[:, None]).T @ Gy)
-                if body is not None:
-                    fe += V.T @ (cw * np.asarray(body(cp), dtype=float))
-            else:
-                d11, d12, d33 = material.moduli()
-                Kxx = d11 * (Gx * cw[:, None]).T @ Gx + d33 * (Gy * cw[:, None]).T @ Gy
-                Kyy = d11 * (Gy * cw[:, None]).T @ Gy + d33 * (Gx * cw[:, None]).T @ Gx
-                Kxy = d12 * (Gx * cw[:, None]).T @ Gy + d33 * (Gy * cw[:, None]).T @ Gx
-                Ke[0::2, 0::2] += Kxx
-                Ke[1::2, 1::2] += Kyy
-                Ke[0::2, 1::2] += Kxy
-                Ke[1::2, 0::2] += Kxy.T
-                if body is not None:
-                    b = np.asarray(body(cp), dtype=float).reshape(cp.shape[0], 2)
-                    fe[0::2] += V.T @ (cw * b[:, 0])
-                    fe[1::2] += V.T @ (cw * b[:, 1])
+            G = (Gxi * (2.0 / mesh.hx), Geta * (2.0 / mesh.hy))
+            Ke += sum(np.kron((G[d] * cw[:, None]).T @ G[e], C) for d, e, C in blocks)
+            if body is not None:
+                B = np.asarray(body(cp), dtype=float).reshape(cp.shape[0], ncomp)
+                fe += (V.T @ (cw[:, None] * B)).reshape(-1)
         pairs.append((ix, iy, Ke, fe))
     K, fvec = scatter_cells(mesh, ncomp, pairs)
     return GlobalSystem(K=K, f=fvec, mesh=mesh, ncomp=ncomp,
@@ -298,15 +313,11 @@ def solve(system: GlobalSystem, rtol: float = 1e-10) -> np.ndarray:
 def apply_strong_zero(system: GlobalSystem, scalar_dofs) -> GlobalSystem:
     """Homogeneous strong constraints by row/column elimination.
 
-    scalar_dofs index scalar basis functions; for vector problems both
-    components of each are fixed.  Eliminated rows and columns are zeroed
+    scalar_dofs index scalar basis functions; every component of each is
+    fixed (component_dofs).  Eliminated rows and columns are zeroed
     with a unit diagonal and zero load.
     """
-    scalar_dofs = np.asarray(scalar_dofs, dtype=int)
-    if system.ncomp == 1:
-        fixed = scalar_dofs
-    else:
-        fixed = np.concatenate([2 * scalar_dofs, 2 * scalar_dofs + 1])
+    fixed = component_dofs(scalar_dofs, system.ncomp)
     free = np.ones(system.ndof)
     free[fixed] = 0.0
     D = sp.diags(free)
@@ -321,28 +332,28 @@ def evaluate(mesh: StructuredMesh, coeffs: np.ndarray, xs, ncomp: int = 1,
              gradients: bool = False):
     """Discrete field (and optionally gradients) at points inside the mesh.
 
-    Returns values of shape (m,) for scalar fields or (m, 2) for vector
-    fields; with gradients=True a tuple (values, grads) where grads has one
-    xy pair per component.
+    coeffs is in the layout of component_dofs.  Returns values of shape
+    (m,) for scalar fields or (m, ncomp) for vector fields; with
+    gradients=True a tuple (values, grads) where grads has one xy pair per
+    component.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     p = mesh.degree
     ix, iy, xi, eta = mesh.locate(xs)
     m = xs.shape[0]
+    by_dof = np.asarray(coeffs).reshape(-1, ncomp)
     vals = np.zeros((m, ncomp))
     grads = np.zeros((m, ncomp, 2)) if gradients else None
     cell_ids = ix * mesh.ny + iy
     for cid in np.unique(cell_ids):
         sel = np.nonzero(cell_ids == cid)[0]
         cx, cy = int(cid) // mesh.ny, int(cid) % mesh.ny
-        dofs = mesh.cell_dofs(cx, cy)
+        cc = by_dof[mesh.cell_dofs(cx, cy)]
         V, Gxi, Geta = basis_mod.eval_basis(p, xi[sel], eta[sel])
-        for comp in range(ncomp):
-            cc = coeffs[ncomp * dofs + comp] if ncomp > 1 else coeffs[dofs]
-            vals[sel, comp] = V @ cc
-            if gradients:
-                grads[sel, comp, 0] = (Gxi * (2.0 / mesh.hx)) @ cc
-                grads[sel, comp, 1] = (Geta * (2.0 / mesh.hy)) @ cc
+        vals[sel] = V @ cc
+        if gradients:
+            grads[sel, :, 0] = (Gxi * (2.0 / mesh.hx)) @ cc
+            grads[sel, :, 1] = (Geta * (2.0 / mesh.hy)) @ cc
     if ncomp == 1:
         vals = vals[:, 0]
         if gradients:

@@ -38,7 +38,7 @@ from .errors import SharpBoundaryWarning
 from .fcm import StructuredMesh, scatter_cells
 from .geometry import (DistanceParams, PointCloud, _knn_indices_many,
                        fit_planes, pca_distance_many)
-from .quadrature import (DiffuseTreeParams, _split, build_diffuse_tree,
+from .quadrature import (DiffuseParams, _split, build_diffuse_tree,
                          gauss_legendre_1d, regularized_delta_raw,
                          tree_quadrature_points)
 from .voronoi import region_keys_many
@@ -51,46 +51,25 @@ _SHOWN_KEYS = 5
 class PenaltyParams:
     """Penalty factor beta and prescribed boundary value.
 
-    u_hat is a constant or a callable mapping (m, 2) points to (m,) values
-    ((m, ncomp) rows for vector problems); it is evaluated at the penalty
-    quadrature points.
+    beta must be finite and positive.  u_hat is a constant or a callable
+    mapping (m, 2) points to (m,) values ((m, ncomp) rows for vector
+    problems); it is evaluated at the penalty quadrature points.
     """
 
     beta: float
     u_hat: object = 0.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
+
     def values(self, pts, ncomp: int = 1):
+        """Prescribed values at pts as (m, ncomp) rows."""
         if callable(self.u_hat):
             out = np.asarray(self.u_hat(pts), dtype=float)
         else:
-            out = np.full(pts.shape[0] if ncomp == 1 else (pts.shape[0], ncomp),
-                          float(self.u_hat))
-        if ncomp == 1:
-            return out.reshape(pts.shape[0])
+            out = np.full((pts.shape[0], ncomp), float(self.u_hat))
         return out.reshape(pts.shape[0], ncomp)
-
-
-@dataclass(frozen=True)
-class DiffuseParams:
-    """Diffuse-layer controls: half-width, tree depth, rule order."""
-
-    epsilon: float
-    n_sub: int
-    n_gauss: int
-    eps_d: float = 1e-5
-    test_grid: int = 5
-
-    def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.n_sub < 0:
-            raise ValueError(f"tree depth must be >= 0, got {self.n_sub}")
-        if self.n_gauss < 1:
-            raise ValueError(f"n_gauss must be >= 1, got {self.n_gauss}")
-
-    def tree_params(self):
-        return DiffuseTreeParams(epsilon=self.epsilon, n_sub=self.n_sub,
-                                 test_grid=self.test_grid, eps_d=self.eps_d)
 
 
 @dataclass(frozen=True)
@@ -173,7 +152,7 @@ def diffuse_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointClo
     """
     bounds = mesh.cell_bounds(ix, iy)
     dist = lambda pts: pca_distance_many(cloud, pts, dparams)
-    tree = build_diffuse_tree(bounds, dist, diff.tree_params())
+    tree = build_diffuse_tree(bounds, dist, diff)
     rule = gauss_legendre_1d(diff.n_gauss)
     pts, wts, _ = tree_quadrature_points(tree, rule)
     d = pca_distance_many(cloud, pts, dparams)
@@ -182,26 +161,14 @@ def diffuse_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointClo
 
 
 def _accumulate_point_penalty(mesh, ix, iy, pts, w, pen, ncomp):
-    """Accumulate beta * sum w N^T N and beta * sum w N^T u_hat for a cell."""
+    """Accumulate beta * sum w N^T N and beta * sum w N^T u_hat for a cell,
+    in the layout of fcm.component_dofs."""
     p = mesh.degree
-    nmodes = (p + 1) ** 2
-    if pts.shape[0] == 0:
-        return np.zeros((nmodes * ncomp, nmodes * ncomp)), np.zeros(nmodes * ncomp)
     w = w * pen.beta
     xi, eta = mesh.local_coords(ix, iy, pts)
     V = basis_mod.eval_values(p, np.clip(xi, -1.0, 1.0), np.clip(eta, -1.0, 1.0))
-    uh = pen.values(pts, ncomp)
-    if ncomp == 1:
-        Ke = (V * w[:, None]).T @ V
-        fe = V.T @ (w * uh)
-        return Ke, fe
-    Ks = (V * w[:, None]).T @ V
-    Ke = np.zeros((nmodes * 2, nmodes * 2))
-    Ke[0::2, 0::2] = Ks
-    Ke[1::2, 1::2] = Ks
-    fe = np.zeros(nmodes * 2)
-    fe[0::2] = V.T @ (w * uh[:, 0])
-    fe[1::2] = V.T @ (w * uh[:, 1])
+    Ke = np.kron((V * w[:, None]).T @ V, np.eye(ncomp))
+    fe = (V.T @ (w[:, None] * pen.values(pts, ncomp))).reshape(-1)
     return Ke, fe
 
 

@@ -70,25 +70,29 @@ def gauss_legendre_1d(n: int) -> QuadratureRule1D:
 
 
 @dataclass(frozen=True)
-class DiffuseTreeParams:
-    """Controls for the distance-driven tree.
+class DiffuseParams:
+    """Diffuse-layer controls.
 
     epsilon: layer half-width of the regularized delta.
-    n_sub: maximum subdivision depth.
-    test_grid: per-subcell test points in each direction (endpoints included).
+    n_sub: maximum depth of the distance-driven tree.
+    n_gauss: rule order per leaf.
     eps_d: delta threshold that triggers subdivision.
+    test_grid: per-subcell test points in each direction (endpoints included).
     """
 
     epsilon: float
     n_sub: int
-    test_grid: int = 5
+    n_gauss: int
     eps_d: float = 1e-5
+    test_grid: int = 5
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.n_sub < 0:
-            raise ValueError(f"n_sub must be >= 0, got {self.n_sub}")
+            raise ValueError(f"tree depth must be >= 0, got {self.n_sub}")
+        if self.n_gauss < 1:
+            raise ValueError(f"n_gauss must be >= 1, got {self.n_gauss}")
         if self.test_grid < 2:
             raise ValueError(f"test_grid must be >= 2, got {self.test_grid}")
 
@@ -147,6 +151,29 @@ def _stencil_3x3(cells):
     return np.stack([px, py], axis=-1).reshape(cells.shape[0], 9, 2)
 
 
+def _build_tree(root, refine, max_depth: int) -> SpaceTree:
+    """Quadtree over root, built level by level.
+
+    refine maps the (m, 4) active subcells of a level shallower than
+    max_depth to an (m,) mask of those to split; the others become leaves.
+    Every subcell still active at max_depth becomes a leaf.
+    """
+    leaves, depths = [], []
+    active = root[None, :]
+    for depth in range(max_depth + 1):
+        if active.shape[0] == 0:
+            break
+        if depth == max_depth:
+            keep = np.ones(active.shape[0], dtype=bool)
+        else:
+            keep = ~refine(active)
+        if np.any(keep):
+            leaves.append(active[keep])
+            depths.append(np.full(int(keep.sum()), depth))
+        active = _split(active[~keep])
+    return SpaceTree(root, np.concatenate(leaves, axis=0), np.concatenate(depths), max_depth)
+
+
 def build_alpha_tree(cell, inside_test, max_depth: int) -> SpaceTree:
     """Quadtree refined wherever the domain indicator is cut.
 
@@ -156,27 +183,16 @@ def build_alpha_tree(cell, inside_test, max_depth: int) -> SpaceTree:
     than the stencil spacing can be missed (cheap and adequate for smooth
     boundaries).
     """
-    root = _as_root(cell)
-    leaves, depths = [], []
-    active = root[None, :]
-    for depth in range(max_depth + 1):
-        if active.shape[0] == 0:
-            break
+
+    def cut(active):
         pts = _stencil_3x3(active).reshape(-1, 2)
         flags = np.asarray(inside_test(pts), dtype=bool).reshape(active.shape[0], 9)
-        cut = ~(np.all(flags, axis=1) | np.all(~flags, axis=1))
-        if depth == max_depth:
-            keep = np.ones(active.shape[0], dtype=bool)
-        else:
-            keep = ~cut
-        if np.any(keep):
-            leaves.append(active[keep])
-            depths.append(np.full(int(keep.sum()), depth))
-        active = _split(active[~keep]) if depth < max_depth else np.zeros((0, 4))
-    return SpaceTree(root, np.concatenate(leaves, axis=0), np.concatenate(depths), max_depth)
+        return ~(np.all(flags, axis=1) | np.all(~flags, axis=1))
+
+    return _build_tree(_as_root(cell), cut, max_depth)
 
 
-def build_diffuse_tree(cell, dist, params: DiffuseTreeParams) -> SpaceTree:
+def build_diffuse_tree(cell, dist, params: DiffuseParams) -> SpaceTree:
     """Quadtree refined where a regularized delta of dist(x) is sensed.
 
     Each subcell is probed on a test_grid x test_grid equidistant lattice
@@ -189,15 +205,11 @@ def build_diffuse_tree(cell, dist, params: DiffuseTreeParams) -> SpaceTree:
     sensed the layer remain part of the tree and are integrated like any
     other.
     """
-    root = _as_root(cell)
     eps = params.epsilon
     g = params.test_grid
     frac = np.linspace(0.0, 1.0, g)
-    leaves, depths = [], []
-    active = root[None, :]
-    for depth in range(params.n_sub + 1):
-        if active.shape[0] == 0:
-            break
+
+    def sensed_or_near(active):
         x0, y0 = active[:, 0], active[:, 1]
         w = active[:, 2] - active[:, 0]
         h = active[:, 3] - active[:, 1]
@@ -205,20 +217,12 @@ def build_diffuse_tree(cell, dist, params: DiffuseTreeParams) -> SpaceTree:
         py = y0[:, None, None] + h[:, None, None] * frac[None, None, :]
         pts = np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(-1, 2)
         d = np.asarray(dist(pts), dtype=float).reshape(active.shape[0], g * g)
-        dmin = d.min(axis=1)
         sensed = np.any(regularized_delta_raw(d, eps) > params.eps_d, axis=1)
         spacing = np.maximum(w, h) / (g - 1)
-        guard = dmin <= eps + spacing * (np.sqrt(2.0) / 2.0)
-        refine = sensed | guard
-        if depth == params.n_sub:
-            keep = np.ones(active.shape[0], dtype=bool)
-        else:
-            keep = ~refine
-        if np.any(keep):
-            leaves.append(active[keep])
-            depths.append(np.full(int(keep.sum()), depth))
-        active = _split(active[~keep]) if depth < params.n_sub else np.zeros((0, 4))
-    return SpaceTree(root, np.concatenate(leaves, axis=0), np.concatenate(depths), params.n_sub)
+        guard = d.min(axis=1) <= eps + spacing * (np.sqrt(2.0) / 2.0)
+        return sensed | guard
+
+    return _build_tree(_as_root(cell), sensed_or_near, params.n_sub)
 
 
 def regularized_delta_raw(t, epsilon: float):

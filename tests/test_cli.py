@@ -123,6 +123,33 @@ def test_zero_sharp_rule_order_is_config_error(tmp_path, capsys):
     assert "config error: n_gauss must be >= 1" in capsys.readouterr().err
 
 
+_BAD_NUMBERS = {
+    "annular-k": (_tiny_annular(), ["--k", "0"], "solve", "k must be >= 1"),
+    "annular-r": (_tiny_annular(), ["--r", "-1"], "beta-study", "r must be positive"),
+    "membrane-beta": ("[problem]\n", ["--beta=-1e6"], "solve",
+                      "--beta: beta must be finite and positive"),
+    "nan-beta": (_tiny_annular(), ["--beta", "nan"], "solve",
+                 "--beta: beta must be finite and positive"),
+    "config-beta": (_tiny_annular().replace("beta = 1e4", "beta = 0"), [], "solve",
+                    "[problem] beta: beta must be finite and positive"),
+    "study-betas": (_tiny_annular("[study]\n        betas = -10, 100"), [], "beta-study",
+                    "[study] betas: beta must be finite and positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_NUMBERS))
+def test_bad_number_is_config_error(tmp_path, capsys, case):
+    """Out-of-range numbers exit 2 before any assembly, never with a traceback."""
+    text, flags, command, message = _BAD_NUMBERS[case]
+    cloud = tmp_path / "circle.txt"
+    np.savetxt(cloud, circle_cloud(1.0, 64))
+    ini = _write(tmp_path / "run.ini", text)
+    rc = main(["--config", ini, "--cloud", str(cloud), "--out-dir", str(tmp_path / "o"),
+               *flags, command])
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 

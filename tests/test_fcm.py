@@ -6,7 +6,7 @@ import pytest
 from pointcell import (IndicatorField, MeshQueryError, PlaneStress,
                        PoissonCoefficient, SolverError, StructuredMesh,
                        apply_strong_zero, assemble_volume, build_alpha_tree,
-                       evaluate, everywhere, gauss_legendre_1d,
+                       eval_basis, evaluate, everywhere, gauss_legendre_1d,
                        integrate_over_tree, solve, strain_energy)
 
 _NOTHING = IndicatorField(inside=lambda pts: np.zeros(pts.shape[0], dtype=bool))
@@ -294,6 +294,67 @@ def test_plane_stress_vector_evaluate():
     vals = evaluate(mesh, u, xs, ncomp=2)
     np.testing.assert_allclose(vals[:, 0], 0.5 + 2.0 * xs[:, 0], rtol=1e-13)
     np.testing.assert_allclose(vals[:, 1], -xs[:, 1], rtol=1e-13)
+
+
+def test_plane_stress_cell_matrix_matches_strain_oracle():
+    """One stretched cell at p = 3 against sum over Gauss points of
+    w B^T D B, with B the strain-displacement matrix on interleaved dofs
+    (u_x, u_y of each mode in turn); this reaches the d12 coupling."""
+    mesh = StructuredMesh((0.5, -1.0), (2.0, 0.5), 1, 1, 3)
+    mat = PlaneStress(E=2.0, nu=0.3)
+    K = assemble_volume(mesh, mat, IndicatorField(inside=everywhere)).K.toarray()
+    rule = gauss_legendre_1d(4)
+    xi = np.repeat(rule.points, 4)
+    eta = np.tile(rule.points, 4)
+    w = np.repeat(rule.weights, 4) * np.tile(rule.weights, 4) * (0.25 * mesh.hx * mesh.hy)
+    _, Gxi, Geta = eval_basis(3, xi, eta)
+    Gx, Gy = Gxi * (2.0 / mesh.hx), Geta * (2.0 / mesh.hy)
+    nmodes = Gx.shape[1]
+    B = np.zeros((xi.size, 3, 2 * nmodes))
+    B[:, 0, 0::2] = Gx
+    B[:, 1, 1::2] = Gy
+    B[:, 2, 0::2] = Gy
+    B[:, 2, 1::2] = Gx
+    nu = mat.nu
+    D = mat.E / (1.0 - nu**2) * np.array([[1.0, nu, 0.0], [nu, 1.0, 0.0],
+                                          [0.0, 0.0, 0.5 * (1.0 - nu)]])
+    want = np.einsum("q,qai,ab,qbj->ij", w, B, D, B)
+    dofs = mesh.cell_dofs(0, 0)
+    idx = (2 * dofs[:, None] + np.arange(2)).reshape(-1)
+    got = K[np.ix_(idx, idx)]
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_plane_stress_constant_body_force_splits_by_component():
+    """A constant force (bx, by) loads component c with b_c times the
+    scalar load of the unit source, on a cut mesh as well."""
+    mesh = StructuredMesh((0, 0), (1, 1), 2, 2, 3)
+    disc = IndicatorField(inside=lambda q: (q[:, 0] - 0.4) ** 2 + (q[:, 1] - 0.5) ** 2 < 0.1)
+    bx, by = 0.7, -1.3
+    fv = assemble_volume(mesh, PlaneStress(), disc, tree_depth=3,
+                         body=lambda q: np.tile([bx, by], (q.shape[0], 1))).f
+    fs = assemble_volume(mesh, PoissonCoefficient(), disc, tree_depth=3,
+                         body=lambda q: np.ones(q.shape[0])).f
+    np.testing.assert_allclose(fv[0::2], bx * fs, rtol=1e-13)
+    np.testing.assert_allclose(fv[1::2], by * fs, rtol=1e-13)
+
+
+def test_apply_strong_zero_pins_both_plane_stress_components():
+    mesh = StructuredMesh((0, 0), (1, 1), 2, 2, 2)
+    sysm = assemble_volume(mesh, PlaneStress(), IndicatorField(inside=everywhere),
+                           body=lambda q: np.tile([1.0, -2.0], (q.shape[0], 1)))
+    listed = np.array([0, 7, 12])
+    pinned = apply_strong_zero(sysm, listed)
+    assert pinned.ncomp == 2
+    fixed = np.zeros(sysm.ndof, dtype=bool)
+    fixed[2 * listed] = True
+    fixed[2 * listed + 1] = True
+    K0, K1 = sysm.K.toarray(), pinned.K.toarray()
+    np.testing.assert_array_equal(K1[np.ix_(~fixed, ~fixed)], K0[np.ix_(~fixed, ~fixed)])
+    np.testing.assert_array_equal(K1[fixed], np.eye(sysm.ndof)[fixed])
+    np.testing.assert_array_equal(K1[:, fixed], np.eye(sysm.ndof)[:, fixed])
+    np.testing.assert_array_equal(pinned.f[~fixed], sysm.f[~fixed])
+    assert np.all(pinned.f[fixed] == 0.0)
 
 
 def test_material_validation():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pointcell import (DiffuseParams, DistanceParams, PenaltyParams, PointCloud,
                        SharpBoundaryWarning, SharpParams, StructuredMesh,
@@ -40,12 +43,20 @@ def _rel_frobenius(A, B):
 
 def test_penalty_values_scalar_and_callable():
     pts = np.array([[0.25, 0.0], [0.75, 0.0], [1.0, 0.0]])
-    assert np.all(PenaltyParams(beta=1.0, u_hat=2.5).values(pts) == 2.5)
+    const = PenaltyParams(beta=1.0, u_hat=2.5).values(pts)
+    assert const.shape == (3, 1)
+    assert np.all(const == 2.5)
     got = PenaltyParams(beta=1.0, u_hat=lambda q: q[:, 0] ** 2).values(pts)
-    np.testing.assert_allclose(got, pts[:, 0] ** 2)
+    np.testing.assert_allclose(got, pts[:, :1] ** 2)
     both = PenaltyParams(beta=1.0, u_hat=0.5).values(pts, ncomp=2)
     assert both.shape == (3, 2)
     assert np.all(both == 0.5)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1e6, np.nan, np.inf])
+def test_penalty_params_reject_bad_beta(beta):
+    with pytest.raises(ValueError, match="beta must be finite and positive"):
+        PenaltyParams(beta=beta)
 
 
 def test_diffuse_params_validation():
@@ -55,6 +66,8 @@ def test_diffuse_params_validation():
         DiffuseParams(epsilon=0.1, n_sub=-1, n_gauss=2)
     with pytest.raises(ValueError):
         DiffuseParams(epsilon=0.1, n_sub=2, n_gauss=0)
+    with pytest.raises(ValueError):
+        DiffuseParams(epsilon=0.1, n_sub=2, n_gauss=2, test_grid=1)
 
 
 def test_sharp_params_validation():
@@ -290,6 +303,31 @@ def test_reference_assembler_square_perimeter():
     assert w @ (K @ w) == pytest.approx(28.0, rel=1e-12)
     assert w @ f == pytest.approx(28.0, rel=1e-12)
     assert stats["penalty_points"] == 8 * 3
+
+
+_COORD = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
+
+
+@given(p=st.integers(min_value=1, max_value=4),
+       segs=st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD), min_size=1, max_size=6))
+def test_vector_penalty_is_kron_of_scalar(p, segs):
+    """A two-component penalty is the scalar one on each component: K is
+    kron(K_scalar, I_2) and f interleaves the two scalar loads."""
+    mesh = StructuredMesh((0.0, 0.0), (2.0, 2.0), 2, 2, p)
+    segs = np.array(segs)
+    g0 = lambda q: 1.0 + q[:, 0] * q[:, 1]
+    g1 = lambda q: np.cos(q[:, 0]) - q[:, 1]
+    K, f, _ = assemble_reference_penalty(
+        mesh, segs, PenaltyParams(beta=3.0, u_hat=lambda q: np.column_stack([g0(q), g1(q)])),
+        n_gauss=p + 1, ncomp=2)
+    K0, f0, _ = assemble_reference_penalty(mesh, segs, PenaltyParams(beta=3.0, u_hat=g0),
+                                           n_gauss=p + 1)
+    _, f1, _ = assemble_reference_penalty(mesh, segs, PenaltyParams(beta=3.0, u_hat=g1),
+                                          n_gauss=p + 1)
+    np.testing.assert_allclose(K.toarray(), sp.kron(K0, np.eye(2)).toarray(), rtol=1e-13)
+    # entries that cancel to round-off are held to the load's scale
+    want = np.column_stack([f0, f1]).reshape(-1)
+    np.testing.assert_allclose(f, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 def test_assemblers_scale_exactly_with_beta_power_of_two():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pointcell import (DiffuseTreeParams, DistanceParams, IntegrationError,
+from pointcell import (DiffuseParams, DistanceParams, IntegrationError,
                        PointCloud, build_alpha_tree, build_diffuse_tree,
                        gauss_legendre_1d, integrate_over_tree,
                        pca_distance_many, regularized_delta,
@@ -101,7 +101,7 @@ def test_delta_accepts_arrays_and_validates():
 
 def test_tree_far_cloud_single_leaf():
     """A cell everywhere at least 10 eps from the cloud is never subdivided."""
-    params = DiffuseTreeParams(epsilon=0.1, n_sub=5)
+    params = DiffuseParams(epsilon=0.1, n_sub=5, n_gauss=2)
     tree = build_diffuse_tree(_UNIT, lambda pts: np.full(pts.shape[0], 1.0), params)
     assert tree.n_leaves == 1
     assert tree.depths[0] == 0
@@ -109,7 +109,7 @@ def test_tree_far_cloud_single_leaf():
 
 
 def test_tree_inside_layer_fully_refined():
-    params = DiffuseTreeParams(epsilon=0.1, n_sub=3)
+    params = DiffuseParams(epsilon=0.1, n_sub=3, n_gauss=2)
     tree = build_diffuse_tree(_UNIT, lambda pts: np.zeros(pts.shape[0]), params)
     assert tree.n_leaves == 4**3
     assert np.all(tree.depths == 3)
@@ -118,7 +118,7 @@ def test_tree_inside_layer_fully_refined():
 def test_tree_band_refined_to_depth():
     """Leaves overlapping the delta band end at the requested depth; leaves
     far from the band stay coarse, and the leaves tile the root exactly."""
-    params = DiffuseTreeParams(epsilon=1.0 / 16.0, n_sub=4)
+    params = DiffuseParams(epsilon=1.0 / 16.0, n_sub=4, n_gauss=2)
     dist = lambda pts: np.abs(pts[:, 1] - 0.5)
     tree = build_diffuse_tree(_UNIT, dist, params)
     assert np.sum(tree.leaf_areas()) == pytest.approx(1.0, rel=1e-14)
@@ -134,19 +134,10 @@ def test_tree_depth_never_exceeds_limit():
     pts = rng.uniform(size=(30, 2))
     cloud = PointCloud(pts)
     dp = DistanceParams(k=3, r=0.5)
-    params = DiffuseTreeParams(epsilon=0.05, n_sub=3)
+    params = DiffuseParams(epsilon=0.05, n_sub=3, n_gauss=2)
     tree = build_diffuse_tree(_UNIT, lambda q: pca_distance_many(cloud, q, dp), params)
     assert np.max(tree.depths) <= 3
     assert np.sum(tree.leaf_areas()) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_tree_params_validation():
-    with pytest.raises(ValueError):
-        DiffuseTreeParams(epsilon=0.0, n_sub=2)
-    with pytest.raises(ValueError):
-        DiffuseTreeParams(epsilon=0.1, n_sub=-1)
-    with pytest.raises(ValueError):
-        DiffuseTreeParams(epsilon=0.1, n_sub=2, test_grid=1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +165,7 @@ def test_alpha_tree_uniform_cell_single_leaf():
 
 
 def test_integrate_affine_exact_on_refined_tree():
-    params = DiffuseTreeParams(epsilon=0.125, n_sub=3)
+    params = DiffuseParams(epsilon=0.125, n_sub=3, n_gauss=2)
     dist = lambda pts: np.abs(pts[:, 1] - 0.4)
     tree = build_diffuse_tree(_UNIT, dist, params)
     assert tree.n_leaves > 1
@@ -185,7 +176,7 @@ def test_integrate_affine_exact_on_refined_tree():
 
 def test_integrate_quadratic_on_single_leaf():
     tree = build_diffuse_tree(_UNIT, lambda pts: np.full(pts.shape[0], 9.0),
-                              DiffuseTreeParams(epsilon=0.1, n_sub=2))
+                              DiffuseParams(epsilon=0.1, n_sub=2, n_gauss=2))
     rule = gauss_legendre_1d(3)
     got = integrate_over_tree(tree, lambda pts: pts[:, 0] ** 2 * pts[:, 1] ** 2, rule)
     assert got == pytest.approx(1.0 / 9.0, rel=1e-14)
@@ -207,7 +198,7 @@ def test_integrate_reports_nonfinite_leaf():
 
 
 def test_tree_quadrature_points_leaf_major():
-    params = DiffuseTreeParams(epsilon=0.125, n_sub=2)
+    params = DiffuseParams(epsilon=0.125, n_sub=2, n_gauss=2)
     tree = build_diffuse_tree(_UNIT, lambda pts: np.abs(pts[:, 1] - 0.5), params)
     rule = gauss_legendre_1d(3)
     pts, wts, leaf_of = tree_quadrature_points(tree, rule)
@@ -230,7 +221,8 @@ def test_line_delta_mass_matches_length():
     cloud = _line_cloud(0.5)
     dp = DistanceParams(k=4, r=1.0)
     dist = lambda pts: pca_distance_many(cloud, pts, dp)
-    tree = build_diffuse_tree(_UNIT, dist, DiffuseTreeParams(epsilon=eps, n_sub=10))
+    tree = build_diffuse_tree(_UNIT, dist,
+                              DiffuseParams(epsilon=eps, n_sub=10, n_gauss=2))
     rule = gauss_legendre_1d(10)
     mass = integrate_over_tree(tree, lambda pts: regularized_delta(dist(pts), eps), rule)
     assert abs(mass - 1.0) <= 1e-4
