@@ -140,6 +140,16 @@ def test_tree_depth_never_exceeds_limit():
     assert np.sum(tree.leaf_areas()) == pytest.approx(1.0, rel=1e-14)
 
 
+def test_tree_params_validation():
+    """The controls the diffuse tree reads are checked when the params are made."""
+    with pytest.raises(ValueError, match="epsilon"):
+        DiffuseParams(epsilon=0.0, n_sub=2, n_gauss=2)
+    with pytest.raises(ValueError, match="tree depth"):
+        DiffuseParams(epsilon=0.1, n_sub=-1, n_gauss=2)
+    with pytest.raises(ValueError, match="test_grid"):
+        DiffuseParams(epsilon=0.1, n_sub=2, n_gauss=2, test_grid=1)
+
+
 # ---------------------------------------------------------------------------
 # alpha tree
 
