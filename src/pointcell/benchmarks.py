@@ -234,19 +234,26 @@ def run_beta_study(problem: AnnularProblem, betas, *, sharp: SharpParams | None 
                                               n_gauss=6)
         pairs["reference"] = (K, f)
         out["reference_points"] = st["penalty_points"]
-    Kv, fv = problem.volume.K, problem.volume.f
     for name, (Kp, fp) in pairs.items():
         errs = np.full(betas.size, np.nan)
         for i, b in enumerate(betas):
-            system = GlobalSystem(K=(Kv + b * Kp).tocsr(), f=fv + b * fp,
-                                  mesh=problem.mesh)
             try:
-                u = solve(system)
+                errs[i] = solve_annular(problem, b * Kp, b * fp)[2]
             except SolverError:
                 continue
-            errs[i] = energy_error(strain_energy(problem.volume, u), problem.u_ref)
         out[name] = errs
     return out
+
+
+def solve_annular(problem: AnnularProblem, Kp, fp):
+    """Solve the volume system plus one penalty pair (Kp, fp), already scaled
+    by its beta.  Returns (u, energy, energy error in percent); raises
+    SolverError when the solve fails."""
+    system = GlobalSystem(K=(problem.volume.K + Kp).tocsr(), f=problem.volume.f + fp,
+                          mesh=problem.mesh)
+    u = solve(system)
+    energy = strain_energy(problem.volume, u)
+    return u, energy, energy_error(energy, problem.u_ref)
 
 
 def count_diffuse_points(mesh: StructuredMesh, cloud: PointCloud,

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import benchmarks, export
 from .errors import (BoundaryNotFoundError, CloudLoadError, SolverError)
-from .fcm import evaluate, strain_energy
 from .geometry import DistanceParams
 from .penalty import (DiffuseParams, PenaltyParams, SharpParams,
                       assemble_diffuse_penalty, assemble_sharp_penalty,
@@ -132,6 +131,8 @@ def _annular_config(cfg, args) -> benchmarks.AnnularConfig:
 
 
 def _outdir(cfg, args) -> str:
+    """Output directory, created on the spot: call it once every other config
+    value has been read and checked, so a rejected run leaves nothing behind."""
     out = args.out_dir or _get(cfg, "output", "dir", str, ".")
     os.makedirs(out, exist_ok=True)
     return out
@@ -146,7 +147,6 @@ def _load_cloud(cfg, args):
 
 def _cmd_solve(cfg, args) -> int:
     kind = _get(cfg, "problem", "kind", str, "membrane")
-    out = _outdir(cfg, args)
     resolution = _get(cfg, "output", "field_resolution", int, 101)
     if kind == "membrane":
         beta = _beta(cfg, args, 1e6)
@@ -154,15 +154,15 @@ def _cmd_solve(cfg, args) -> int:
         dparams = _distance_params(cfg, args, default_r=0.05)
         h = float(np.median(cloud.tree.query(cloud.points, k=2)[0][:, 1]))
         sparams = _sharp_params(cfg, args, default_l_max=3.0 * h)
+        extent = _get(cfg, "mesh", "extent", float, 1.1)
+        n_cells = _get(cfg, "mesh", "n_cells", int, 16)
+        degree = _get(cfg, "mesh", "degree", int, 10)
+        load = _get(cfg, "problem", "load", float, 10.0)
+        rim_value = _get(cfg, "problem", "rim_value", float, 1.0)
+        out = _outdir(cfg, args)
         result = benchmarks.build_membrane_problem(
-            cloud,
-            extent=_get(cfg, "mesh", "extent", float, 1.1),
-            n_cells=_get(cfg, "mesh", "n_cells", int, 16),
-            degree=_get(cfg, "mesh", "degree", int, 10),
-            beta=beta,
-            load=_get(cfg, "problem", "load", float, 10.0),
-            rim_value=_get(cfg, "problem", "rim_value", float, 1.0),
-            dparams=dparams, sparams=sparams)
+            cloud, extent=extent, n_cells=n_cells, degree=degree, beta=beta,
+            load=load, rim_value=rim_value, dparams=dparams, sparams=sparams)
         export.write_field_vtk(os.path.join(out, "field.vtk"), result.mesh,
                                result.coeffs, resolution=resolution)
         export.write_segments_csv(os.path.join(out, "segments.csv"),
@@ -175,39 +175,35 @@ def _cmd_solve(cfg, args) -> int:
     if kind == "annular":
         config = _annular_config(cfg, args)
         beta = _beta(cfg, args, 1e5)
-        problem = benchmarks.build_annular_problem(config)
         method = args.method or _get(cfg, "problem", "method", str, "sharp")
-        pen = PenaltyParams(beta=beta, u_hat=problem.u_hat)
         if method == "sharp":
             sparams = _sharp_params(cfg, args,
                                     default_l_max=3.0 * config.spacing)
+        elif method == "diffuse":
+            diffuse = _diffuse_params(cfg, args)
+        else:
+            raise ConfigError(f"unknown method {method!r}")
+        out = _outdir(cfg, args)
+        problem = benchmarks.build_annular_problem(config)
+        pen = PenaltyParams(beta=beta, u_hat=problem.u_hat)
+        if method == "sharp":
             segments = collect_sharp_segments(
                 problem.mesh, problem.cloud, problem.dparams, sparams)
             Kp, fp, stats = assemble_sharp_penalty(
                 problem.mesh, problem.cloud, segments, pen, sparams.n_gauss)
-        elif method == "diffuse":
-            Kp, fp, stats = assemble_diffuse_penalty(
-                problem.mesh, problem.cloud, problem.dparams,
-                _diffuse_params(cfg, args), pen)
         else:
-            raise ConfigError(f"unknown method {method!r}")
-        from .fcm import GlobalSystem, solve as solve_system
-
-        system = GlobalSystem(K=(problem.volume.K + Kp).tocsr(),
-                              f=problem.volume.f + fp, mesh=problem.mesh)
-        u = solve_system(system)
-        energy = strain_energy(problem.volume, u)
-        error = benchmarks.energy_error(energy, problem.u_ref)
+            Kp, fp, stats = assemble_diffuse_penalty(
+                problem.mesh, problem.cloud, problem.dparams, diffuse, pen)
+        u, energy, error = benchmarks.solve_annular(problem, Kp, fp)
         export.write_field_vtk(os.path.join(out, "field.vtk"), problem.mesh, u,
                                resolution=resolution)
-        print(f"dofs={system.ndof} penalty_points={stats['penalty_points']} "
+        print(f"dofs={problem.volume.ndof} penalty_points={stats['penalty_points']} "
               f"energy={energy:.10e} error_percent={error:.6e}")
         return 0
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
 def _cmd_beta_study(cfg, args) -> int:
-    out = _outdir(cfg, args)
     config = _annular_config(cfg, args)
     preset = _get(cfg, "study", "preset", str, "log26")
     raw = _get(cfg, "study", "betas", str, None)
@@ -234,6 +230,7 @@ def _cmd_beta_study(cfg, args) -> int:
                                               int, 2048)
         else:
             raise ConfigError(f"unknown study method {method!r}")
+    out = _outdir(cfg, args)
     problem = benchmarks.build_annular_problem(config)
     table = benchmarks.run_beta_study(problem, betas, **kwargs)
     for name in ("sharp", "diffuse", "reference"):
@@ -251,7 +248,6 @@ def _cmd_beta_study(cfg, args) -> int:
 
 
 def _cmd_reconstruct(cfg, args) -> int:
-    out = _outdir(cfg, args)
     cloud = _load_cloud(cfg, args)
     dparams = _distance_params(cfg, args, default_r=0.05)
     h = float(np.median(cloud.tree.query(cloud.points, k=2)[0][:, 1]))
@@ -260,6 +256,7 @@ def _cmd_reconstruct(cfg, args) -> int:
 
     extent = _get(cfg, "mesh", "extent", float, 1.1)
     n_cells = _get(cfg, "mesh", "n_cells", int, 16)
+    out = _outdir(cfg, args)
     mesh = StructuredMesh((-extent, -extent), (2 * extent, 2 * extent),
                           n_cells, n_cells, 1)
     segments = collect_sharp_segments(mesh, cloud, dparams, sparams)

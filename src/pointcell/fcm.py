@@ -4,7 +4,12 @@ The physical domain is embedded in a rectangle meshed by nx x ny equal cells
 carrying tensor shape functions of degree p.  An indicator field classifies
 points as physical or fictitious; the fictitious material is scaled by a small
 alpha so the discrete operator stays regular without meshing the boundary.
-Volume terms are integrated on indicator-driven quadtrees per cell.
+Volume terms are integrated on indicator-driven quadtrees per cell.  Every
+quadtree leaf is a rectangle carrying a tensor Gauss rule, so a cell's volume
+integrals are sum-factorized: the 1D shape functions are tabulated only at
+each leaf's x and y abscissae, and the pointwise weight alpha * w is
+contracted with the y tables leaf by leaf and then with the x tables in one
+matrix product (Orszag's sum factorization on the finite-cell quadtree rule).
 """
 
 from __future__ import annotations
@@ -19,10 +24,6 @@ import scipy.sparse.linalg as spla
 from . import basis as basis_mod
 from .errors import MeshQueryError, SolverError
 from .quadrature import build_alpha_tree, gauss_legendre_1d, tree_quadrature_points
-
-# Cut-cell quadrature points are streamed through dense kernels in chunks of
-# this many points to bound peak memory at high p.
-_CHUNK = 200_000
 
 
 class StructuredMesh:
@@ -234,6 +235,20 @@ def scatter_cells(mesh: StructuredMesh, ncomp: int, cell_pairs):
     return (0.5 * (K + K.T)).tocsr(), f
 
 
+def _factorized_block(W, Xd, Xe, Yd, Ye):
+    """sum over points of W (X_d Y_d)^T (X_e Y_e) in flat mode order.
+
+    W is (L, n, n); the tables are (L, n, p + 1).  The y sum is a batched
+    product per leaf, the x sum one matrix product over all leaves.
+    """
+    L, n, n1 = Xd.shape
+    YY = (Yd[:, :, :, None] * Ye[:, :, None, :]).reshape(L, n, n1 * n1)
+    T = (W @ YY).reshape(L * n, n1 * n1)
+    XX = (Xd[:, :, :, None] * Xe[:, :, None, :]).reshape(L * n, n1 * n1)
+    K4 = (XX.T @ T).reshape(n1, n1, n1, n1)
+    return K4.transpose(0, 2, 1, 3).reshape(n1 * n1, n1 * n1)
+
+
 def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
                     body=None, tree_depth: int = 0, n_gauss: int | None = None) -> GlobalSystem:
     """Volume stiffness and body load over the embedding domain.
@@ -246,15 +261,30 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
     The material's blocks() give the integrand as the sum over gradient
     directions d, e of (d_d w)^T C_de (d_e u), with C_de ncomp x ncomp, so
     the cell matrix is the sum of kron(G_d^T W G_e, C_de) in the layout of
-    component_dofs.
+    component_dofs.  Mode (a, b) is N_a(x) N_b(y), so the gradient factors
+    into 1D tables: d/dx is X_0 = N_a'(x), Y_0 = N_b(y) and d/dy is
+    X_1 = N_a(x), Y_1 = N_b'(y).  On a cell with L leaves of n x n points,
+    point (l, i, j) has the leaf's i-th x- and j-th y-abscissa, and
+
+        G_d^T W G_e [(a, b), (a', b')]
+            = sum_{l, i} X_d[a, l, i] X_e[a', l, i]
+                         sum_j W[l, i, j] Y_d[b, l, j] Y_e[b', l, j],
+
+    a batched (n x n) @ (n x (p + 1)^2) product per leaf followed by one
+    ((p + 1)^2 x L n) @ (L n x (p + 1)^2) product.  The body load is
+    f[a, b, c] = sum_{l, i, j} N_a(x_li) N_b(y_lj) W[l, i, j] B_c[l, i, j]
+    in the same two steps.  W = alpha * w stays pointwise, so the
+    factorization is exact for any indicator; work and memory per cell are
+    O(L n (p + 1)^2) tables instead of O(L n^2 (p + 1)^2).
     """
     p = mesh.degree
+    n1 = p + 1
     ncomp = material.ncomp
     blocks = material.blocks()
     if n_gauss is None:
         n_gauss = p + 1
     rule = gauss_legendre_1d(n_gauss)
-    nmodes = (p + 1) ** 2
+    n = rule.n
     pairs = []
     n_points = 0
     n_cut = 0
@@ -265,18 +295,27 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
             n_cut += 1
         pts, wts, _ = tree_quadrature_points(tree, rule)
         n_points += pts.shape[0]
-        Ke = np.zeros((nmodes * ncomp, nmodes * ncomp))
-        fe = np.zeros(nmodes * ncomp)
-        for start in range(0, pts.shape[0], _CHUNK):
-            cp = pts[start:start + _CHUNK]
-            cw = wts[start:start + _CHUNK] * indicator.alpha(cp)
-            xi, eta = mesh.local_coords(ix, iy, cp)
-            V, Gxi, Geta = basis_mod.eval_basis(p, xi, eta)
-            G = (Gxi * (2.0 / mesh.hx), Geta * (2.0 / mesh.hy))
-            Ke += sum(np.kron((G[d] * cw[:, None]).T @ G[e], C) for d, e, C in blocks)
-            if body is not None:
-                B = np.asarray(body(cp), dtype=float).reshape(cp.shape[0], ncomp)
-                fe += (V.T @ (cw[:, None] * B)).reshape(-1)
+        L = tree.n_leaves
+        W = (wts * indicator.alpha(pts)).reshape(L, n, n)
+        xi, eta = mesh.local_coords(ix, iy, pts)
+        # Point (l, i, j) sits at the i-th x- and the j-th y-abscissa of leaf l;
+        # the 1D tables are (L, n, p + 1).
+        Nx, dNx = (t.reshape(n1, L, n).transpose(1, 2, 0) for t in
+                   basis_mod.shape_functions_1d(p, xi.reshape(L, n, n)[:, :, 0].ravel()))
+        Ny, dNy = (t.reshape(n1, L, n).transpose(1, 2, 0) for t in
+                   basis_mod.shape_functions_1d(p, eta.reshape(L, n, n)[:, 0, :].ravel()))
+        X = (dNx * (2.0 / mesh.hx), Nx)
+        Y = (Ny, dNy * (2.0 / mesh.hy))
+        Ke = sum(np.kron(_factorized_block(W, X[d], X[e], Y[d], Y[e]), C)
+                 for d, e, C in blocks)
+        if body is None:
+            fe = np.zeros(n1 * n1 * ncomp)
+        else:
+            B = np.asarray(body(pts), dtype=float).reshape(L, n, n, ncomp)
+            WB = (W[..., None] * B).transpose(0, 3, 1, 2)
+            # S[(l, i), (b, c)] = sum_j (W B)[l, i, j, c] N_b(y_lj)
+            S = (WB @ Ny[:, None]).transpose(0, 2, 3, 1).reshape(L * n, n1 * ncomp)
+            fe = (Nx.reshape(L * n, n1).T @ S).reshape(-1)
         pairs.append((ix, iy, Ke, fe))
     K, fvec = scatter_cells(mesh, ncomp, pairs)
     return GlobalSystem(K=K, f=fvec, mesh=mesh, ncomp=ncomp,

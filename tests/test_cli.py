@@ -150,6 +150,18 @@ def test_bad_number_is_config_error(tmp_path, capsys, case):
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,flags,command", [
+    ("[problem]\n", ["--beta", "nan"], "solve"),
+    (_tiny_annular("[study]\n        betas = -10, 100"), [], "beta-study"),
+], ids=["nan-beta-solve", "negative-study-beta"])
+def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, text, flags, command):
+    ini = _write(tmp_path / "run.ini", text)
+    made = tmp_path / "made"
+    assert main(["--config", ini, "--out-dir", str(made), *flags, command]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not made.exists()
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 
