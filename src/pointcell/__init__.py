@@ -16,16 +16,14 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 
 from .errors import (BoundaryNotFoundError, CloudLoadError,
-                     DegenerateGeometryError, IntegrationError, MeshQueryError,
+                     DegenerateGeometryError, MeshQueryError,
                      SharpBoundaryWarning, SolverError)
-from .geometry import (DistanceParams, LocalPlane, PointCloud, fit_local_plane,
-                       knn_query, load_point_cloud, pca_distance,
-                       pca_distance_many)
-from .voronoi import (brute_force_regions_in_box, region_contains,
-                      region_contains_many, region_key, region_keys_many)
+from .geometry import (DistanceParams, PointCloud, fit_planes,
+                       load_point_cloud, pca_distance_many)
+from .voronoi import brute_force_regions_in_box, region_keys_many
 from .quadrature import (SpaceTree, build_alpha_tree, build_diffuse_tree,
-                         gauss_legendre_1d, integrate_over_tree,
-                         regularized_delta_raw, tree_quadrature_points)
+                         gauss_legendre_1d, regularized_delta_raw,
+                         tree_quadrature_points)
 from .basis import eval_basis, eval_values, shape_functions_1d
 from .fcm import (GlobalSystem, IndicatorField, PlaneStress,
                   PoissonCoefficient, StructuredMesh, apply_strong_zero,
@@ -36,8 +34,7 @@ from .penalty import (BoundedSegment, DiffuseParams, PenaltyParams,
                       assemble_reference_penalty, assemble_sharp_penalty,
                       bisect_plane_segments, collect_sharp_segments,
                       diffuse_penalty_cell, identify_contributing_regions,
-                      reference_segment_penalty, regularized_delta,
-                      sharp_penalty_cell)
+                      reference_segment_penalty, sharp_penalty_cell)
 from .benchmarks import (AnnularConfig, AnnularProblem, MembraneResult,
                          beta_grid, build_annular_problem,
                          build_membrane_problem, circle_cloud, circle_polyline,

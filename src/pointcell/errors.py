@@ -9,10 +9,6 @@ class DegenerateGeometryError(ValueError):
     """Geometry construction failed (coincident points, empty neighbor set)."""
 
 
-class IntegrationError(RuntimeError):
-    """A quadrature evaluation produced a non-finite value."""
-
-
 class SolverError(RuntimeError):
     """Linear solve failed (singular or badly constrained system)."""
 

@@ -54,16 +54,6 @@ def write_segments_csv(path, segments) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_points_csv(path, xs, values, value_name: str = "u") -> None:
-    """Sampled field values as "x,y,<name>"."""
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    lines = [f"x,y,{value_name}"]
-    for (x, y), v in zip(xs, values):
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(v)}")
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
 def write_field_vtk(path, mesh: StructuredMesh, coeffs: np.ndarray,
                     resolution: int = 101, name: str = "u") -> None:
     """Legacy-ASCII structured-points dump of a scalar field on the mesh."""

@@ -41,20 +41,6 @@ class DistanceParams:
             raise ValueError(f"r must be positive, got {self.r}")
 
 
-@dataclass
-class LocalPlane:
-    """Local TLS line fit: support point, unit normal, degeneracy flag.
-
-    degenerate is True when the neighbor covariance is isotropic (equal
-    eigenvalues); the normal is then an arbitrary but deterministic axis and
-    callers decide whether to use it.
-    """
-
-    support: np.ndarray
-    normal: np.ndarray
-    degenerate: bool = False
-
-
 class PointCloud:
     """Immutable 2D point set with a spatial index.
 
@@ -166,16 +152,6 @@ def _resort_exact(points, xs, idx):
     return take(d2, order, axis=1), take(idx, order, axis=1)
 
 
-def knn_query(cloud: PointCloud, x, k: int):
-    """The k nearest cloud points to x as a list of (index, distance).
-
-    Neighbors come sorted by distance; exact distance ties are broken by
-    ascending point index.
-    """
-    idx, dist = _knn_indices_many(cloud, np.asarray(x, dtype=float)[None, :], k)
-    return [(int(i), float(d)) for i, d in zip(idx[0], dist[0])]
-
-
 def _smallest_eigvec_2x2(a, b, c):
     """Unit eigenvector of the smallest eigenvalue of [[a, b], [b, c]], batched.
 
@@ -223,6 +199,8 @@ def fit_planes(neighbors):
     an arbitrary but deterministic axis), coincident a zero scatter matrix.
     """
     nb = np.asarray(neighbors, dtype=float)
+    if nb.ndim != 3 or nb.shape[1] < 2 or nb.shape[2] != 2:
+        raise ValueError(f"need an (m, k, 2) array with k >= 2, got shape {nb.shape}")
     cen = nb.mean(axis=1)
     d = nb - cen[:, None, :]
     a = np.einsum("mk,mk->m", d[:, :, 0], d[:, :, 0])
@@ -232,35 +210,14 @@ def fit_planes(neighbors):
     return cen, np.column_stack([vx, vy]), iso, (a == 0.0) & (b == 0.0) & (c == 0.0)
 
 
-def fit_local_plane(neighbors) -> LocalPlane:
-    """Total-least-squares line through one neighbor set (see fit_planes).
-
-    Raises DegenerateGeometryError when all points coincide.  An isotropic
-    scatter (equal eigenvalues, e.g. the corners of a square) yields
-    degenerate=True with a deterministic axis; callers decide what to do.
-    """
-    pts = np.asarray(neighbors, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise ValueError(f"need an (m, 2) array with m >= 2, got shape {pts.shape}")
-    support, normal, iso, coincident = fit_planes(pts[None])
-    if coincident[0]:
-        raise DegenerateGeometryError("all neighbor points coincide, no plane is defined")
-    return LocalPlane(support=support[0], normal=normal[0], degenerate=bool(iso[0]))
-
-
-def pca_distance(cloud: PointCloud, x, params: DistanceParams) -> float:
-    """Unsigned distance from x to the locally fitted boundary plane.
-
-    If even the nearest cloud point is farther than params.r the plane fit is
-    not trusted and the nearest-neighbor distance is returned instead.  For
-    isotropic (flagged degenerate) neighbor sets the deterministic axis of the
-    fit is used as-is.
-    """
-    return float(pca_distance_many(cloud, np.asarray(x, dtype=float)[None, :], params)[0])
-
-
 def pca_distance_many(cloud: PointCloud, xs, params: DistanceParams) -> np.ndarray:
-    """Vectorized pca_distance over the rows of xs (m, 2)."""
+    """Unsigned distance from each row of xs (m, 2) to its locally fitted plane.
+
+    The plane is the TLS fit through the k nearest cloud points (fit_planes).
+    Where even the nearest cloud point is farther than params.r the fit is
+    not trusted and the nearest-neighbor distance is returned instead.  For
+    isotropic neighbor sets the deterministic axis of the fit is used as-is.
+    """
     xs = np.ascontiguousarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != 2:
         raise ValueError(f"expected (m, 2) query array, got shape {xs.shape}")
@@ -270,9 +227,9 @@ def pca_distance_many(cloud: PointCloud, xs, params: DistanceParams) -> np.ndarr
     out = dist[:, 0].copy()
     near = dist[:, 0] <= params.r
     if np.any(near):
-        cen, normal, _, coincident = fit_planes(cloud.points[idx[near]])
         if params.k < 2:
             raise DegenerateGeometryError("plane fit needs k >= 2 neighbors")
+        cen, normal, _, coincident = fit_planes(cloud.points[idx[near]])
         if np.any(coincident):
             raise DegenerateGeometryError("coincident neighbor set encountered in plane fit")
         rel = xs[near] - cen

@@ -14,16 +14,16 @@ Voronoi regions that may meet it; the union of those keys is fitted and
 bisected in one batched pass (the TLS plane of each region's k defining
 points, bounded to the region by bisection), giving one segment list that the
 penalty, the segment export and the membrane diagnostics all share.
-Integrate with per-point checks: Gauss points are laid once on every kept
-subsegment, and each point enters only if it lies in its own region and in
-the cell it is accumulated into (half-open cell membership), so pieces shared
-between neighboring cells are never double counted, and a piece reaching into
-a cell whose own lattice missed its region is still integrated there.  Points
-sit on the reconstructed boundary itself, so nothing constrains the field
-away from it, and far fewer points are needed than in the layer.
+Integrate by clipping: every kept subsegment is clipped to each cell it
+crosses, the rule is laid on each clipped piece, and a Gauss point enters
+only if it lies in its own region.  Cells are half-open, so a piece on a
+shared edge is counted once, and a piece reaching into a cell whose own
+lattice missed its region is still integrated there.  Points sit on the
+reconstructed boundary itself, so nothing constrains the field away from it,
+and far fewer points are needed than in the layer.
 
-A reference integrator over explicit polyline segments serves as the ground
-truth for both.
+A reference route over explicit polyline segments serves as the ground truth
+for both; it shares the sharp route's segment integrator.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .geometry import (DistanceParams, PointCloud, _knn_indices_many,
 from .quadrature import (DiffuseParams, _split, build_diffuse_tree,
                          gauss_legendre_1d, regularized_delta_raw,
                          tree_quadrature_points)
-from .voronoi import region_keys_many
+from .voronoi import _unique_rows, region_keys_many
 
 # Keys of skipped regions quoted in a SharpBoundaryWarning.
 _SHOWN_KEYS = 5
@@ -125,17 +125,7 @@ class BoundedSegment:
 
     def endpoints(self):
         """(m, 4) rows x0, y0, x1, y1 of the kept subsegments."""
-        a = self.support[None, :] + self.intervals[:, 0, None] * self.direction[None, :]
-        b = self.support[None, :] + self.intervals[:, 1, None] * self.direction[None, :]
-        return np.hstack([a, b])
-
-
-def regularized_delta(t, epsilon: float):
-    """Cosine-bump delta approximation with unit mass and support [-eps, eps]."""
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    arr = regularized_delta_raw(np.asarray(t, dtype=float), epsilon)
-    return float(arr) if np.isscalar(t) else arr
+        return (self.support + self.intervals[:, :, None] * self.direction).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +214,7 @@ def identify_contributing_regions(cell_bounds, cloud: PointCloud,
     if not np.any(within):
         return []
     keys = np.sort(idx[within], axis=1)
-    return [tuple(int(i) for i in row) for row in np.unique(keys, axis=0)]
+    return [tuple(int(i) for i in row) for row in _unique_rows(keys)]
 
 
 def _bisect_batched(cloud: PointCloud, keys_arr, supports, tangents,
@@ -343,42 +333,29 @@ def _sharp_cell_pairs(mesh: StructuredMesh, cloud: PointCloud, segments,
                       pen: PenaltyParams, n_gauss: int, ncomp: int, cells):
     """Sharp penalty pairs (ix, iy, (Ke, fe, n_points)) of the given cells.
 
-    Gauss points are laid once on every kept subsegment; a point enters a
-    cell's pair only if it lies in its own region and in that cell
-    (half-open against mesh.cell_bounds, closed at the mesh's upper edges).
-    n_points counts the points that enter; cells with none are not yielded.
+    The kept subsegments go through the segment integrator
+    (_segment_cell_pairs); a Gauss point enters only if it lies in its own
+    region, tested for all cells in one region query.
     """
-    segments = [s for s in segments if s.intervals.size]
     if not segments:
-        return
-    rule = gauss_legendre_1d(n_gauss)
-    keys_arr = np.asarray([s.key for s in segments], dtype=int)
-    supports = np.asarray([s.support for s in segments])
-    tangents = np.asarray([s.direction for s in segments])
-    seg_row = np.repeat(np.arange(len(segments)), [s.intervals.shape[0] for s in segments])
-    seg_lo, seg_hi = np.concatenate([s.intervals for s in segments]).T
-    mid = 0.5 * (seg_lo + seg_hi)
-    halflen = 0.5 * (seg_hi - seg_lo)
-    t = mid[:, None] + halflen[:, None] * rule.points[None, :]
-    w = halflen[:, None] * rule.weights[None, :]
-    rows = np.repeat(seg_row, rule.n)
-    tf = t.reshape(-1)
-    wf = w.reshape(-1)
-    pts = supports[rows] + tf[:, None] * tangents[rows]
-    in_region = np.all(region_keys_many(cloud, pts, keys_arr.shape[1]) == keys_arr[rows],
-                       axis=1)
-    pts, wf = pts[in_region], wf[in_region]
-    for ix, iy in cells:
-        bounds = mesh.cell_bounds(ix, iy)
-        ok_x = (pts[:, 0] >= bounds[0]) & (
-            pts[:, 0] <= bounds[2] if ix == mesh.nx - 1 else pts[:, 0] < bounds[2])
-        ok_y = (pts[:, 1] >= bounds[1]) & (
-            pts[:, 1] <= bounds[3] if iy == mesh.ny - 1 else pts[:, 1] < bounds[3])
-        ok = ok_x & ok_y
-        n = int(ok.sum())
-        if n:
-            Ke, fe = _accumulate_point_penalty(mesh, ix, iy, pts[ok], wf[ok], pen, ncomp)
-            yield ix, iy, (Ke, fe, n)
+        return iter(())
+    keys = np.asarray([s.key for s in segments], dtype=int)
+    region = np.repeat(np.arange(len(segments)), [s.intervals.shape[0] for s in segments])
+
+    def in_region(rows, pts):
+        return np.all(region_keys_many(cloud, pts, keys.shape[1]) == keys[region[rows]],
+                      axis=1)
+
+    segs = np.concatenate([s.endpoints() for s in segments])
+    return _segment_cell_pairs(mesh, segs, pen, n_gauss, ncomp, cells, in_region)
+
+
+def _first_pair(mesh: StructuredMesh, ncomp: int, pairs):
+    """The pair of a one-cell pair iterator, or zeros when the cell has none."""
+    for _, _, pair in pairs:
+        return pair
+    nmodes = (mesh.degree + 1) ** 2 * ncomp
+    return np.zeros((nmodes, nmodes)), np.zeros(nmodes), 0
 
 
 def sharp_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointCloud,
@@ -386,55 +363,90 @@ def sharp_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointCloud
                        pen: PenaltyParams, ncomp: int = 1):
     """Penalty matrix/vector of one cell via implicit Voronoi plane segments.
 
-    Reconstructs the regions this cell's query lattice finds and integrates
-    them over the cell (see _sharp_cell_pairs).  A region that only a
-    neighboring cell's lattice finds is missing here, while
-    assemble_sharp_penalty over collect_sharp_segments integrates it.
-    Returns (Ke, fe, n_points).
+    One cell's view of the sharp boundary: collect_sharp_segments over the
+    whole mesh, integrated over this cell only, so the cells sum to
+    assemble_sharp_penalty.  Returns (Ke, fe, n_points).
     """
-    keys = identify_contributing_regions(mesh.cell_bounds(ix, iy), cloud, dparams, sparams)
-    segments = _reconstruct(cloud, keys, sparams)
-    for _, _, pair in _sharp_cell_pairs(mesh, cloud, segments, pen, sparams.n_gauss,
-                                        ncomp, [(ix, iy)]):
-        return pair
-    nmodes = (mesh.degree + 1) ** 2 * ncomp
-    return np.zeros((nmodes, nmodes)), np.zeros(nmodes), 0
+    segments = collect_sharp_segments(mesh, cloud, dparams, sparams)
+    return _first_pair(mesh, ncomp, _sharp_cell_pairs(mesh, cloud, segments, pen,
+                                                      sparams.n_gauss, ncomp, [(ix, iy)]))
 
 
 # ---------------------------------------------------------------------------
-# reference route
+# segment integrator
 
 
-def _clip_segments_to_rect(segs, bounds):
-    """Liang-Barsky clip of (m, 4) segments to a rectangle.
+def _clip_segments_to_rect(segs, bounds, closed):
+    """Liang-Barsky clip of (m, 4) segments to a half-open rectangle.
 
-    Returns (rows, t0, t1) for segments with a nonempty clipped parameter
-    interval; parameter boundaries are computed with the same expressions in
-    every cell, so adjacent cells partition each segment exactly.
+    The rectangle is [x0, x1) x [y0, y1), closed at x1 and y1 where the
+    entries of closed say so.  Returns (rows, t0, t1) for segments with a
+    nonempty clipped parameter interval; adjacent cells share their edge
+    coordinates, so they partition each segment exactly.
     """
     p0 = segs[:, 0:2]
     d = segs[:, 2:4] - p0
     t0 = np.zeros(segs.shape[0])
     t1 = np.ones(segs.shape[0])
-    ok = np.ones(segs.shape[0], dtype=bool)
     for axis, (lo, hi) in enumerate([(bounds[0], bounds[2]), (bounds[1], bounds[3])]):
         dv = d[:, axis]
         pv = p0[:, axis]
         with np.errstate(divide="ignore", invalid="ignore"):
             ta = (lo - pv) / dv
             tb = (hi - pv) / dv
-        enter = np.where(dv >= 0.0, ta, tb)
-        leave = np.where(dv >= 0.0, tb, ta)
+        # A segment parallel to this axis is kept whole inside the slab, else dropped.
         par = dv == 0.0
-        inside_slab = (pv >= lo) & (pv <= hi)
-        enter = np.where(par, np.where(inside_slab, 0.0, 1.0), enter)
-        leave = np.where(par, np.where(inside_slab, 1.0, 0.0), leave)
-        t0 = np.maximum(t0, enter)
-        t1 = np.minimum(t1, leave)
-        ok &= inside_slab | ~par
-    ok &= t1 > t0
-    rows = np.nonzero(ok)[0]
+        inside = (pv >= lo) & ((pv <= hi) if closed[axis] else (pv < hi))
+        t0 = np.maximum(t0, np.where(par, np.where(inside, 0.0, 1.0), np.minimum(ta, tb)))
+        t1 = np.minimum(t1, np.where(par, 1.0, np.maximum(ta, tb)))
+    rows = np.nonzero(t1 > t0)[0]
     return rows, t0[rows], t1[rows]
+
+
+def _segment_cell_pairs(mesh: StructuredMesh, segs, pen: PenaltyParams, n_gauss: int,
+                        ncomp: int, cells, keep=None):
+    """Penalty pairs (ix, iy, (Ke, fe, n_points)) of (m, 4) segments x0, y0, x1, y1.
+
+    Each segment is clipped to every given cell its bounding box meets (cells
+    half-open, closed only at the mesh's upper edges, so a piece on a shared
+    edge or interface is counted once), and the n_gauss rule is laid on each
+    clipped piece.  keep(rows, pts), when given, masks the points of all
+    cells at once.  n_points counts the points that enter; cells with none
+    are not yielded.
+    """
+    cells = list(cells)
+    segs = np.asarray(segs, dtype=float).reshape(-1, 4)
+    xe = mesh.origin[0] + mesh.hx * np.arange(mesh.nx + 1)
+    ye = mesh.origin[1] + mesh.hy * np.arange(mesh.ny + 1)
+    lo = np.minimum(segs[:, 0:2], segs[:, 2:4])
+    hi = np.maximum(segs[:, 0:2], segs[:, 2:4])
+    pieces = []
+    for c, (ix, iy) in enumerate(cells):
+        box = (xe[ix], ye[iy], xe[ix + 1], ye[iy + 1])
+        near = np.nonzero((hi[:, 0] >= box[0]) & (lo[:, 0] <= box[2])
+                          & (hi[:, 1] >= box[1]) & (lo[:, 1] <= box[3]))[0]
+        rows, t0, t1 = _clip_segments_to_rect(segs[near], box,
+                                              (ix == mesh.nx - 1, iy == mesh.ny - 1))
+        pieces.append((np.full(rows.size, c), near[rows], t0, t1))
+    cell, row, t0, t1 = (np.concatenate(a) for a in zip(*pieces))
+    if row.size == 0:
+        return
+    rule = gauss_legendre_1d(n_gauss)
+    p0 = segs[row, 0:2]
+    d = segs[row, 2:4] - p0
+    t = 0.5 * (t0 + t1)[:, None] + 0.5 * (t1 - t0)[:, None] * rule.points[None, :]
+    w = (0.5 * (t1 - t0) * np.hypot(d[:, 0], d[:, 1]))[:, None] * rule.weights[None, :]
+    pts = (p0[:, None, :] + t[:, :, None] * d[:, None, :]).reshape(-1, 2)
+    w = w.reshape(-1)
+    cell = np.repeat(cell, rule.n)
+    if keep is not None:
+        ok = keep(np.repeat(row, rule.n), pts)
+        cell, pts, w = cell[ok], pts[ok], w[ok]
+    bounds = np.searchsorted(cell, np.arange(len(cells) + 1))
+    for (ix, iy), a, b in zip(cells, bounds[:-1], bounds[1:]):
+        if b > a:
+            Ke, fe = _accumulate_point_penalty(mesh, ix, iy, pts[a:b], w[a:b], pen, ncomp)
+            yield ix, iy, (Ke, fe, int(b - a))
 
 
 def reference_segment_penalty(mesh: StructuredMesh, ix: int, iy: int,
@@ -442,29 +454,12 @@ def reference_segment_penalty(mesh: StructuredMesh, ix: int, iy: int,
                               ncomp: int = 1):
     """Penalty matrix/vector of one cell from explicit polyline segments.
 
-    segments is an (m, 4) array of x0, y0, x1, y1 rows; each is clipped to the
-    cell and integrated with an n_gauss rule.  Segments running exactly along
-    an interior cell interface are seen by both adjacent cells; keep explicit
-    geometry off interior interfaces.
+    segments is an (m, 4) array of x0, y0, x1, y1 rows; this cell's view of
+    assemble_reference_penalty (see _segment_cell_pairs).  Returns
+    (Ke, fe, n_points).
     """
-    segs = np.asarray(segments, dtype=float).reshape(-1, 4)
-    bounds = mesh.cell_bounds(ix, iy)
-    rows, t0, t1 = _clip_segments_to_rect(segs, bounds)
-    p = mesh.degree
-    nmodes = (p + 1) ** 2 * ncomp
-    if rows.size == 0:
-        return np.zeros((nmodes, nmodes)), np.zeros(nmodes), 0
-    rule = gauss_legendre_1d(n_gauss)
-    p0 = segs[rows, 0:2]
-    d = segs[rows, 2:4] - p0
-    seglen = np.hypot(d[:, 0], d[:, 1])
-    tm = 0.5 * (t0 + t1)[:, None] + 0.5 * (t1 - t0)[:, None] * rule.points[None, :]
-    w = (0.5 * (t1 - t0) * seglen)[:, None] * rule.weights[None, :]
-    pts = p0[:, None, :] + tm[:, :, None] * d[:, None, :]
-    pts = pts.reshape(-1, 2)
-    wf = w.reshape(-1)
-    Ke, fe = _accumulate_point_penalty(mesh, ix, iy, pts, wf, pen, ncomp)
-    return Ke, fe, pts.shape[0]
+    return _first_pair(mesh, ncomp, _segment_cell_pairs(mesh, segments, pen, n_gauss, ncomp,
+                                                        [(ix, iy)]))
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +517,9 @@ def assemble_sharp_penalty(mesh: StructuredMesh, cloud: PointCloud, segments,
                            pen: PenaltyParams, n_gauss: int, ncomp: int = 1):
     """Global sharp penalty pair over reconstructed segments.
 
-    segments is the output of collect_sharp_segments; each kept subsegment
-    carries an n_gauss rule, and penalty_points counts the Gauss points that
-    enter the integral.
+    segments is the output of collect_sharp_segments; the rule is laid on
+    each clipped piece of every kept subsegment, and penalty_points counts
+    the Gauss points that enter the integral.
     """
     unit = PenaltyParams(beta=1.0, u_hat=pen.u_hat)
     it = _sharp_cell_pairs(mesh, cloud, segments, unit, n_gauss, ncomp, mesh.cells())
@@ -534,10 +529,9 @@ def assemble_sharp_penalty(mesh: StructuredMesh, cloud: PointCloud, segments,
 
 def assemble_reference_penalty(mesh: StructuredMesh, segments, pen: PenaltyParams,
                                n_gauss: int, ncomp: int = 1):
-    """Global reference penalty pair from explicit segments."""
+    """Global reference penalty pair from explicit (m, 4) segments."""
     unit = PenaltyParams(beta=1.0, u_hat=pen.u_hat)
-    it = ((ix, iy, reference_segment_penalty(mesh, ix, iy, segments, unit, n_gauss, ncomp))
-          for ix, iy in mesh.cells())
+    it = _segment_cell_pairs(mesh, segments, unit, n_gauss, ncomp, mesh.cells())
     K, f, n = _assemble_cells(mesh, ncomp, pen.beta, it)
     return K, f, {"penalty_points": n}
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError
-
 
 @dataclass(frozen=True)
 class QuadratureRule1D:
@@ -113,11 +111,6 @@ class SpaceTree:
     @property
     def n_leaves(self):
         return self.leaves.shape[0]
-
-    def leaf_areas(self):
-        w = self.leaves[:, 2] - self.leaves[:, 0]
-        h = self.leaves[:, 3] - self.leaves[:, 1]
-        return w * h
 
 
 def _as_root(cell):
@@ -230,6 +223,8 @@ def regularized_delta_raw(t, epsilon: float):
 
     (1 / (2 epsilon)) (1 + cos(pi t / epsilon)) for |t| <= epsilon, else 0.
     """
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     t = np.abs(np.asarray(t, dtype=float))
     out = np.zeros_like(t)
     inside = t <= epsilon
@@ -259,24 +254,3 @@ def tree_quadrature_points(tree: SpaceTree, rule: QuadratureRule1D):
     wts = (jac[:, None, None] * wt2[None, :, :]).reshape(m * n * n)
     leaf_of = np.repeat(np.arange(m), n * n)
     return pts, wts, leaf_of
-
-
-def integrate_over_tree(tree: SpaceTree, f, rule: QuadratureRule1D) -> float:
-    """Integral of f over the tree's root cell, leaf by leaf.
-
-    f maps an (m, 2) point array to (m,) values.  Accumulation follows leaf
-    construction order, so results are bit-reproducible for a given tree.
-    A non-finite integrand value aborts with the offending leaf named.
-    """
-    pts, wts, leaf_of = tree_quadrature_points(tree, rule)
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != (pts.shape[0],):
-        raise ValueError(f"integrand returned shape {vals.shape}, expected ({pts.shape[0]},)")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        leaf = int(leaf_of[np.nonzero(bad)[0][0]])
-        raise IntegrationError(
-            f"non-finite integrand value in leaf {leaf} with bounds {tree.leaves[leaf]}"
-        )
-    per_leaf = (vals * wts).reshape(tree.n_leaves, rule.n * rule.n).sum(axis=1)
-    return float(per_leaf.sum())

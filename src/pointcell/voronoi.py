@@ -13,15 +13,6 @@ import numpy as np
 
 from .geometry import PointCloud, _knn_indices_many
 
-# A region key is the sorted tuple of the k defining point indices.
-RegionKey = tuple
-
-
-def region_key(cloud: PointCloud, x, k: int) -> RegionKey:
-    """Key of the order-k region containing x."""
-    idx, _ = _knn_indices_many(cloud, np.asarray(x, dtype=float)[None, :], k)
-    return tuple(int(i) for i in np.sort(idx[0]))
-
 
 def region_keys_many(cloud: PointCloud, xs, k: int) -> np.ndarray:
     """Keys for every row of xs as an (m, k) int array with sorted rows."""
@@ -29,18 +20,12 @@ def region_keys_many(cloud: PointCloud, xs, k: int) -> np.ndarray:
     return np.sort(idx, axis=1)
 
 
-def region_contains(cloud: PointCloud, x, key: RegionKey) -> bool:
-    """Whether x lies in the region identified by key."""
-    return region_key(cloud, x, len(key)) == tuple(key)
-
-
-def region_contains_many(cloud: PointCloud, xs, key: RegionKey) -> np.ndarray:
-    """Vectorized region_contains for one key over the rows of xs."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    keys = region_keys_many(cloud, xs, len(key))
-    return np.all(keys == np.asarray(key, dtype=keys.dtype), axis=1)
+def _unique_rows(a):
+    """Distinct rows of a 2D array in lexicographic order, as np.unique(a, axis=0)."""
+    srt = a[np.lexsort(a.T[::-1])]
+    new = np.ones(srt.shape[0], dtype=bool)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    return srt[new]
 
 
 def brute_force_regions_in_box(cloud: PointCloud, box, k: int, resolution: int) -> set:
@@ -83,6 +68,6 @@ def brute_force_regions_in_box(cloud: PointCloud, box, k: int, resolution: int) 
             # lexsort keys: distance first, then index, reproducing the tie rule.
             srt = np.lexsort((np.broadcast_to(order_idx, d2.shape), d2), axis=1)
             keys = np.sort(srt[:, :k], axis=1)
-        for row in np.unique(keys, axis=0):
+        for row in _unique_rows(keys):
             found.add(tuple(int(i) for i in row))
     return found

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from pointcell import StructuredMesh
-from pointcell.export import (atomic_write, write_field_vtk, write_points_csv,
-                              write_segments_csv, write_study_csv)
+from pointcell.export import (atomic_write, write_field_vtk, write_segments_csv,
+                              write_study_csv)
 
 
 class _Seg:
@@ -69,16 +69,6 @@ def test_segments_csv_layout(tmp_path):
     assert lines[1] == "0.0,0.5,1.0,0.5,2 7"
     assert lines[2].endswith(",0 1 3")
     assert lines[3] == "0.5,0.0,1.0,0.0,0 1 3"
-
-
-def test_points_csv_header_and_values(tmp_path):
-    path = tmp_path / "pts.csv"
-    xs = np.array([[0.0, 1.0], [0.5, -2.0]])
-    write_points_csv(path, xs, [3.25, 0.1], value_name="height")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,height"
-    assert lines[1] == "0.0,1.0,3.25"
-    assert lines[2] == "0.5,-2.0,0.1"
 
 
 def test_field_vtk_structured_points(tmp_path):

@@ -4,8 +4,26 @@ import numpy as np
 import pytest
 
 from pointcell import (CloudLoadError, DegenerateGeometryError, DistanceParams,
-                       PointCloud, fit_local_plane, knn_query, load_point_cloud,
-                       pca_distance, pca_distance_many)
+                       PointCloud, fit_planes, load_point_cloud,
+                       pca_distance_many)
+from pointcell.geometry import _knn_indices_many
+
+
+def _knn(cloud, x, k):
+    """The k nearest neighbors of the single point x as (index, distance) pairs."""
+    idx, dist = _knn_indices_many(cloud, np.asarray([x], dtype=float), k)
+    return [(int(i), float(d)) for i, d in zip(idx[0], dist[0])]
+
+
+def _fit(nb):
+    """fit_planes on one neighbor set: support, normal, isotropic, coincident."""
+    support, normal, iso, coincident = fit_planes(np.asarray(nb, dtype=float)[None])
+    return support[0], normal[0], bool(iso[0]), bool(coincident[0])
+
+
+def _dist(cloud, x, params):
+    """pca_distance_many at the single point x."""
+    return float(pca_distance_many(cloud, np.asarray([x], dtype=float), params)[0])
 
 
 def _brute_knn(points, x, k):
@@ -92,7 +110,7 @@ def test_cloud_points_are_read_only():
 
 def test_knn_two_point_line():
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    got = knn_query(cloud, (0.1, 0.0), 2)
+    got = _knn(cloud, (0.1, 0.0), 2)
     assert [i for i, _ in got] == [0, 1]
     np.testing.assert_allclose([d for _, d in got], [0.1, 0.9])
 
@@ -100,14 +118,14 @@ def test_knn_two_point_line():
 def test_knn_tie_broken_by_ascending_index():
     """Equidistant neighbors resolve to the smaller point index."""
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    got = knn_query(cloud, (0.5, 0.0), 1)
+    got = _knn(cloud, (0.5, 0.0), 1)
     assert got == [(0, 0.5)]
 
 
 def test_knn_k_exceeds_cloud():
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="k=3 exceeds cloud size 2"):
-        knn_query(cloud, (0.0, 0.0), 3)
+        _knn(cloud, (0.0, 0.0), 3)
 
 
 def test_knn_matches_brute_force_random():
@@ -117,7 +135,7 @@ def test_knn_matches_brute_force_random():
     for _ in range(50):
         x = rng.uniform(-1.2, 1.2, size=2)
         k = int(rng.integers(1, 7))
-        got = knn_query(cloud, x, k)
+        got = _knn(cloud, x, k)
         want = _brute_knn(pts, x, k)
         assert [i for i, _ in got] == [i for i, _ in want]
         np.testing.assert_allclose([d for _, d in got], [d for _, d in want], rtol=1e-12)
@@ -126,7 +144,7 @@ def test_knn_matches_brute_force_random():
 def test_knn_tie_on_lattice_prefers_low_index():
     # 4 corners of a square around the query: all at identical distance.
     cloud = PointCloud(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
-    got = knn_query(cloud, (0.0, 0.0), 2)
+    got = _knn(cloud, (0.0, 0.0), 2)
     assert [i for i, _ in got] == [0, 1]
 
 
@@ -136,27 +154,25 @@ def test_knn_tie_on_lattice_prefers_low_index():
 
 def test_fit_plane_collinear_horizontal():
     nb = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    plane = fit_local_plane(nb)
-    np.testing.assert_allclose(plane.support, [1.0, 0.0])
-    np.testing.assert_allclose(plane.normal, [0.0, 1.0])
-    assert not plane.degenerate
+    support, normal, iso, _ = _fit(nb)
+    np.testing.assert_allclose(support, [1.0, 0.0])
+    np.testing.assert_allclose(normal, [0.0, 1.0])
+    assert not iso
 
 
 def test_fit_plane_diagonal_line():
     nb = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    plane = fit_local_plane(nb)
-    np.testing.assert_allclose(plane.support, [1.5, 1.5])
-    np.testing.assert_allclose(plane.normal, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-15)
+    support, normal, _, _ = _fit(nb)
+    np.testing.assert_allclose(support, [1.5, 1.5])
+    np.testing.assert_allclose(normal, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-15)
 
 
 def test_fit_plane_normal_is_unit_and_sign_fixed():
     rng = np.random.default_rng(3)
-    for _ in range(40):
-        nb = rng.normal(size=(5, 2))
-        plane = fit_local_plane(nb)
-        assert np.hypot(*plane.normal) == pytest.approx(1.0, abs=1e-14)
-        first = plane.normal[0] if plane.normal[0] != 0.0 else plane.normal[1]
-        assert first > 0.0
+    _, normals, _, _ = fit_planes(rng.normal(size=(40, 5, 2)))
+    np.testing.assert_allclose(np.hypot(normals[:, 0], normals[:, 1]), 1.0, atol=1e-14)
+    first = np.where(normals[:, 0] != 0.0, normals[:, 0], normals[:, 1])
+    assert np.all(first > 0.0)
 
 
 def test_fit_plane_total_least_squares_orthogonal_residual():
@@ -165,41 +181,42 @@ def test_fit_plane_total_least_squares_orthogonal_residual():
     rng = np.random.default_rng(7)
     base = np.linspace(0.0, 1.0, 9)
     nb = np.column_stack([base, 0.25 * base + 0.01 * rng.normal(size=9)])
-    plane = fit_local_plane(nb)
-    centered = nb - plane.support
-    resid = centered @ plane.normal
-    tang = centered @ np.array([-plane.normal[1], plane.normal[0]])
+    support, normal, _, _ = _fit(nb)
+    centered = nb - support
+    resid = centered @ normal
+    tang = centered @ np.array([-normal[1], normal[0]])
     assert np.sum(resid**2) < np.sum(tang**2)
     # rotating the fitted normal by any small angle increases the residual
     for ang in (0.05, -0.05):
         c, s = np.cos(ang), np.sin(ang)
-        n2 = np.array([c * plane.normal[0] - s * plane.normal[1],
-                       s * plane.normal[0] + c * plane.normal[1]])
+        n2 = np.array([c * normal[0] - s * normal[1], s * normal[0] + c * normal[1]])
         assert np.sum((centered @ n2) ** 2) >= np.sum(resid**2)
 
 
 def test_fit_plane_isotropic_flagged_degenerate():
     # 4 points on a circle: scatter matrix is a multiple of the identity.
     nb = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    plane = fit_local_plane(nb)
-    assert plane.degenerate
-    assert np.hypot(*plane.normal) == pytest.approx(1.0, abs=1e-15)
+    _, normal, iso, coincident = _fit(nb)
+    assert iso and not coincident
+    assert np.hypot(*normal) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_fit_plane_coincident_points_raise():
-    nb = np.zeros((3, 2))
-    with pytest.raises(DegenerateGeometryError, match="coincide"):
-        fit_local_plane(nb)
+    """Coincident neighbors are flagged (pca_distance_many raises on the flag)."""
+    _, _, iso, coincident = _fit(np.zeros((3, 2)))
+    assert coincident and iso
 
 
 def test_fit_plane_rejects_bad_shape():
     with pytest.raises(ValueError):
-        fit_local_plane(np.zeros((3, 3)))
+        fit_planes(np.zeros((1, 3, 3)))
+    with pytest.raises(ValueError):
+        fit_planes(np.zeros((3, 2)))
 
 
 def test_fit_plane_single_point_rejected():
     with pytest.raises(ValueError):
-        fit_local_plane(np.array([[1.0, 2.0]]))
+        fit_planes(np.array([[[1.0, 2.0]]]))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +225,7 @@ def test_fit_plane_single_point_rejected():
 
 def test_distance_inside_radius_uses_plane():
     cloud = PointCloud(np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]))
-    d = pca_distance(cloud, (0.15, 0.05), DistanceParams(k=4, r=1.0))
+    d = _dist(cloud, (0.15, 0.05), DistanceParams(k=4, r=1.0))
     assert d == pytest.approx(0.05, abs=1e-14)
 
 
@@ -216,7 +233,7 @@ def test_distance_far_point_falls_back_to_nearest_neighbor():
     """Beyond the cutoff radius the reported value is the plain point
     distance, so the field stays 1-Lipschitz far from the cloud."""
     cloud = PointCloud(np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]))
-    d = pca_distance(cloud, (0.3, 5.0), DistanceParams(k=4, r=0.2))
+    d = _dist(cloud, (0.3, 5.0), DistanceParams(k=4, r=0.2))
     assert d == pytest.approx(5.0, rel=1e-12)
 
 
@@ -226,8 +243,8 @@ def test_distance_radius_boundary_is_inclusive():
     branches: the chord plane through the neighbors lies inside the circle."""
     ang = 2.0 * np.pi * np.arange(8) / 8.0
     cloud = PointCloud(np.column_stack([np.cos(ang), np.sin(ang)]))
-    near = pca_distance(cloud, (0.0, 0.0), DistanceParams(k=4, r=1.0))
-    far = pca_distance(cloud, (0.0, 0.0), DistanceParams(k=4, r=0.999))
+    near = _dist(cloud, (0.0, 0.0), DistanceParams(k=4, r=1.0))
+    far = _dist(cloud, (0.0, 0.0), DistanceParams(k=4, r=0.999))
     assert far == pytest.approx(1.0, abs=1e-12)
     assert near < 0.99
 
@@ -248,7 +265,7 @@ def test_distance_many_matches_scalar():
     params = DistanceParams(k=5, r=0.4)
     xs = rng.uniform(-0.2, 1.2, size=(25, 2))
     many = pca_distance_many(cloud, xs, params)
-    one = [pca_distance(cloud, x, params) for x in xs]
+    one = [_dist(cloud, x, params) for x in xs]
     np.testing.assert_allclose(many, one, rtol=1e-13)
 
 
@@ -275,11 +292,11 @@ def test_distance_params_validation():
 def test_distance_k_must_fit_cloud():
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        pca_distance(cloud, (0.5, 0.5), DistanceParams(k=3, r=1.0))
+        _dist(cloud, (0.5, 0.5), DistanceParams(k=3, r=1.0))
 
 
 def test_distance_k1_within_radius_rejected():
     # one neighbor cannot span a plane
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(DegenerateGeometryError):
-        pca_distance(cloud, (0.2, 0.3), DistanceParams(k=1, r=10.0))
+        _dist(cloud, (0.2, 0.3), DistanceParams(k=1, r=10.0))

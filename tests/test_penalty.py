@@ -13,7 +13,7 @@ from pointcell import (DiffuseParams, DistanceParams, PenaltyParams, PointCloud,
                        brute_force_regions_in_box, circle_cloud,
                        collect_sharp_segments, diffuse_penalty_cell,
                        gauss_legendre_1d, identify_contributing_regions,
-                       reference_segment_penalty, region_contains_many,
+                       reference_segment_penalty, region_keys_many,
                        sharp_penalty_cell)
 
 _MESH1 = StructuredMesh((0.0, 0.0), (1.0, 1.0), 1, 1, 2)
@@ -406,8 +406,10 @@ def test_sharp_assembler_matches_cell_sum():
 def test_sharp_assembler_integrates_regions_a_cell_query_missed():
     """Where the circle crosses an interface, some regions reach into a cell
     whose own query lattice never sampled them.  The boundary is one object:
-    every Gauss point in its region enters the cell it lies in, so the
-    assembled mass of the constant mode is the total in-region weight."""
+    each subsegment is split at the interfaces x = 0 and y = 0, the rule is
+    laid on each part, and every Gauss point in its own region enters the
+    cell it lies in, so the assembled mass of the constant mode is the total
+    in-region weight."""
     mesh = StructuredMesh((-1.2, -1.2), (2.4, 2.4), 2, 2, 1)
     h = 2.0 * np.pi / 128
     cloud = PointCloud(circle_cloud(1.0, 128, phase=0.0467))
@@ -417,19 +419,66 @@ def test_sharp_assembler_integrates_regions_a_cell_query_missed():
     found = {cell: set(identify_contributing_regions(mesh.cell_bounds(*cell), cloud, dp, sp))
              for cell in mesh.cells()}
     rule = gauss_legendre_1d(sp.n_gauss)
-    total, n_inside, missed = 0.0, 0, 0
+    pts, wts, owner = [], [], []
     for seg in segments:
+        with np.errstate(divide="ignore"):
+            t_cross = -seg.support / seg.direction
         for lo, hi in seg.intervals:
-            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * rule.points
-            pts = seg.support + t[:, None] * seg.direction
-            inside = region_contains_many(cloud, pts, seg.key)
-            total += float(np.sum(0.5 * (hi - lo) * rule.weights[inside]))
-            n_inside += int(inside.sum())
-            for x, y in pts[inside]:
-                cell = (int((x + 1.2) // mesh.hx), int((y + 1.2) // mesh.hy))
-                missed += seg.key not in found[cell]
+            cuts = np.sort([lo, hi, *(t for t in t_cross if lo < t < hi)])
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                t = 0.5 * (a + b) + 0.5 * (b - a) * rule.points
+                pts.append(seg.support + t[:, None] * seg.direction)
+                wts.append(0.5 * (b - a) * rule.weights)
+                owner.extend([seg.key] * rule.n)
+    pts, wts, owner = np.concatenate(pts), np.concatenate(wts), np.asarray(owner)
+    inside = np.all(region_keys_many(cloud, pts, dp.k) == owner, axis=1)
+    missed = 0
+    for (x, y), key in zip(pts[inside], owner[inside]):
+        cell = (int((x + 1.2) // mesh.hx), int((y + 1.2) // mesh.hy))
+        missed += tuple(int(i) for i in key) not in found[cell]
     assert missed > 0
     _, f, stats = assemble_sharp_penalty(mesh, cloud, segments,
                                          PenaltyParams(beta=1.0, u_hat=1.0), sp.n_gauss)
-    assert np.sum(f) == pytest.approx(total, rel=1e-12)
-    assert stats["penalty_points"] == n_inside
+    assert np.sum(f) == pytest.approx(float(np.sum(wts[inside])), rel=1e-12)
+    assert stats["penalty_points"] == int(inside.sum())
+
+
+def test_sharp_rule_is_exact_on_pieces_crossing_cell_edges():
+    """The rule is laid on each clipped piece, so a polynomial integrand is
+    integrated exactly on both sides of a cell edge: over a straight cloud,
+    sharp K and f equal the reference chord's up to the bisection overhang."""
+    h = 0.07
+    mesh = StructuredMesh((0.0, 0.0), (2.0, 1.0), 2, 1, 3)
+    cloud = _line_cloud(0.3, h, lo=-0.5, hi=2.5)
+    dp = DistanceParams(k=4, r=10.0 * h)
+    sp = SharpParams(n_query=9, n_sub=23, n_gauss=4, l_max=3.0 * h)
+    pen = PenaltyParams(beta=1.0, u_hat=lambda q: q[:, 0] ** 2)
+    segments = collect_sharp_segments(mesh, cloud, dp, sp)
+    Ks, fs, _ = assemble_sharp_penalty(mesh, cloud, segments, pen, sp.n_gauss)
+    Kr, fr, _ = assemble_reference_penalty(mesh, np.array([[-0.5, 0.3, 2.5, 0.3]]), pen,
+                                           sp.n_gauss)
+    assert _rel_frobenius(Ks.toarray(), Kr.toarray()) <= 1e-5
+    assert _rel_frobenius(fs, fr) <= 1e-5
+
+
+def test_boundary_on_interior_interface_counted_once():
+    """Geometry lying exactly on an interior cell interface belongs to the
+    cell above it only (half-open cells), in both segment routes."""
+    mesh = StructuredMesh((0.0, 0.0), (1.0, 2.0), 1, 2, 2)
+    w = _const_mode_vector(mesh)
+    pen = PenaltyParams(beta=1.0, u_hat=1.0)
+    K, f, stats = assemble_reference_penalty(mesh, np.array([[0.0, 1.0, 1.0, 1.0]]), pen, 3)
+    assert w @ (K @ w) == pytest.approx(1.0, rel=1e-12)
+    assert w @ f == pytest.approx(1.0, rel=1e-12)
+    assert stats["penalty_points"] == 3
+    cloud = _line_cloud(1.0, 0.05)
+    dp = DistanceParams(k=4, r=0.1)
+    sp = SharpParams(n_query=5, n_sub=8, n_gauss=3, l_max=0.15)
+    segments = collect_sharp_segments(mesh, cloud, dp, sp)
+    K, f, _ = assemble_sharp_penalty(mesh, cloud, segments, pen, sp.n_gauss)
+    assert abs(w @ (K @ w) - 1.0) <= 1e-2
+    we = np.zeros(9)
+    we[[0, 1, 3, 4]] = 1.0
+    for iy, want in ((0, 0.0), (1, 1.0)):
+        Ke, _, _ = sharp_penalty_cell(mesh, 0, iy, cloud, dp, sp, pen)
+        assert abs(we @ Ke @ we - want) <= 1e-2

@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 
-from pointcell import (DiffuseParams, DistanceParams, IntegrationError,
-                       PointCloud, build_alpha_tree, build_diffuse_tree,
-                       gauss_legendre_1d, integrate_over_tree,
-                       pca_distance_many, regularized_delta,
+from pointcell import (DiffuseParams, DistanceParams, PointCloud,
+                       build_alpha_tree, build_diffuse_tree, gauss_legendre_1d,
+                       pca_distance_many, regularized_delta_raw,
                        tree_quadrature_points)
 
 _UNIT = ((0.0, 0.0), (1.0, 1.0))
+
+
+def _leaf_areas(tree):
+    return (tree.leaves[:, 2] - tree.leaves[:, 0]) * (tree.leaves[:, 3] - tree.leaves[:, 1])
+
+
+def _integrate(tree, f, rule):
+    """Integral of f over the tree's root from its Gauss points."""
+    pts, wts, _ = tree_quadrature_points(tree, rule)
+    return float(np.sum(f(pts) * wts))
 
 
 def _line_cloud(y, spacing=0.002, lo=-0.5, hi=1.5):
@@ -70,29 +79,30 @@ def test_gauss_rejects_nonpositive_order():
 
 def test_delta_peak_and_support():
     eps = 0.25
-    assert regularized_delta(0.0, eps) == pytest.approx(1.0 / eps, rel=1e-15)
-    assert regularized_delta(eps, eps) == pytest.approx(0.0, abs=1e-16)
-    assert regularized_delta(-eps, eps) == pytest.approx(0.0, abs=1e-16)
-    assert regularized_delta(5.0 * eps, eps) == 0.0
-    assert regularized_delta(-3.0, eps) == 0.0
+    got = regularized_delta_raw(np.array([0.0, eps, -eps, 5.0 * eps, -3.0]), eps)
+    assert got[0] == pytest.approx(1.0 / eps, rel=1e-15)
+    assert got[1] == pytest.approx(0.0, abs=1e-16)
+    assert got[2] == pytest.approx(0.0, abs=1e-16)
+    assert got[3] == 0.0
+    assert got[4] == 0.0
 
 
 def test_delta_unit_mass():
     eps = 0.37
     rule = gauss_legendre_1d(20)
     t = eps * rule.points
-    mass = eps * np.sum(rule.weights * regularized_delta(t, eps))
+    mass = eps * np.sum(rule.weights * regularized_delta_raw(t, eps))
     assert mass == pytest.approx(1.0, rel=1e-13)
 
 
 def test_delta_accepts_arrays_and_validates():
-    out = regularized_delta(np.array([-1.0, 0.0, 1.0]), 0.5)
+    out = regularized_delta_raw(np.array([-1.0, 0.0, 1.0]), 0.5)
     assert out.shape == (3,)
     assert out[0] == 0.0 and out[2] == 0.0
     with pytest.raises(ValueError):
-        regularized_delta(0.0, 0.0)
+        regularized_delta_raw(np.zeros(1), 0.0)
     with pytest.raises(ValueError):
-        regularized_delta(0.0, -1.0)
+        regularized_delta_raw(np.zeros(1), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +131,7 @@ def test_tree_band_refined_to_depth():
     params = DiffuseParams(epsilon=1.0 / 16.0, n_sub=4, n_gauss=2)
     dist = lambda pts: np.abs(pts[:, 1] - 0.5)
     tree = build_diffuse_tree(_UNIT, dist, params)
-    assert np.sum(tree.leaf_areas()) == pytest.approx(1.0, rel=1e-14)
+    assert np.sum(_leaf_areas(tree)) == pytest.approx(1.0, rel=1e-14)
     lo, hi = tree.leaves[:, 1], tree.leaves[:, 3]
     touches = (lo - 0.5 <= params.epsilon) & (0.5 - hi <= params.epsilon)
     assert np.all(tree.depths[touches] == 4)
@@ -137,7 +147,7 @@ def test_tree_depth_never_exceeds_limit():
     params = DiffuseParams(epsilon=0.05, n_sub=3, n_gauss=2)
     tree = build_diffuse_tree(_UNIT, lambda q: pca_distance_many(cloud, q, dp), params)
     assert np.max(tree.depths) <= 3
-    assert np.sum(tree.leaf_areas()) == pytest.approx(1.0, rel=1e-14)
+    assert np.sum(_leaf_areas(tree)) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_tree_params_validation():
@@ -157,7 +167,7 @@ def test_tree_params_validation():
 def test_alpha_tree_refines_only_cut_cells():
     inside = lambda pts: pts[:, 0] < 0.3
     tree = build_alpha_tree(_UNIT, inside, 4)
-    assert np.sum(tree.leaf_areas()) == pytest.approx(1.0, rel=1e-14)
+    assert np.sum(_leaf_areas(tree)) == pytest.approx(1.0, rel=1e-14)
     crosses = (tree.leaves[:, 0] < 0.3) & (tree.leaves[:, 2] > 0.3)
     assert np.all(tree.depths[crosses] == 4)
     # cells strictly on one side of the interface stopped early
@@ -180,7 +190,7 @@ def test_integrate_affine_exact_on_refined_tree():
     tree = build_diffuse_tree(_UNIT, dist, params)
     assert tree.n_leaves > 1
     rule = gauss_legendre_1d(2)
-    got = integrate_over_tree(tree, lambda pts: 2.0 + 3.0 * pts[:, 0] - pts[:, 1], rule)
+    got = _integrate(tree, lambda pts: 2.0 + 3.0 * pts[:, 0] - pts[:, 1], rule)
     assert got == pytest.approx(3.0, rel=1e-14)
 
 
@@ -188,23 +198,8 @@ def test_integrate_quadratic_on_single_leaf():
     tree = build_diffuse_tree(_UNIT, lambda pts: np.full(pts.shape[0], 9.0),
                               DiffuseParams(epsilon=0.1, n_sub=2, n_gauss=2))
     rule = gauss_legendre_1d(3)
-    got = integrate_over_tree(tree, lambda pts: pts[:, 0] ** 2 * pts[:, 1] ** 2, rule)
+    got = _integrate(tree, lambda pts: pts[:, 0] ** 2 * pts[:, 1] ** 2, rule)
     assert got == pytest.approx(1.0 / 9.0, rel=1e-14)
-
-
-def test_integrate_rejects_bad_integrand_shape():
-    tree = build_alpha_tree(_UNIT, lambda pts: np.ones(pts.shape[0], dtype=bool), 2)
-    rule = gauss_legendre_1d(2)
-    with pytest.raises(ValueError):
-        integrate_over_tree(tree, lambda pts: np.zeros((pts.shape[0], 2)), rule)
-
-
-def test_integrate_reports_nonfinite_leaf():
-    tree = build_alpha_tree(_UNIT, lambda pts: pts[:, 0] < 0.5, 1)
-    rule = gauss_legendre_1d(2)
-    f = lambda pts: np.where(pts[:, 0] > 0.5, np.nan, 1.0)
-    with pytest.raises(IntegrationError, match="non-finite integrand"):
-        integrate_over_tree(tree, f, rule)
 
 
 def test_tree_quadrature_points_leaf_major():
@@ -234,5 +229,5 @@ def test_line_delta_mass_matches_length():
     tree = build_diffuse_tree(_UNIT, dist,
                               DiffuseParams(epsilon=eps, n_sub=10, n_gauss=2))
     rule = gauss_legendre_1d(10)
-    mass = integrate_over_tree(tree, lambda pts: regularized_delta(dist(pts), eps), rule)
+    mass = _integrate(tree, lambda pts: regularized_delta_raw(dist(pts), eps), rule)
     assert abs(mass - 1.0) <= 1e-4

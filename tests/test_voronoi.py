@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from pointcell import (PointCloud, brute_force_regions_in_box, region_contains,
-                       region_contains_many, region_key, region_keys_many)
+from pointcell import PointCloud, brute_force_regions_in_box, region_keys_many
 
 _CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def _key(cloud, x, k):
+    """Key of the region containing the single point x."""
+    return tuple(int(i) for i in region_keys_many(cloud, np.asarray([x], dtype=float), k)[0])
 
 
 def _brute_key(points, x, k):
@@ -41,37 +45,37 @@ def _order2_region_margin(points, i, j, box=10.0):
 
 def test_key_first_order_square():
     cloud = PointCloud(_CORNERS)
-    assert region_key(cloud, (0.25, 0.25), 1) == (0,)
-    assert region_key(cloud, (0.75, 0.25), 1) == (1,)
-    assert region_key(cloud, (0.25, 0.75), 1) == (2,)
-    assert region_key(cloud, (0.75, 0.75), 1) == (3,)
+    assert _key(cloud, (0.25, 0.25), 1) == (0,)
+    assert _key(cloud, (0.75, 0.25), 1) == (1,)
+    assert _key(cloud, (0.25, 0.75), 1) == (2,)
+    assert _key(cloud, (0.75, 0.75), 1) == (3,)
 
 
 def test_key_second_order_square():
     cloud = PointCloud(_CORNERS)
-    assert region_key(cloud, (0.5, 0.25), 2) == (0, 1)
-    assert region_key(cloud, (0.25, 0.5), 2) == (0, 2)
-    assert region_key(cloud, (0.75, 0.5), 2) == (1, 3)
-    assert region_key(cloud, (0.5, 0.75), 2) == (2, 3)
+    assert _key(cloud, (0.5, 0.25), 2) == (0, 1)
+    assert _key(cloud, (0.25, 0.5), 2) == (0, 2)
+    assert _key(cloud, (0.75, 0.5), 2) == (1, 3)
+    assert _key(cloud, (0.5, 0.75), 2) == (2, 3)
 
 
 def test_key_full_order_is_whole_cloud():
     cloud = PointCloud(_CORNERS)
-    assert region_key(cloud, (0.31, 0.77), 4) == (0, 1, 2, 3)
-    assert region_key(cloud, (-5.0, 9.0), 4) == (0, 1, 2, 3)
+    assert _key(cloud, (0.31, 0.77), 4) == (0, 1, 2, 3)
+    assert _key(cloud, (-5.0, 9.0), 4) == (0, 1, 2, 3)
 
 
 def test_key_is_sorted_ascending():
     cloud = PointCloud(_CORNERS)
     # nearest two at this probe are p3 then p1; the key is still ascending
-    key = region_key(cloud, (0.9, 0.6), 2)
+    key = _key(cloud, (0.9, 0.6), 2)
     assert key == (1, 3)
 
 
 def test_key_tie_on_bisector_uses_lower_index():
     cloud = PointCloud(_CORNERS)
-    assert region_key(cloud, (0.5, 0.25), 1) == (0,)
-    assert region_key(cloud, (0.5, 0.5), 2) == (0, 1)
+    assert _key(cloud, (0.5, 0.25), 1) == (0,)
+    assert _key(cloud, (0.5, 0.5), 2) == (0, 1)
 
 
 def test_key_matches_brute_oracle_random():
@@ -81,7 +85,7 @@ def test_key_matches_brute_oracle_random():
     for _ in range(80):
         x = rng.uniform(-0.3, 1.3, size=2)
         k = int(rng.integers(1, 7))
-        assert region_key(cloud, x, k) == _brute_key(pts, x, k)
+        assert _key(cloud, x, k) == _brute_key(pts, x, k)
 
 
 def test_keys_many_matches_scalar():
@@ -92,15 +96,15 @@ def test_keys_many_matches_scalar():
     keys = region_keys_many(cloud, xs, 3)
     assert keys.shape == (60, 3)
     for row, x in zip(keys, xs):
-        assert tuple(int(i) for i in row) == region_key(cloud, x, 3)
+        assert tuple(int(i) for i in row) == _key(cloud, x, 3)
 
 
 def test_key_validation():
     cloud = PointCloud(_CORNERS)
     with pytest.raises(ValueError):
-        region_key(cloud, (0.5, 0.5), 0)
+        _key(cloud, (0.5, 0.5), 0)
     with pytest.raises(ValueError):
-        region_key(cloud, (0.5, 0.5), 5)
+        _key(cloud, (0.5, 0.5), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +115,11 @@ def test_contains_roundtrip_random():
     rng = np.random.default_rng(31)
     pts = rng.uniform(size=(12, 2))
     cloud = PointCloud(pts)
-    for _ in range(40):
-        x = rng.uniform(size=2)
-        key = region_key(cloud, x, 2)
-        assert region_contains(cloud, x, key)
-    assert not region_contains(cloud, (0.0, 0.0), region_key(cloud, (0.99, 0.99), 1))
+    xs = rng.uniform(size=(40, 2))
+    keys = region_keys_many(cloud, xs, 2)
+    for x, key in zip(xs, keys):
+        assert _key(cloud, x, 2) == tuple(int(i) for i in key)
+    assert _key(cloud, (0.0, 0.0), 1) != _key(cloud, (0.99, 0.99), 1)
 
 
 def test_contains_many_partitions_lattice():
@@ -125,10 +129,10 @@ def test_contains_many_partitions_lattice():
     cloud = PointCloud(pts)
     g = np.linspace(0.05, 0.95, 12)
     xs = np.column_stack([a.ravel() for a in np.meshgrid(g, g)])
-    keys = {tuple(int(i) for i in row) for row in region_keys_many(cloud, xs, 2)}
+    rows = region_keys_many(cloud, xs, 2)
     hits = np.zeros(xs.shape[0], dtype=int)
-    for key in keys:
-        hits += region_contains_many(cloud, xs, key).astype(int)
+    for key in {tuple(int(i) for i in row) for row in rows}:
+        hits += np.all(rows == key, axis=1).astype(int)
     np.testing.assert_array_equal(hits, 1)
 
 
