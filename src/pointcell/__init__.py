@@ -39,7 +39,7 @@ from .benchmarks import (AnnularConfig, AnnularProblem, MembraneResult,
                          beta_grid, build_annular_problem,
                          build_membrane_problem, circle_cloud, circle_polyline,
                          count_diffuse_points, default_diffuse_params,
-                         default_sharp_params, energy_error, load_scaled_cloud,
-                         run_beta_study)
+                         default_membrane_params, default_sharp_params,
+                         energy_error, load_scaled_cloud, run_beta_study)
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .fcm import (GlobalSystem, IndicatorField, PoissonCoefficient,
                   StructuredMesh, apply_strong_zero, assemble_volume, everywhere,
                   solve, strain_energy)
 from .geometry import DistanceParams, PointCloud, pca_distance_many
-from .penalty import (DiffuseParams, PenaltyParams, SharpParams,
+from .penalty import (DiffuseParams, PenaltyParams, SharpParams, _diffuse_cells,
                       assemble_diffuse_penalty, assemble_reference_penalty,
                       assemble_sharp_penalty, collect_sharp_segments)
 from .quadrature import build_diffuse_tree
@@ -47,12 +47,10 @@ def energy_error(u_num: float, u_ref: float) -> float:
     return 100.0 * math.sqrt(abs(u_num - u_ref) / u_ref)
 
 
-def beta_grid(preset: str = "log26") -> np.ndarray:
-    """Penalty factor sweeps.  "log26": 26 values from 1.08e1 to 3.87e6."""
-    if preset == "log26":
-        j = np.arange(26)
-        return 50.0 * 10.0 ** (2.0 * (j - 3) / 9.0)
-    raise ValueError(f"unknown beta grid preset {preset!r}")
+def beta_grid() -> np.ndarray:
+    """Penalty factor sweep: 26 log-spaced values from 1.08e1 to 3.87e6."""
+    j = np.arange(26)
+    return 50.0 * 10.0 ** (2.0 * (j - 3) / 9.0)
 
 
 def circle_cloud(radius: float, n: int, center=(0.0, 0.0), phase: float = 0.0):
@@ -86,7 +84,6 @@ class AnnularConfig:
     n_cells: int = 4
     degree: int = 10
     volume_depth: int = 10
-    n_gauss: int | None = None
     k: int = 4
     r: float = 0.01
     amp: float = 10.0
@@ -95,6 +92,7 @@ class AnnularConfig:
     def __post_init__(self):
         if not 0.0 < self.r_inner < self.r_outer:
             raise ValueError("radii must satisfy 0 < r_inner < r_outer")
+        DistanceParams(k=self.k, r=self.r)  # checks k and r
 
     @property
     def spacing(self) -> float:
@@ -169,8 +167,7 @@ def build_annular_problem(config: AnnularConfig = AnnularConfig()) -> AnnularPro
         return np.where((rho >= ri * ri) & (rho <= ro * ro), b_poly(rho), 0.0)
 
     volume = assemble_volume(mesh, PoissonCoefficient(), IndicatorField(inside),
-                             body=body, tree_depth=config.volume_depth,
-                             n_gauss=config.n_gauss)
+                             body=body, tree_depth=config.volume_depth)
     return AnnularProblem(config=config, mesh=mesh, cloud=cloud, dparams=dparams,
                           u_exact=u_exact, u_hat=u_hat, body=body, u_ref=u_ref,
                           volume=volume)
@@ -191,11 +188,14 @@ def default_sharp_params(config: AnnularConfig) -> SharpParams:
                        test_grid=test_grid)
 
 
-def default_diffuse_params(epsilon: float, extent: float = 1.2,
-                           n_cells: int = 4) -> DiffuseParams:
-    """Tree depth resolving the layer: leaves no wider than epsilon."""
+def default_diffuse_params(epsilon: float = 5e-3, extent: float = AnnularConfig.extent,
+                           n_cells: int = AnnularConfig.n_cells) -> DiffuseParams:
+    """Tree depth resolving the layer: leaves no wider than epsilon.
+
+    A non-positive epsilon is passed on for DiffuseParams to reject.
+    """
     cell = 2.0 * extent / n_cells
-    n_sub = max(1, math.ceil(math.log2(cell / epsilon)))
+    n_sub = max(1, math.ceil(math.log2(cell / epsilon))) if epsilon > 0.0 else 0
     return DiffuseParams(epsilon=epsilon, n_sub=n_sub, n_gauss=4)
 
 
@@ -261,7 +261,7 @@ def count_diffuse_points(mesh: StructuredMesh, cloud: PointCloud,
     """Quadrature points the diffuse route would place, without assembling."""
     dist = lambda pts: pca_distance_many(cloud, pts, dparams)
     total = 0
-    for ix, iy in mesh.cells():
+    for ix, iy in _diffuse_cells(mesh, cloud, dparams, diff):
         tree = build_diffuse_tree(mesh.cell_bounds(ix, iy), dist, diff)
         total += tree.n_leaves * diff.n_gauss ** 2
     return total
@@ -269,6 +269,11 @@ def count_diffuse_points(mesh: StructuredMesh, cloud: PointCloud,
 
 # ---------------------------------------------------------------------------
 # membrane
+
+# The membrane's embedding square [-MEMBRANE_EXTENT, MEMBRANE_EXTENT]^2 and
+# its cells per side.
+MEMBRANE_EXTENT = 1.1
+MEMBRANE_CELLS = 16
 
 
 @dataclass
@@ -296,8 +301,24 @@ def load_scaled_cloud(path) -> PointCloud:
     return PointCloud((pts - center) / halfext)
 
 
-def build_membrane_problem(cloud: PointCloud, *, extent: float = 1.1,
-                           n_cells: int = 16, degree: int = 10,
+def default_membrane_params(cloud: PointCloud, extent: float = MEMBRANE_EXTENT,
+                            n_cells: int = MEMBRANE_CELLS, r: float | None = None):
+    """Distance and sharp controls of a membrane run from the cloud spacing.
+
+    h is the median nearest-neighbor spacing of the cloud.  The fit radius
+    is r (3h when not given) with k = 4, segments are 3h long, and the query
+    depth makes the deepest query subcells at most r/4 wide.  Returns
+    (DistanceParams, SharpParams).
+    """
+    h = float(np.median(cloud.tree.query(cloud.points, k=2)[0][:, 1]))
+    dparams = DistanceParams(k=4, r=3.0 * h if r is None else r)
+    cell = 2.0 * extent / n_cells
+    n_query = max(0, math.ceil(math.log2(cell / (0.25 * dparams.r))))
+    return dparams, SharpParams(n_query=n_query, n_sub=8, n_gauss=4, l_max=3.0 * h)
+
+
+def build_membrane_problem(cloud: PointCloud, *, extent: float = MEMBRANE_EXTENT,
+                           n_cells: int = MEMBRANE_CELLS, degree: int = 10,
                            beta: float = 1e6, load: float = 10.0,
                            rim_value: float = 1.0,
                            dparams: DistanceParams | None = None,
@@ -306,16 +327,14 @@ def build_membrane_problem(cloud: PointCloud, *, extent: float = 1.1,
 
     The full embedding square carries the operator (no fictitious damping);
     the mesh boundary is clamped at zero strongly, the cloud at rim_value by
-    the sharp penalty.  Raises when the reconstruction finds no boundary.
+    the sharp penalty.  Parameters not given come from
+    default_membrane_params, its query depth from the given fit radius.
+    Raises when the reconstruction finds no boundary.
     """
-    nn = cloud.tree.query(cloud.points, k=2)[0][:, 1]
-    h = float(np.median(nn))
-    if dparams is None:
-        dparams = DistanceParams(k=4, r=3.0 * h)
-    if sparams is None:
-        cell = 2.0 * extent / n_cells
-        n_query = max(0, math.ceil(math.log2(cell / (0.25 * dparams.r))))
-        sparams = SharpParams(n_query=n_query, n_sub=8, n_gauss=4, l_max=3.0 * h)
+    if dparams is None or sparams is None:
+        derived = default_membrane_params(cloud, extent, n_cells,
+                                          None if dparams is None else dparams.r)
+        dparams, sparams = dparams or derived[0], sparams or derived[1]
     mesh = StructuredMesh((-extent, -extent), (2 * extent, 2 * extent),
                           n_cells, n_cells, degree)
     volume = assemble_volume(mesh, PoissonCoefficient(), IndicatorField(everywhere),
@@ -329,19 +348,12 @@ def build_membrane_problem(cloud: PointCloud, *, extent: float = 1.1,
     system = GlobalSystem(K=(volume.K + Kp).tocsr(), f=volume.f + fp, mesh=mesh)
     system = apply_strong_zero(system, mesh.boundary_scalar_dofs())
     u = solve(system)
-    ends = [s.endpoints() for s in segments if s.intervals.size]
-    if ends:
-        allends = np.vstack(ends)
-        bpts = np.unique(np.vstack([allends[:, 0:2], allends[:, 2:4]]), axis=0)
-    else:
-        bpts = np.zeros((0, 2))
+    # Points entered the penalty, so some kept subsegment exists.
+    ends = np.concatenate([s.endpoints() for s in segments])
+    bpts = np.unique(np.vstack([ends[:, 0:2], ends[:, 2:4]]), axis=0)
     from .fcm import evaluate
 
-    if bpts.shape[0]:
-        vals = evaluate(mesh, u, bpts)
-        mismatch = float(np.mean(np.abs(vals - rim_value)))
-    else:
-        mismatch = float("nan")
+    mismatch = float(np.mean(np.abs(evaluate(mesh, u, bpts) - rim_value)))
     stats = {"penalty_points": pstats["penalty_points"],
              "n_segments": int(sum(s.intervals.shape[0] for s in segments)),
              "n_regions": len(segments), "dofs": system.ndof}

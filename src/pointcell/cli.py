@@ -4,12 +4,15 @@ Runs are driven by an INI-style config file; a handful of flags override the
 file so parameter sweeps don't need one file per run.  Unknown sections or
 keys are rejected by name rather than ignored, since a typo that silently
 falls back to a default is the most expensive way to lose an afternoon.
+Only the values the user set are passed on; the library's defaults and
+derivations (default_*_params) supply the rest, from the user's values.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 
@@ -17,20 +20,33 @@ import numpy as np
 
 from . import benchmarks, export
 from .errors import (BoundaryNotFoundError, CloudLoadError, SolverError)
-from .geometry import DistanceParams
+from .fcm import StructuredMesh
 from .penalty import (DiffuseParams, PenaltyParams, SharpParams,
                       assemble_diffuse_penalty, assemble_sharp_penalty,
                       collect_sharp_segments)
 
-_KNOWN_KEYS = {
-    "problem": {"kind", "cloud", "n_points", "r_inner", "r_outer", "amp",
-                "slope", "beta", "method", "load", "rim_value", "volume_depth"},
-    "mesh": {"extent", "n_cells", "degree"},
-    "distance": {"k", "r"},
-    "diffuse": {"epsilon", "n_sub", "n_gauss"},
-    "sharp": {"n_query", "n_sub", "n_gauss", "l_max", "test_grid"},
-    "study": {"preset", "betas", "methods", "epsilon", "reference_chords"},
-    "output": {"dir", "field_resolution"},
+# Every config key and the type its value is read as.
+_KEYS = {
+    "problem": {"kind": str, "cloud": str, "n_points": int, "r_inner": float,
+                "r_outer": float, "amp": float, "slope": float, "beta": float,
+                "method": str, "load": float, "rim_value": float, "volume_depth": int},
+    "mesh": {"extent": float, "n_cells": int, "degree": int},
+    "distance": {"k": int, "r": float},
+    "diffuse": {"epsilon": float, "n_sub": int, "n_gauss": int},
+    "sharp": {"n_query": int, "n_sub": int, "n_gauss": int, "l_max": float,
+              "test_grid": int},
+    "study": {"betas": str, "methods": str, "reference_chords": int},
+    "output": {"dir": str, "field_resolution": int},
+}
+
+# Every flag and the config key it overrides.
+_FLAGS = {
+    "out-dir": ("output", "dir"), "cloud": ("problem", "cloud"),
+    "method": ("problem", "method"), "k": ("distance", "k"), "r": ("distance", "r"),
+    "beta": ("problem", "beta"), "epsilon": ("diffuse", "epsilon"),
+    "n-sub-eps": ("diffuse", "n_sub"), "n-gauss-eps": ("diffuse", "n_gauss"),
+    "n-query-s": ("sharp", "n_query"), "n-sub-s": ("sharp", "n_sub"),
+    "n-gauss-s": ("sharp", "n_gauss"), "l-max-s": ("sharp", "l_max"),
 }
 
 
@@ -38,38 +54,37 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    parser.read(path)
-    for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError(f"unknown config key [{section}] {key}")
-    return parser
+def _settings(args) -> dict:
+    """The values the user set, {(section, key): value}; a flag replaces the
+    file's value of its key."""
+    out = {}
+    if args.config is not None:
+        parser = configparser.ConfigParser()
+        if not parser.read(args.config):
+            raise ConfigError(f"config file not found: {args.config}")
+        for section in parser.sections():
+            if section not in _KEYS:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key, raw in parser[section].items():
+                if key not in _KEYS[section]:
+                    raise ConfigError(f"unknown config key [{section}] {key}")
+                try:
+                    out[section, key] = _KEYS[section][key](raw)
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    for flag, where in _FLAGS.items():
+        if vars(args)[flag] is not None:
+            out[where] = vars(args)[flag]
+    if ("problem", "beta") in out:
+        _checked_beta(out["problem", "beta"],
+                      "--beta" if args.beta is not None else "[problem] beta")
+    return out
 
 
-def _get(cfg, section, key, cast, default):
-    try:
-        raw = cfg.get(section, key)
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        return default
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-
-def _distance_params(cfg, args, default_r) -> DistanceParams:
-    k = args.k if args.k is not None else _get(cfg, "distance", "k", int, 4)
-    r = args.r if args.r is not None else _get(cfg, "distance", "r", float, default_r)
-    try:
-        return DistanceParams(k=k, r=r)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _user(cfg, section, keys=None) -> dict:
+    """The user's values of one section, restricted to keys when given."""
+    return {key: v for (sec, key), v in cfg.items()
+            if sec == section and (keys is None or key in keys)}
 
 
 def _checked_beta(beta, source) -> float:
@@ -80,91 +95,77 @@ def _checked_beta(beta, source) -> float:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def _beta(cfg, args, default) -> float:
-    if args.beta is not None:
-        return _checked_beta(args.beta, "--beta")
-    return _checked_beta(_get(cfg, "problem", "beta", float, default), "[problem] beta")
-
-
-def _sharp_params(cfg, args, default_l_max) -> SharpParams:
-    pick = lambda flag, key, cast, dflt: (
-        flag if flag is not None else _get(cfg, "sharp", key, cast, dflt))
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), with the library's own checks as config errors."""
     try:
-        return SharpParams(
-            n_query=pick(args.n_query_s, "n_query", int, 5),
-            n_sub=pick(args.n_sub_s, "n_sub", int, 6),
-            n_gauss=pick(args.n_gauss_s, "n_gauss", int, 4),
-            l_max=pick(args.l_max_s, "l_max", float, default_l_max),
-            test_grid=_get(cfg, "sharp", "test_grid", int, 3))
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _diffuse_params(cfg, args) -> DiffuseParams:
-    pick = lambda flag, key, cast, dflt: (
-        flag if flag is not None else _get(cfg, "diffuse", key, cast, dflt))
-    try:
-        return DiffuseParams(
-            epsilon=pick(args.epsilon, "epsilon", float, 5e-3),
-            n_sub=pick(args.n_sub_eps, "n_sub", int, 7),
-            n_gauss=pick(args.n_gauss_eps, "n_gauss", int, 4))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _override(cfg, section, base):
+    """base with the user's values of one section in place."""
+    return _checked(dataclasses.replace, base, **_user(cfg, section))
 
 
-def _annular_config(cfg, args) -> benchmarks.AnnularConfig:
-    dparams = _distance_params(cfg, args, default_r=0.01)
-    try:
-        return benchmarks.AnnularConfig(
-            n_points=_get(cfg, "problem", "n_points", int, 2000),
-            r_inner=_get(cfg, "problem", "r_inner", float, 0.25),
-            r_outer=_get(cfg, "problem", "r_outer", float, 1.0),
-            amp=_get(cfg, "problem", "amp", float, 10.0),
-            slope=_get(cfg, "problem", "slope", float, 0.1),
-            extent=_get(cfg, "mesh", "extent", float, 1.2),
-            n_cells=_get(cfg, "mesh", "n_cells", int, 4),
-            degree=_get(cfg, "mesh", "degree", int, 10),
-            volume_depth=_get(cfg, "problem", "volume_depth", int, 10),
-            k=dparams.k, r=dparams.r)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _annular_config(cfg) -> benchmarks.AnnularConfig:
+    names = {f.name for f in dataclasses.fields(benchmarks.AnnularConfig)}
+    values = {key: v for (sec, key), v in cfg.items()
+              if sec in ("problem", "mesh", "distance") and key in names}
+    return _checked(benchmarks.AnnularConfig, **values)
 
 
-def _outdir(cfg, args) -> str:
+def _route_params(cfg, config, method) -> SharpParams | DiffuseParams:
+    """An annular route's controls: the library's for config, the user's in place."""
+    if method == "sharp":
+        return _override(cfg, "sharp", benchmarks.default_sharp_params(config))
+    if method == "diffuse":
+        return _override(cfg, "diffuse", _checked(
+            benchmarks.default_diffuse_params, **_user(cfg, "diffuse", {"epsilon"}),
+            extent=config.extent, n_cells=config.n_cells))
+    raise ConfigError(f"unknown method {method!r}")
+
+
+def _membrane_params(cfg, cloud):
+    """(DistanceParams, SharpParams) of a membrane run on cloud."""
+    dparams, sparams = _checked(benchmarks.default_membrane_params, cloud,
+                                **_user(cfg, "mesh", {"extent", "n_cells"}),
+                                **_user(cfg, "distance", {"r"}))
+    return _override(cfg, "distance", dparams), _override(cfg, "sharp", sparams)
+
+
+def _outdir(cfg) -> str:
     """Output directory, created on the spot: call it once every other config
     value has been read and checked, so a rejected run leaves nothing behind."""
-    out = args.out_dir or _get(cfg, "output", "dir", str, ".")
+    out = cfg.get(("output", "dir"), ".")
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _load_cloud(cfg, args):
-    path = args.cloud or _get(cfg, "problem", "cloud", str, None)
+def _load_cloud(cfg):
+    path = cfg.get(("problem", "cloud"))
     if path is None:
         raise ConfigError("membrane run needs a cloud file ([problem] cloud)")
     return benchmarks.load_scaled_cloud(path)
 
 
-def _cmd_solve(cfg, args) -> int:
-    kind = _get(cfg, "problem", "kind", str, "membrane")
-    resolution = _get(cfg, "output", "field_resolution", int, 101)
+def _write_field(cfg, out, mesh, coeffs) -> None:
+    """field.vtk at the user's resolution, else at write_field_vtk's."""
+    kwargs = ({"resolution": cfg["output", "field_resolution"]}
+              if ("output", "field_resolution") in cfg else {})
+    export.write_field_vtk(os.path.join(out, "field.vtk"), mesh, coeffs, **kwargs)
+
+
+def _cmd_solve(cfg) -> int:
+    kind = cfg.get(("problem", "kind"), "membrane")
     if kind == "membrane":
-        beta = _beta(cfg, args, 1e6)
-        cloud = _load_cloud(cfg, args)
-        dparams = _distance_params(cfg, args, default_r=0.05)
-        h = float(np.median(cloud.tree.query(cloud.points, k=2)[0][:, 1]))
-        sparams = _sharp_params(cfg, args, default_l_max=3.0 * h)
-        extent = _get(cfg, "mesh", "extent", float, 1.1)
-        n_cells = _get(cfg, "mesh", "n_cells", int, 16)
-        degree = _get(cfg, "mesh", "degree", int, 10)
-        load = _get(cfg, "problem", "load", float, 10.0)
-        rim_value = _get(cfg, "problem", "rim_value", float, 1.0)
-        out = _outdir(cfg, args)
+        cloud = _load_cloud(cfg)
+        dparams, sparams = _membrane_params(cfg, cloud)
+        out = _outdir(cfg)
         result = benchmarks.build_membrane_problem(
-            cloud, extent=extent, n_cells=n_cells, degree=degree, beta=beta,
-            load=load, rim_value=rim_value, dparams=dparams, sparams=sparams)
-        export.write_field_vtk(os.path.join(out, "field.vtk"), result.mesh,
-                               result.coeffs, resolution=resolution)
+            cloud, **_user(cfg, "mesh"), **_user(cfg, "problem", {"beta", "load", "rim_value"}),
+            dparams=dparams, sparams=sparams)
+        _write_field(cfg, out, result.mesh, result.coeffs)
         export.write_segments_csv(os.path.join(out, "segments.csv"),
                                   result.segments)
         print(f"dofs={result.stats['dofs']} "
@@ -173,40 +174,32 @@ def _cmd_solve(cfg, args) -> int:
               f"mean_abs_mismatch={result.mean_abs_mismatch:.6e}")
         return 0
     if kind == "annular":
-        config = _annular_config(cfg, args)
-        beta = _beta(cfg, args, 1e5)
-        method = args.method or _get(cfg, "problem", "method", str, "sharp")
-        if method == "sharp":
-            sparams = _sharp_params(cfg, args,
-                                    default_l_max=3.0 * config.spacing)
-        elif method == "diffuse":
-            diffuse = _diffuse_params(cfg, args)
-        else:
-            raise ConfigError(f"unknown method {method!r}")
-        out = _outdir(cfg, args)
+        config = _annular_config(cfg)
+        beta = cfg.get(("problem", "beta"), 1e5)
+        method = cfg.get(("problem", "method"), "sharp")
+        params = _route_params(cfg, config, method)
+        out = _outdir(cfg)
         problem = benchmarks.build_annular_problem(config)
         pen = PenaltyParams(beta=beta, u_hat=problem.u_hat)
         if method == "sharp":
             segments = collect_sharp_segments(
-                problem.mesh, problem.cloud, problem.dparams, sparams)
+                problem.mesh, problem.cloud, problem.dparams, params)
             Kp, fp, stats = assemble_sharp_penalty(
-                problem.mesh, problem.cloud, segments, pen, sparams.n_gauss)
+                problem.mesh, problem.cloud, segments, pen, params.n_gauss)
         else:
             Kp, fp, stats = assemble_diffuse_penalty(
-                problem.mesh, problem.cloud, problem.dparams, diffuse, pen)
+                problem.mesh, problem.cloud, problem.dparams, params, pen)
         u, energy, error = benchmarks.solve_annular(problem, Kp, fp)
-        export.write_field_vtk(os.path.join(out, "field.vtk"), problem.mesh, u,
-                               resolution=resolution)
+        _write_field(cfg, out, problem.mesh, u)
         print(f"dofs={problem.volume.ndof} penalty_points={stats['penalty_points']} "
               f"energy={energy:.10e} error_percent={error:.6e}")
         return 0
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
-def _cmd_beta_study(cfg, args) -> int:
-    config = _annular_config(cfg, args)
-    preset = _get(cfg, "study", "preset", str, "log26")
-    raw = _get(cfg, "study", "betas", str, None)
+def _cmd_beta_study(cfg) -> int:
+    config = _annular_config(cfg)
+    raw = cfg.get(("study", "betas"))
     if raw is not None:
         try:
             betas = np.array([float(tok) for tok in raw.split(",")])
@@ -215,57 +208,43 @@ def _cmd_beta_study(cfg, args) -> int:
         for beta in betas:
             _checked_beta(beta, "[study] betas")
     else:
-        betas = benchmarks.beta_grid(preset)
-    methods = _get(cfg, "study", "methods", str, "sharp,diffuse").split(",")
+        betas = benchmarks.beta_grid()
     kwargs = {}
-    for method in methods:
+    for method in cfg.get(("study", "methods"), "sharp,diffuse").split(","):
         method = method.strip()
-        if method == "sharp":
-            kwargs["sharp"] = _sharp_params(cfg, args,
-                                            default_l_max=3.0 * config.spacing)
-        elif method == "diffuse":
-            kwargs["diffuse"] = _diffuse_params(cfg, args)
-        elif method == "reference":
-            kwargs["reference_chords"] = _get(cfg, "study", "reference_chords",
-                                              int, 2048)
+        if method == "reference":
+            kwargs["reference_chords"] = cfg.get(("study", "reference_chords"), 2048)
         else:
-            raise ConfigError(f"unknown study method {method!r}")
-    out = _outdir(cfg, args)
+            kwargs[method] = _route_params(cfg, config, method)
+    out = _outdir(cfg)
     problem = benchmarks.build_annular_problem(config)
     table = benchmarks.run_beta_study(problem, betas, **kwargs)
-    for name in ("sharp", "diffuse", "reference"):
-        if name in table:
-            export.write_study_csv(os.path.join(out, f"study_{name}.csv"),
-                                   table["beta"], table[name])
-    counts = {name: table.get(f"{name}_points") for name in
-              ("sharp", "diffuse", "reference") if f"{name}_points" in table}
-    errors = {name: np.nanmin(table[name]) for name in
-              ("sharp", "diffuse", "reference") if name in table}
-    best = min(errors.values()) if errors else float("nan")
+    routes = [name for name in ("sharp", "diffuse", "reference") if name in table]
+    for name in routes:
+        export.write_study_csv(os.path.join(out, f"study_{name}.csv"),
+                               table["beta"], table[name])
+    counts = {name: table[f"{name}_points"] for name in routes}
+    best = min((np.nanmin(table[name]) for name in routes), default=float("nan"))
     print(f"dofs={problem.volume.ndof} penalty_points={counts} "
           f"rows={betas.size} best_error_percent={best:.6e}")
     return 0
 
 
-def _cmd_reconstruct(cfg, args) -> int:
-    cloud = _load_cloud(cfg, args)
-    dparams = _distance_params(cfg, args, default_r=0.05)
-    h = float(np.median(cloud.tree.query(cloud.points, k=2)[0][:, 1]))
-    sparams = _sharp_params(cfg, args, default_l_max=3.0 * h)
-    from .fcm import StructuredMesh
-
-    extent = _get(cfg, "mesh", "extent", float, 1.1)
-    n_cells = _get(cfg, "mesh", "n_cells", int, 16)
-    out = _outdir(cfg, args)
+def _cmd_reconstruct(cfg) -> int:
+    cloud = _load_cloud(cfg)
+    dparams, sparams = _membrane_params(cfg, cloud)
+    extent = cfg.get(("mesh", "extent"), benchmarks.MEMBRANE_EXTENT)
+    n_cells = cfg.get(("mesh", "n_cells"), benchmarks.MEMBRANE_CELLS)
+    out = _outdir(cfg)
     mesh = StructuredMesh((-extent, -extent), (2 * extent, 2 * extent),
                           n_cells, n_cells, 1)
     segments = collect_sharp_segments(mesh, cloud, dparams, sparams)
     if not segments:
         raise BoundaryNotFoundError("no contributing regions found")
     export.write_segments_csv(os.path.join(out, "segments.csv"), segments)
-    total = sum(s.total_length for s in segments)
+    total = sum(seg.total_length for seg in segments)
     print(f"regions={len(segments)} "
-          f"subsegments={sum(s.intervals.shape[0] for s in segments)} "
+          f"subsegments={sum(seg.intervals.shape[0] for seg in segments)} "
           f"total_length={total:.10e}")
     return 0
 
@@ -275,19 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pointcell",
         description="embedded-domain solver with point-cloud Dirichlet data")
     parser.add_argument("--config", default=None, help="INI config file")
-    parser.add_argument("--out-dir", default=None)
-    parser.add_argument("--cloud", default=None, help="cloud file override")
-    parser.add_argument("--method", default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--r", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--n-sub-eps", dest="n_sub_eps", type=int, default=None)
-    parser.add_argument("--n-gauss-eps", dest="n_gauss_eps", type=int, default=None)
-    parser.add_argument("--n-query-s", dest="n_query_s", type=int, default=None)
-    parser.add_argument("--n-sub-s", dest="n_sub_s", type=int, default=None)
-    parser.add_argument("--n-gauss-s", dest="n_gauss_s", type=int, default=None)
-    parser.add_argument("--l-max-s", dest="l_max_s", type=float, default=None)
+    for flag, (section, key) in _FLAGS.items():
+        parser.add_argument(f"--{flag}", dest=flag, type=_KEYS[section][key],
+                            help=f"overrides [{section}] {key}")
     parser.add_argument("command", choices=["solve", "beta-study", "reconstruct"])
     return parser
 
@@ -295,13 +264,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = (_load_config(args.config) if args.config
-               else configparser.ConfigParser())
+        cfg = _settings(args)
         if args.command == "solve":
-            return _cmd_solve(cfg, args)
+            return _cmd_solve(cfg)
         if args.command == "beta-study":
-            return _cmd_beta_study(cfg, args)
-        return _cmd_reconstruct(cfg, args)
+            return _cmd_beta_study(cfg)
+        return _cmd_reconstruct(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

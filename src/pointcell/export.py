@@ -55,7 +55,7 @@ def write_segments_csv(path, segments) -> None:
 
 
 def write_field_vtk(path, mesh: StructuredMesh, coeffs: np.ndarray,
-                    resolution: int = 101, name: str = "u") -> None:
+                    resolution: int = 101) -> None:
     """Legacy-ASCII structured-points dump of a scalar field on the mesh."""
     xs = np.linspace(mesh.origin[0], mesh.origin[0] + mesh.lengths[0], resolution)
     ys = np.linspace(mesh.origin[1], mesh.origin[1] + mesh.lengths[1], resolution)
@@ -71,7 +71,7 @@ def write_field_vtk(path, mesh: StructuredMesh, coeffs: np.ndarray,
         f"ORIGIN {_fmt(xs[0])} {_fmt(ys[0])} 0.0",
         f"SPACING {_fmt(xs[1] - xs[0])} {_fmt(ys[1] - ys[0])} 1.0",
         f"POINT_DATA {resolution * resolution}",
-        f"SCALARS {name} double 1",
+        "SCALARS u double 1",
         "LOOKUP_TABLE default",
     ]
     lines.extend(_fmt(v) for v in vals)

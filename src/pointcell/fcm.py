@@ -322,7 +322,7 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
                         stats={"volume_points": n_points, "cut_cells": n_cut})
 
 
-def solve(system: GlobalSystem, rtol: float = 1e-10) -> np.ndarray:
+def solve(system: GlobalSystem) -> np.ndarray:
     """Direct sparse solve of K u = f for a symmetric positive definite K.
 
     Every operator this package assembles is SPD: a volume stiffness with
@@ -334,10 +334,11 @@ def solve(system: GlobalSystem, rtol: float = 1e-10) -> np.ndarray:
     stable without pivoting; partial pivoting and an unsymmetric column
     ordering only add fill (12x on the 16 x 16, p = 10 membrane).
 
-    The relative residual is stored on system.last_residual and the number
-    of nonzeros in L + U on system.stats["factor_nnz"].  A SolverError is
-    raised when the factor is exactly singular or the solution is not
-    finite (typically a system with no Dirichlet constraints at all).
+    The relative residual is stored on system.last_residual (a RuntimeWarning
+    is issued above 1e-10) and the number of nonzeros in L + U on
+    system.stats["factor_nnz"].  A SolverError is raised when the factor is
+    exactly singular or the solution is not finite (typically a system with
+    no Dirichlet constraints at all).
     """
     K = system.K.tocsc()
     try:
@@ -355,8 +356,8 @@ def solve(system: GlobalSystem, rtol: float = 1e-10) -> np.ndarray:
                           "or lacks Dirichlet constraints")
     scale = max(float(np.linalg.norm(system.f)), np.finfo(float).tiny)
     system.last_residual = float(np.linalg.norm(system.K @ u - system.f) / scale)
-    if system.last_residual > rtol:
-        warnings.warn(f"solver residual {system.last_residual:.3e} exceeds {rtol:.1e}",
+    if system.last_residual > 1e-10:
+        warnings.warn(f"solver residual {system.last_residual:.3e} exceeds 1.0e-10",
                       RuntimeWarning, stacklevel=2)
     return u
 

@@ -81,8 +81,6 @@ class SharpParams:
     l_max: initial plane-segment length, of the order of a few point spacings.
     n_sub: bisection depth bounding each segment to its region.
     n_gauss: rule order per kept subsegment.
-    halfdiag_factor scales the subcell half-diagonal in the pruning distance
-    d_max = factor * halfdiag + r.
     """
 
     n_query: int
@@ -90,7 +88,6 @@ class SharpParams:
     n_gauss: int
     l_max: float
     test_grid: int = 3
-    halfdiag_factor: float = 1.0
 
     def __post_init__(self):
         if self.n_query < 0 or self.n_sub < 0:
@@ -182,28 +179,22 @@ def identify_contributing_regions(cell_bounds, cloud: PointCloud,
     """Order-k Voronoi region keys whose regions may intersect a cell.
 
     A query quadtree over the cell keeps, per level, the subcells whose center
-    distance does not exceed d_max = halfdiag_factor * halfdiag + r; the
-    surviving deepest subcells are sampled on a cell-centered test grid and
-    the keys at sample points within r of their nearest cloud point are
-    collected (sample points beyond r lie outside the reconstruction zone).
+    lies within halfdiag + r of its nearest cloud point; the surviving
+    deepest subcells are sampled on a cell-centered test grid and the keys at
+    sample points within r of their nearest cloud point are collected (sample
+    points beyond r lie outside the reconstruction zone).  A sample point
+    within r of the cloud puts every subcell holding it within halfdiag + r
+    (triangle inequality), so the pruning drops no key of the full lattice.
     With r = inf no pruning or exclusion happens at all.
 
     Returns the unique keys in lexicographic order as a list of tuples.
     """
     active = np.asarray(cell_bounds, dtype=float).reshape(1, 4)
-    prune = np.isfinite(dparams.r)
     for depth in range(sparams.n_query + 1):
-        if active.shape[0] == 0:
-            return []
-        if prune:
-            w = active[:, 2] - active[:, 0]
-            h = active[:, 3] - active[:, 1]
-            halfdiag = 0.5 * np.hypot(w[0], h[0])
-            d_max = sparams.halfdiag_factor * halfdiag + dparams.r
-            centers = np.column_stack([0.5 * (active[:, 0] + active[:, 2]),
-                                       0.5 * (active[:, 1] + active[:, 3])])
-            d = pca_distance_many(cloud, centers, dparams)
-            active = active[d <= d_max]
+        if np.isfinite(dparams.r):
+            halfdiag = 0.5 * np.hypot(*(active[0, 2:] - active[0, :2]))
+            centers = 0.5 * (active[:, :2] + active[:, 2:])
+            active = active[cloud.tree.query(centers, k=1)[0] <= halfdiag + dparams.r]
             if active.shape[0] == 0:
                 return []
         if depth < sparams.n_query:
@@ -466,18 +457,16 @@ def reference_segment_penalty(mesh: StructuredMesh, ix: int, iy: int,
 # global assemblers
 
 
-def _cells_near_cloud(mesh: StructuredMesh, cloud: PointCloud, reach: float):
-    """Cells whose interior can come within reach of a cloud point."""
-    halfdiag = 0.5 * float(np.hypot(mesh.hx, mesh.hy))
-    out = []
-    centers = []
-    for ix, iy in mesh.cells():
-        b = mesh.cell_bounds(ix, iy)
-        centers.append([0.5 * (b[0] + b[2]), 0.5 * (b[1] + b[3])])
-        out.append((ix, iy))
-    dist, _ = cloud.tree.query(np.asarray(centers), k=1)
-    keep = dist <= reach + halfdiag
-    return [c for c, k in zip(out, keep) if k]
+def _diffuse_cells(mesh: StructuredMesh, cloud: PointCloud, dparams: DistanceParams,
+                   diff: DiffuseParams):
+    """Cells the diffuse route integrates: those within reach of the layer
+    and of the plane fit, i.e. whose interior can come within
+    max(r, epsilon) of a cloud point."""
+    reach = max(dparams.r, diff.epsilon) + 0.5 * float(np.hypot(mesh.hx, mesh.hy))
+    cells = list(mesh.cells())
+    bounds = np.array([mesh.cell_bounds(ix, iy) for ix, iy in cells])
+    dist, _ = cloud.tree.query(0.5 * (bounds[:, :2] + bounds[:, 2:]), k=1)
+    return [c for c, d in zip(cells, dist) if d <= reach]
 
 
 def _assemble_cells(mesh, ncomp, beta, cell_iter):
@@ -505,8 +494,7 @@ def assemble_diffuse_penalty(mesh: StructuredMesh, cloud: PointCloud,
     betas differ by exactly that factor.
     """
     unit = PenaltyParams(beta=1.0, u_hat=pen.u_hat)
-    reach = max(dparams.r, diff.epsilon)
-    cells = _cells_near_cloud(mesh, cloud, reach)
+    cells = _diffuse_cells(mesh, cloud, dparams, diff)
     it = ((ix, iy, diffuse_penalty_cell(mesh, ix, iy, cloud, dparams, diff, unit, ncomp))
           for ix, iy in cells)
     K, f, n = _assemble_cells(mesh, ncomp, pen.beta, it)

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Delta value at a probe that makes the diffuse tree split a subcell, and the
+# probes per direction of each subcell (endpoints included).
+_EPS_D = 1e-5
+_DIFFUSE_TEST_GRID = 5
+
 
 @dataclass(frozen=True)
 class QuadratureRule1D:
@@ -74,15 +79,11 @@ class DiffuseParams:
     epsilon: layer half-width of the regularized delta.
     n_sub: maximum depth of the distance-driven tree.
     n_gauss: rule order per leaf.
-    eps_d: delta threshold that triggers subdivision.
-    test_grid: per-subcell test points in each direction (endpoints included).
     """
 
     epsilon: float
     n_sub: int
     n_gauss: int
-    eps_d: float = 1e-5
-    test_grid: int = 5
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -91,8 +92,6 @@ class DiffuseParams:
             raise ValueError(f"tree depth must be >= 0, got {self.n_sub}")
         if self.n_gauss < 1:
             raise ValueError(f"n_gauss must be >= 1, got {self.n_gauss}")
-        if self.test_grid < 2:
-            raise ValueError(f"test_grid must be >= 2, got {self.test_grid}")
 
 
 class SpaceTree:
@@ -188,9 +187,9 @@ def build_alpha_tree(cell, inside_test, max_depth: int) -> SpaceTree:
 def build_diffuse_tree(cell, dist, params: DiffuseParams) -> SpaceTree:
     """Quadtree refined where a regularized delta of dist(x) is sensed.
 
-    Each subcell is probed on a test_grid x test_grid equidistant lattice
+    Each subcell is probed on a _DIFFUSE_TEST_GRID-square equidistant lattice
     (endpoints included); it is subdivided while shallower than n_sub if the
-    delta exceeds eps_d at any probe.  A conservative capture guard also
+    delta exceeds _EPS_D at any probe.  A conservative capture guard also
     subdivides when min(dist) <= epsilon + g where g is the farthest any
     subcell point lies from a probe: a coarse subcell that intersects the
     layer cannot sneak past the probes (dist is treated as 1-Lipschitz), and a
@@ -199,7 +198,7 @@ def build_diffuse_tree(cell, dist, params: DiffuseParams) -> SpaceTree:
     other.
     """
     eps = params.epsilon
-    g = params.test_grid
+    g = _DIFFUSE_TEST_GRID
     frac = np.linspace(0.0, 1.0, g)
 
     def sensed_or_near(active):
@@ -210,7 +209,7 @@ def build_diffuse_tree(cell, dist, params: DiffuseParams) -> SpaceTree:
         py = y0[:, None, None] + h[:, None, None] * frac[None, None, :]
         pts = np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(-1, 2)
         d = np.asarray(dist(pts), dtype=float).reshape(active.shape[0], g * g)
-        sensed = np.any(regularized_delta_raw(d, eps) > params.eps_d, axis=1)
+        sensed = np.any(regularized_delta_raw(d, eps) > _EPS_D, axis=1)
         spacing = np.maximum(w, h) / (g - 1)
         guard = d.min(axis=1) <= eps + spacing * (np.sqrt(2.0) / 2.0)
         return sensed | guard

@@ -12,7 +12,7 @@ from pointcell import (AnnularConfig, BoundaryNotFoundError, DiffuseParams,
                        build_membrane_problem, circle_cloud, circle_polyline,
                        count_diffuse_points, default_diffuse_params,
                        default_sharp_params, energy_error, gauss_legendre_1d,
-                       load_scaled_cloud, run_beta_study)
+                       StructuredMesh, load_scaled_cloud, run_beta_study)
 
 
 def _light_config(**kw):
@@ -46,11 +46,6 @@ def test_beta_grid_log26():
     assert g[-1] == pytest.approx(3.8712e6, rel=1e-4)
     ratios = g[1:] / g[:-1]
     np.testing.assert_allclose(ratios, 10.0 ** (2.0 / 9.0), rtol=1e-12)
-
-
-def test_beta_grid_unknown_preset():
-    with pytest.raises(ValueError):
-        beta_grid("linear7")
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +88,10 @@ def test_annular_config_validation():
         AnnularConfig(r_inner=1.0, r_outer=0.5)
     with pytest.raises(ValueError):
         AnnularConfig(r_inner=0.0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        AnnularConfig(k=0)
+    with pytest.raises(ValueError, match="r must be positive"):
+        AnnularConfig(r=0.0)
     cfg = AnnularConfig(n_points=100)
     assert cfg.spacing == pytest.approx(2.0 * np.pi * cfg.r_inner / 100.0, rel=1e-14)
 
@@ -203,13 +202,20 @@ def test_run_beta_study_light_sweep():
 
 
 def test_count_diffuse_points_matches_assembler():
+    """Also on a mesh with cells far from the cloud, which the assembler
+    skips and the count must skip too."""
     prob = build_annular_problem(_light_config())
-    diff = DiffuseParams(epsilon=2e-2, n_sub=5, n_gauss=3)
-    n = count_diffuse_points(prob.mesh, prob.cloud, prob.dparams, diff)
-    _, _, stats = assemble_diffuse_penalty(prob.mesh, prob.cloud, prob.dparams,
-                                           diff, PenaltyParams(beta=1.0))
-    assert n == stats["penalty_points"]
-    assert n > 0
+    far = StructuredMesh((-1.1, -1.1), (2.2, 2.2), 8, 8, 2)
+    cases = [(prob.mesh, prob.cloud, prob.dparams,
+              DiffuseParams(epsilon=2e-2, n_sub=5, n_gauss=3)),
+             (far, PointCloud(circle_cloud(0.5, 200)), DistanceParams(k=4, r=0.05),
+              DiffuseParams(epsilon=2e-2, n_sub=4, n_gauss=3))]
+    for mesh, cloud, dparams, diff in cases:
+        n = count_diffuse_points(mesh, cloud, dparams, diff)
+        _, _, stats = assemble_diffuse_penalty(mesh, cloud, dparams, diff,
+                                               PenaltyParams(beta=1.0))
+        assert n == stats["penalty_points"]
+        assert n > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """End-to-end runs of the command-line front end."""
 
+import dataclasses
 import re
 import textwrap
 
 import numpy as np
 import pytest
 
-from pointcell import circle_cloud
+from pointcell import (AnnularConfig, build_annular_problem, build_membrane_problem,
+                       circle_cloud, default_diffuse_params, default_membrane_params,
+                       default_sharp_params, load_scaled_cloud, run_beta_study)
+from pointcell import cli
 from pointcell.cli import main
+from pointcell.export import write_field_vtk, write_segments_csv
 
 
 def _write(path, body: str) -> str:
@@ -58,6 +63,15 @@ def test_unknown_key_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err
     assert "extnet" in err
+
+
+@pytest.mark.parametrize("key", ["preset = log26", "epsilon = 5e-3"])
+def test_dead_study_keys_are_rejected(tmp_path, capsys, key):
+    ini = _write(tmp_path / "run.ini", _tiny_annular(f"[study]\n        {key}"))
+    made = tmp_path / "made"
+    assert main(["--config", ini, "--out-dir", str(made), "beta-study"]) == 2
+    assert "unknown config key [study]" in capsys.readouterr().err
+    assert not made.exists()
 
 
 def test_unknown_section_is_rejected(tmp_path, capsys):
@@ -266,6 +280,104 @@ def test_solve_membrane(tmp_path, capsys):
     seg_lines = (out / "segments.csv").read_text().splitlines()
     assert seg_lines[0] == "x0,y0,x1,y1,key"
     assert len(seg_lines) == 1 + int(m.group(3))
+
+
+def _circle_file(tmp_path, n=96):
+    path = tmp_path / "circle.txt"
+    np.savetxt(path, circle_cloud(1.0, n))
+    return str(path)
+
+
+def test_solve_without_config_runs_the_library_defaults(tmp_path):
+    """No config and no flags: the files of build_membrane_problem with its
+    own defaults, written at write_field_vtk's default resolution."""
+    path = _circle_file(tmp_path)
+    out = tmp_path / "cli"
+    assert main(["--cloud", path, "--out-dir", str(out), "solve"]) == 0
+    result = build_membrane_problem(load_scaled_cloud(path))
+    write_field_vtk(tmp_path / "field.vtk", result.mesh, result.coeffs)
+    write_segments_csv(tmp_path / "segments.csv", result.segments)
+    for name in ("segments.csv", "field.vtk"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_reconstruct_writes_the_segments_of_solve(tmp_path):
+    path = _circle_file(tmp_path)
+    ini = _write(tmp_path / "run.ini", """\
+        [mesh]
+        n_cells = 6
+        degree = 3
+        [distance]
+        r = 0.2
+        """)
+    for command in ("solve", "reconstruct"):
+        assert main(["--config", ini, "--cloud", path, "--out-dir",
+                     str(tmp_path / command), command]) == 0
+    assert ((tmp_path / "solve" / "segments.csv").read_bytes()
+            == (tmp_path / "reconstruct" / "segments.csv").read_bytes())
+
+
+def _recorded_params(monkeypatch, argv):
+    """The (DistanceParams, SharpParams) a CLI run hands to collect_sharp_segments."""
+    seen = []
+
+    def record(mesh, cloud, dparams, sparams):
+        seen.append((dparams, sparams))
+        return real(mesh, cloud, dparams, sparams)
+
+    real = cli.collect_sharp_segments
+    monkeypatch.setattr(cli, "collect_sharp_segments", record)
+    assert main(argv) == 0
+    return seen[0]
+
+
+def test_flag_replaces_its_field_and_derived_values_follow(tmp_path, monkeypatch):
+    """--n-sub-s sets n_sub only; n_query stays derived, from the user's r
+    when --r is given."""
+    path = _circle_file(tmp_path)
+    cloud = load_scaled_cloud(path)
+    base = ["--cloud", path, "--out-dir", str(tmp_path), "--n-sub-s", "5"]
+    dparams, sparams = default_membrane_params(cloud)
+    got = _recorded_params(monkeypatch, base + ["reconstruct"])
+    assert got == (dparams, dataclasses.replace(sparams, n_sub=5))
+    dparams, sparams = default_membrane_params(cloud, r=0.05)
+    got = _recorded_params(monkeypatch, base + ["--r", "0.05", "reconstruct"])
+    assert got == (dparams, dataclasses.replace(sparams, n_sub=5))
+    assert got[1].n_query != default_membrane_params(cloud)[1].n_query
+
+
+def test_diffuse_depth_follows_the_user_epsilon(tmp_path, monkeypatch):
+    seen = []
+    real = cli.assemble_diffuse_penalty
+    monkeypatch.setattr(cli, "assemble_diffuse_penalty",
+                        lambda *a: seen.append(a[3]) or real(*a))
+    ini = _write(tmp_path / "run.ini", _tiny_annular())
+    assert main(["--config", ini, "--out-dir", str(tmp_path / "o"), "--method",
+                 "diffuse", "--epsilon", "0.02", "solve"]) == 0
+    assert seen == [default_diffuse_params(0.02, n_cells=2)]
+
+
+def test_beta_study_without_route_sections_counts_the_library_points(tmp_path, capsys):
+    """No [sharp] or [diffuse] section: both routes run with the library's
+    derived controls for this annulus."""
+    ini = _write(tmp_path / "run.ini", """\
+        [problem]
+        kind = annular
+        n_points = 96
+        volume_depth = 4
+        [mesh]
+        n_cells = 2
+        degree = 4
+        [study]
+        betas = 1e3
+        """)
+    assert main(["--config", ini, "--out-dir", str(tmp_path / "o"), "beta-study"]) == 0
+    config = AnnularConfig(n_points=96, volume_depth=4, n_cells=2, degree=4)
+    table = run_beta_study(build_annular_problem(config), [1e3],
+                           sharp=default_sharp_params(config),
+                           diffuse=default_diffuse_params(n_cells=2))
+    counts = {"sharp": table["sharp_points"], "diffuse": table["diffuse_points"]}
+    assert f"penalty_points={counts} " in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

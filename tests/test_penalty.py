@@ -15,6 +15,9 @@ from pointcell import (DiffuseParams, DistanceParams, PenaltyParams, PointCloud,
                        gauss_legendre_1d, identify_contributing_regions,
                        reference_segment_penalty, region_keys_many,
                        sharp_penalty_cell)
+from pointcell.geometry import _knn_indices_many
+from pointcell.penalty import _subcell_test_points
+from pointcell.quadrature import _split
 
 _MESH1 = StructuredMesh((0.0, 0.0), (1.0, 1.0), 1, 1, 2)
 
@@ -66,8 +69,6 @@ def test_diffuse_params_validation():
         DiffuseParams(epsilon=0.1, n_sub=-1, n_gauss=2)
     with pytest.raises(ValueError):
         DiffuseParams(epsilon=0.1, n_sub=2, n_gauss=0)
-    with pytest.raises(ValueError):
-        DiffuseParams(epsilon=0.1, n_sub=2, n_gauss=2, test_grid=1)
 
 
 def test_sharp_params_validation():
@@ -121,6 +122,44 @@ def test_identify_radius_only_prunes():
                                              DistanceParams(k=4, r=0.03), sp))
     assert near <= full
     assert (18, 19, 20, 21) in near
+
+
+def _noisy_cloud(rng):
+    """20-80 points: uniform, a noisy circle or a noisy line in the unit box."""
+    n = int(rng.integers(20, 81))
+    kind = rng.integers(3)
+    if kind == 0:
+        return PointCloud(rng.random((n, 2)))
+    noise = rng.normal(0.0, 0.02, (n, 2))
+    if kind == 1:
+        th = rng.uniform(0.0, 2.0 * np.pi, n)
+        return PointCloud(0.5 + 0.3 * np.column_stack([np.cos(th), np.sin(th)]) + noise)
+    x = rng.random(n)
+    return PointCloud(np.column_stack([x, 0.5 + 0.2 * (x - 0.5)]) + noise)
+
+
+def test_identify_pruning_keeps_every_key_of_the_full_lattice():
+    """On noisy clouds the plane-fit distance can exceed the nearest-point
+    distance; pruning must still keep every key the unpruned lattice finds
+    within r of the cloud."""
+    sp = SharpParams(n_query=5, n_sub=1, n_gauss=1, l_max=0.1, test_grid=3)
+    box = np.array([[0.0, 0.0, 1.0, 1.0]])
+    lattice = box
+    for _ in range(sp.n_query):
+        lattice = _split(lattice)
+    pts = _subcell_test_points(lattice, sp.test_grid)
+    rng = np.random.default_rng(20240607)
+    mismatched = []
+    for i in range(60):
+        cloud = _noisy_cloud(rng)
+        dp = DistanceParams(k=int(rng.integers(2, 6)), r=float(rng.uniform(0.02, 0.2)))
+        idx, dist = _knn_indices_many(cloud, pts, dp.k)
+        want = {tuple(int(j) for j in row)
+                for row in np.sort(idx[dist[:, 0] <= dp.r], axis=1)}
+        got = set(identify_contributing_regions(box[0], cloud, dp, sp))
+        if got != want:
+            mismatched.append((i, len(want - got), len(got - want)))
+    assert mismatched == []
 
 
 def test_identify_returns_sorted_unique_keys():

@@ -156,8 +156,6 @@ def test_tree_params_validation():
         DiffuseParams(epsilon=0.0, n_sub=2, n_gauss=2)
     with pytest.raises(ValueError, match="tree depth"):
         DiffuseParams(epsilon=0.1, n_sub=-1, n_gauss=2)
-    with pytest.raises(ValueError, match="test_grid"):
-        DiffuseParams(epsilon=0.1, n_sub=2, n_gauss=2, test_grid=1)
 
 
 # ---------------------------------------------------------------------------
