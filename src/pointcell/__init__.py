@@ -26,9 +26,9 @@ from .quadrature import (SpaceTree, build_alpha_tree, build_diffuse_tree,
                          tree_quadrature_points)
 from .basis import eval_basis, eval_values, shape_functions_1d
 from .fcm import (GlobalSystem, IndicatorField, PlaneStress,
-                  PoissonCoefficient, StructuredMesh, apply_strong_zero,
-                  assemble_volume, component_dofs, evaluate, everywhere, solve,
-                  strain_energy)
+                  PoissonCoefficient, StructuredMesh, add_operators,
+                  apply_strong_zero, assemble_volume, component_dofs, evaluate,
+                  everywhere, solve, strain_energy)
 from .penalty import (BoundedSegment, DiffuseParams, PenaltyParams,
                       SharpParams, assemble_diffuse_penalty,
                       assemble_reference_penalty, assemble_sharp_penalty,

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import BoundaryNotFoundError, SolverError
 from .fcm import (GlobalSystem, IndicatorField, PoissonCoefficient,
-                  StructuredMesh, apply_strong_zero, assemble_volume, everywhere,
-                  solve, strain_energy)
+                  StructuredMesh, add_operators, apply_strong_zero, assemble_volume,
+                  everywhere, solve, strain_energy)
 from .geometry import DistanceParams, PointCloud, pca_distance_many
 from .penalty import (DiffuseParams, PenaltyParams, SharpParams, _diffuse_cells,
                       assemble_diffuse_penalty, assemble_reference_penalty,
@@ -90,6 +90,12 @@ class AnnularConfig:
     slope: float = 0.1
 
     def __post_init__(self):
+        if self.n_points < 1:
+            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
+        if self.n_cells < 1:
+            raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
+        if not self.extent > 0.0:
+            raise ValueError(f"extent must be positive, got {self.extent}")
         if not 0.0 < self.r_inner < self.r_outer:
             raise ValueError("radii must satisfy 0 < r_inner < r_outer")
         DistanceParams(k=self.k, r=self.r)  # checks k and r
@@ -249,7 +255,7 @@ def solve_annular(problem: AnnularProblem, Kp, fp):
     """Solve the volume system plus one penalty pair (Kp, fp), already scaled
     by its beta.  Returns (u, energy, energy error in percent); raises
     SolverError when the solve fails."""
-    system = GlobalSystem(K=(problem.volume.K + Kp).tocsr(), f=problem.volume.f + fp,
+    system = GlobalSystem(K=add_operators(problem.volume.K, Kp), f=problem.volume.f + fp,
                           mesh=problem.mesh)
     u = solve(system)
     energy = strain_energy(problem.volume, u)
@@ -310,6 +316,10 @@ def default_membrane_params(cloud: PointCloud, extent: float = MEMBRANE_EXTENT,
     depth makes the deepest query subcells at most r/4 wide.  Returns
     (DistanceParams, SharpParams).
     """
+    if not extent > 0.0:
+        raise ValueError(f"extent must be positive, got {extent}")
+    if n_cells < 1:
+        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     h = float(np.median(cloud.tree.query(cloud.points, k=2)[0][:, 1]))
     dparams = DistanceParams(k=4, r=3.0 * h if r is None else r)
     cell = 2.0 * extent / n_cells
@@ -345,7 +355,7 @@ def build_membrane_problem(cloud: PointCloud, *, extent: float = MEMBRANE_EXTENT
     if pstats["penalty_points"] == 0:
         raise BoundaryNotFoundError(
             "sharp reconstruction found no boundary segments; check r and l_max")
-    system = GlobalSystem(K=(volume.K + Kp).tocsr(), f=volume.f + fp, mesh=mesh)
+    system = GlobalSystem(K=add_operators(volume.K, Kp), f=volume.f + fp, mesh=mesh)
     system = apply_strong_zero(system, mesh.boundary_scalar_dofs())
     u = solve(system)
     # Points entered the penalty, so some kept subsegment exists.

@@ -10,6 +10,14 @@ integrals are sum-factorized: the 1D shape functions are tabulated only at
 each leaf's x and y abscissae, and the pointwise weight alpha * w is
 contracted with the y tables leaf by leaf and then with the x tables in one
 matrix product (Orszag's sum factorization on the finite-cell quadtree rule).
+
+Every operator on a mesh shares one sparsity pattern, the tensor product of
+the two 1D dof lines (StructuredMesh.pattern), and stores the entries it
+never touches as explicit zeros.  Cell matrices are added straight into its
+data array; sums of operators (add_operators), scaling by beta and strong
+pins (apply_strong_zero) act on the data alone.  Field sampling uses the
+same factorization as assembly: 1D tables at each point's xi and eta and
+one contraction with the cell's coefficient block.
 """
 
 from __future__ import annotations
@@ -54,6 +62,9 @@ class StructuredMesh:
         self.n_scalar_dofs = self.n1x * self.n1y
         self._dof_1d_x = self._dof_line(self.nx)
         self._dof_1d_y = self._dof_line(self.ny)
+        self._line_x = self._line_pattern(self.nx)
+        self._line_y = self._line_pattern(self.ny)
+        self._patterns = {}
 
     def _dof_line(self, ne):
         p = self.degree
@@ -64,6 +75,104 @@ class StructuredMesh:
             for a in range(2, p + 1):
                 table[e, a] = (ne + 1) + e * (p - 1) + (a - 2)
         return table
+
+    def _line_pattern(self, ne):
+        """Sparsity of a dof line with ne elements: two dofs couple when they
+        share an element.
+
+        Returns (indptr, indices, rank) of the 1D CSR pattern, with
+        rank[e, a, a'] the place of the element's dof a' within the row of
+        its dof a.  In _dof_line's numbering a vertex v's row lists the
+        vertices v - 1 .. v + 1 that exist, then the internal modes of
+        element v - 1, then those of element v; an internal mode's row lists
+        its element's two vertices and its internal modes, in local order.
+        """
+        p = self.degree
+        e = np.arange(ne)
+        v = np.arange(ne + 1)
+        first = np.maximum(v - 1, 0)
+        n_vert = np.minimum(v + 1, ne) - first + 1
+        n_elem = (v >= 1).astype(int) + (v < ne)
+        lengths = np.concatenate([n_vert + (p - 1) * n_elem, np.full(ne * (p - 1), p + 1)])
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        rank = np.empty((ne, p + 1, p + 1), dtype=int)
+        for a, vert in ((0, e), (1, e + 1)):
+            rank[:, a, 0] = e - first[vert]
+            rank[:, a, 1] = e + 1 - first[vert]
+            # for a = 1 element e is the vertex's element v - 1, listed first;
+            # for a = 0 it is element v, after the modes of element v - 1
+            skip = (p - 1) * (vert >= 1) if a == 0 else 0
+            rank[:, a, 2:] = (n_vert[vert] + skip)[:, None] + np.arange(p - 1)
+        rank[:, 2:, :] = np.arange(p + 1)
+        dofs = self._dof_line(ne)
+        indices = np.empty(indptr[-1], dtype=int)
+        indices[indptr[dofs][:, :, None] + rank] = dofs[:, None, :]
+        return indptr, indices, rank
+
+    def pattern(self, ncomp: int = 1):
+        """CSR index arrays (indptr, indices) shared by every operator on the
+        mesh with ncomp components per scalar dof.
+
+        The pattern is the tensor product of the two 1D line patterns with
+        the components interleaved as in component_dofs: the row of
+        component c of scalar dof (gx, gy) holds, in ascending order, every
+        (gx', gy', c') with gx' in row gx of the x line and gy' in row gy of
+        the y line, so entry (kx, ky, c') of the row lies at offset
+        (kx * len_y(gy) + ky) * ncomp + c'.  Entries that a particular
+        operator never touches are stored as explicit zeros.  Built once per
+        ncomp; both arrays are read-only, so an in-place scipy call on one
+        operator (sort_indices, eliminate_zeros) raises instead of changing
+        the pattern of all the others.
+        """
+        if ncomp not in self._patterns:
+            self._patterns[ncomp] = self._build_pattern(ncomp)
+        return self._patterns[ncomp]
+
+    def _build_pattern(self, ncomp):
+        xp, xi, _ = self._line_x
+        yp, yi, _ = self._line_y
+        lx = np.diff(xp)
+        nnz = int(xi.size * yi.size * ncomp * ncomp)
+        dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+        # The y factor has one row per (gy, c), holding (gy', c') for gy' in
+        # row gy of the y line.  Row (gx, gy, c) holds, for each x neighbour
+        # gx' in turn, that y row shifted by ncomp n1y gx'.
+        ycols = (ncomp * yi[:, None] + np.arange(ncomp)).astype(dtype).reshape(-1)
+        yrows = [ycols[ncomp * yp[g]:ncomp * yp[g + 1]] for g in range(self.n1y)
+                 for _ in range(ncomp)]
+        ylen = np.array([r.size for r in yrows])
+        widths = np.unique(lx)
+        ypart = {L: np.concatenate([np.tile(r, L) for r in yrows]) for L in widths}
+        repeats = {L: np.repeat(ylen, L) for L in widths}
+        xcols = (ncomp * self.n1y * xi).astype(dtype)
+        xpart = np.concatenate([np.tile(xcols[xp[g]:xp[g + 1]], len(yrows))
+                                for g in range(self.n1x)])
+        indices = (np.repeat(xpart, np.concatenate([repeats[L] for L in lx]))
+                   + np.concatenate([ypart[L] for L in lx]))
+        indptr = np.zeros(self.n1x * len(yrows) + 1, dtype=dtype)
+        np.cumsum(np.outer(lx, ylen).reshape(-1), out=indptr[1:])
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        return indptr, indices
+
+    def cell_positions(self, ix: int, iy: int, ncomp: int = 1):
+        """Places in pattern(ncomp)'s data array of the cell's local matrix.
+
+        The result is flat in the order of Ke.reshape(-1) for Ke in the
+        layout of component_dofs: entry (a, b, c) x (a', b', c') of mode
+        (a, b) = N_a(x) N_b(y) lies at indptr[row] + (rank_x(a, a') *
+        len_y(b) + rank_y(b, b')) * ncomp + c', with the ranks read from the
+        1D line patterns.
+        """
+        indptr, _ = self.pattern(ncomp)
+        n1 = self.degree + 1
+        rows = component_dofs(self.cell_dofs(ix, iy), ncomp).reshape(n1, n1, ncomp)
+        len_y = np.diff(self._line_y[0])[self._dof_1d_y[iy]]
+        # x part over (a, b, c, a'), y part over (b, b', c')
+        xpart = (indptr[rows][..., None]
+                 + (self._line_x[2][ix][:, None, :] * (ncomp * len_y)[None, :, None])[:, :, None, :])
+        ypart = ncomp * self._line_y[2][iy][:, :, None] + np.arange(ncomp)
+        return (xpart[..., None, None] + ypart[None, :, None, None, :, :]).reshape(-1)
 
     def cell_bounds(self, ix: int, iy: int):
         x0 = self.origin[0] + ix * self.hx
@@ -217,22 +326,35 @@ def scatter_cells(mesh: StructuredMesh, ncomp: int, cell_pairs):
 
     cell_pairs yields (ix, iy, Ke, fe) with Ke, fe in the cell's flat mode
     order, each mode's ncomp components in turn (the layout of
-    component_dofs).  Returns (K, f) with K the CSR matrix 0.5 * (K + K^T).
+    component_dofs).  Each Ke enters as its symmetric part 0.5 (Ke + Ke^T),
+    added straight into the data array of the mesh's pattern at the cell's
+    positions (StructuredMesh.cell_positions).  Returns (K, f) with K a CSR
+    matrix on that pattern, sharing its index arrays.
     """
-    ndof = mesh.n_scalar_dofs * ncomp
-    rows, cols, vals = [], [], []
-    f = np.zeros(ndof)
+    indptr, indices = mesh.pattern(ncomp)
+    data = np.zeros(indices.size)
+    f = np.zeros(mesh.n_scalar_dofs * ncomp)
     for ix, iy, Ke, fe in cell_pairs:
-        idx = component_dofs(mesh.cell_dofs(ix, iy), ncomp)
-        rows.append(np.repeat(idx, idx.size))
-        cols.append(np.tile(idx, idx.size))
-        vals.append(Ke.reshape(-1))
-        np.add.at(f, idx, fe)
-    if not rows:
-        return sp.csr_matrix((ndof, ndof)), f
-    K = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(ndof, ndof)).tocsr()
-    return (0.5 * (K + K.T)).tocsr(), f
+        # A cell touches each of its positions and dofs once, so fancy-index
+        # adds accumulate without loss.
+        sym = Ke + Ke.T
+        sym *= 0.5
+        data[mesh.cell_positions(ix, iy, ncomp)] += sym.reshape(-1)
+        f[component_dofs(mesh.cell_dofs(ix, iy), ncomp)] += fe
+    return sp.csr_matrix((data, indices, indptr), shape=(f.size, f.size)), f
+
+
+def add_operators(A, B) -> sp.csr_matrix:
+    """A + B for two CSR operators stored on one pattern, as a sum of data.
+
+    The result keeps A's pattern, explicit zeros included, and shares its
+    index arrays; scipy's A + B would build a new pattern without the
+    zeros.  Raises ValueError when the patterns differ.
+    """
+    if A.shape != B.shape or not (np.array_equal(A.indptr, B.indptr)
+                                  and np.array_equal(A.indices, B.indices)):
+        raise ValueError("operators are not stored on one sparsity pattern")
+    return sp.csr_matrix((A.data + B.data, A.indices, A.indptr), shape=A.shape)
 
 
 def _factorized_block(W, Xd, Xe, Yd, Ye):
@@ -285,41 +407,40 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
         n_gauss = p + 1
     rule = gauss_legendre_1d(n_gauss)
     n = rule.n
-    pairs = []
-    n_points = 0
-    n_cut = 0
-    for ix, iy in mesh.cells():
-        bounds = mesh.cell_bounds(ix, iy)
-        tree = build_alpha_tree(bounds, indicator.inside, tree_depth)
-        if tree.n_leaves > 1:
-            n_cut += 1
-        pts, wts, _ = tree_quadrature_points(tree, rule)
-        n_points += pts.shape[0]
-        L = tree.n_leaves
-        W = (wts * indicator.alpha(pts)).reshape(L, n, n)
-        xi, eta = mesh.local_coords(ix, iy, pts)
-        # Point (l, i, j) sits at the i-th x- and the j-th y-abscissa of leaf l;
-        # the 1D tables are (L, n, p + 1).
-        Nx, dNx = (t.reshape(n1, L, n).transpose(1, 2, 0) for t in
-                   basis_mod.shape_functions_1d(p, xi.reshape(L, n, n)[:, :, 0].ravel()))
-        Ny, dNy = (t.reshape(n1, L, n).transpose(1, 2, 0) for t in
-                   basis_mod.shape_functions_1d(p, eta.reshape(L, n, n)[:, 0, :].ravel()))
-        X = (dNx * (2.0 / mesh.hx), Nx)
-        Y = (Ny, dNy * (2.0 / mesh.hy))
-        Ke = sum(np.kron(_factorized_block(W, X[d], X[e], Y[d], Y[e]), C)
-                 for d, e, C in blocks)
-        if body is None:
-            fe = np.zeros(n1 * n1 * ncomp)
-        else:
-            B = np.asarray(body(pts), dtype=float).reshape(L, n, n, ncomp)
-            WB = (W[..., None] * B).transpose(0, 3, 1, 2)
-            # S[(l, i), (b, c)] = sum_j (W B)[l, i, j, c] N_b(y_lj)
-            S = (WB @ Ny[:, None]).transpose(0, 2, 3, 1).reshape(L * n, n1 * ncomp)
-            fe = (Nx.reshape(L * n, n1).T @ S).reshape(-1)
-        pairs.append((ix, iy, Ke, fe))
-    K, fvec = scatter_cells(mesh, ncomp, pairs)
-    return GlobalSystem(K=K, f=fvec, mesh=mesh, ncomp=ncomp,
-                        stats={"volume_points": n_points, "cut_cells": n_cut})
+    stats = {"volume_points": 0, "cut_cells": 0}
+
+    def cell_pairs():
+        # a generator, so each cell is scattered while its Ke is still in cache
+        for ix, iy in mesh.cells():
+            bounds = mesh.cell_bounds(ix, iy)
+            tree = build_alpha_tree(bounds, indicator.inside, tree_depth)
+            stats["cut_cells"] += int(tree.n_leaves > 1)
+            pts, wts, _ = tree_quadrature_points(tree, rule)
+            stats["volume_points"] += pts.shape[0]
+            L = tree.n_leaves
+            W = (wts * indicator.alpha(pts)).reshape(L, n, n)
+            xi, eta = mesh.local_coords(ix, iy, pts)
+            # Point (l, i, j) sits at the i-th x- and the j-th y-abscissa of leaf l;
+            # the 1D tables are (L, n, p + 1).
+            Nx, dNx = (t.reshape(n1, L, n).transpose(1, 2, 0) for t in
+                       basis_mod.shape_functions_1d(p, xi.reshape(L, n, n)[:, :, 0].ravel()))
+            Ny, dNy = (t.reshape(n1, L, n).transpose(1, 2, 0) for t in
+                       basis_mod.shape_functions_1d(p, eta.reshape(L, n, n)[:, 0, :].ravel()))
+            X = (dNx * (2.0 / mesh.hx), Nx)
+            Y = (Ny, dNy * (2.0 / mesh.hy))
+            Ke = sum(np.kron(_factorized_block(W, X[d], X[e], Y[d], Y[e]), C)
+                     for d, e, C in blocks)
+            if body is None:
+                fe = np.zeros(n1 * n1 * ncomp)
+            else:
+                B = np.asarray(body(pts), dtype=float).reshape(L, n, n, ncomp)
+                WB = (W[..., None] * B).transpose(0, 3, 1, 2)
+                # S[(l, i), (b, c)] = sum_j (W B)[l, i, j, c] N_b(y_lj)
+                S = (WB @ Ny[:, None]).transpose(0, 2, 3, 1).reshape(L * n, n1 * ncomp)
+                fe = (Nx.reshape(L * n, n1).T @ S).reshape(-1)
+            yield ix, iy, Ke, fe
+    K, fvec = scatter_cells(mesh, ncomp, cell_pairs())
+    return GlobalSystem(K=K, f=fvec, mesh=mesh, ncomp=ncomp, stats=stats)
 
 
 def solve(system: GlobalSystem) -> np.ndarray:
@@ -367,17 +488,28 @@ def apply_strong_zero(system: GlobalSystem, scalar_dofs) -> GlobalSystem:
 
     scalar_dofs index scalar basis functions; every component of each is
     fixed (component_dofs).  Eliminated rows and columns are zeroed
-    with a unit diagonal and zero load.
+    with a unit diagonal and zero load.  This is D K D + P with D the free
+    and P the fixed indicator on the diagonal, computed as a mask on a copy
+    of K's data, so the result keeps K's pattern and K is left unchanged;
+    every fixed row must store its diagonal.
     """
-    fixed = component_dofs(scalar_dofs, system.ncomp)
-    free = np.ones(system.ndof)
-    free[fixed] = 0.0
-    D = sp.diags(free)
-    pin = sp.diags(1.0 - free)
-    K = (D @ system.K @ D + pin).tocsr()
-    f = system.f * free
-    return GlobalSystem(K=K, f=f, mesh=system.mesh, ncomp=system.ncomp,
-                        stats=dict(system.stats))
+    K = system.K
+    fixed = np.zeros(system.ndof, dtype=bool)
+    fixed[component_dofs(scalar_dofs, system.ncomp)] = True
+    data = np.where(np.take(fixed, K.indices), 0.0, K.data)
+    rows = np.nonzero(fixed)[0]
+    starts = K.indptr[rows]
+    counts = K.indptr[rows + 1] - starts
+    # the stored entries of the fixed rows, row after row
+    entries = np.arange(counts.sum()) + np.repeat(starts + counts - np.cumsum(counts), counts)
+    data[entries] = 0.0
+    diagonal = entries[K.indices[entries] == np.repeat(rows, counts)]
+    if diagonal.size != rows.size:
+        raise ValueError("a fixed dof has no stored diagonal entry")
+    data[diagonal] = 1.0
+    return GlobalSystem(K=sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape),
+                        f=np.where(fixed, 0.0, system.f), mesh=system.mesh,
+                        ncomp=system.ncomp, stats=dict(system.stats))
 
 
 def evaluate(mesh: StructuredMesh, coeffs: np.ndarray, xs, ncomp: int = 1,
@@ -388,31 +520,40 @@ def evaluate(mesh: StructuredMesh, coeffs: np.ndarray, xs, ncomp: int = 1,
     (m,) for scalar fields or (m, ncomp) for vector fields; with
     gradients=True a tuple (values, grads) where grads has one xy pair per
     component.
+
+    The 1D modes are tabulated once at every point's xi and eta.  The
+    points are then grouped by cell and each cell's coefficient block
+    C[a, b, c] is contracted as sum_ab N_a(xi) C_abc N_b(eta); a gradient
+    puts N' in place of N on one side.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    p = mesh.degree
+    n1 = mesh.degree + 1
     ix, iy, xi, eta = mesh.locate(xs)
-    m = xs.shape[0]
-    by_dof = np.asarray(coeffs).reshape(-1, ncomp)
-    vals = np.zeros((m, ncomp))
-    grads = np.zeros((m, ncomp, 2)) if gradients else None
     cell_ids = ix * mesh.ny + iy
-    for cid in np.unique(cell_ids):
-        sel = np.nonzero(cell_ids == cid)[0]
-        cx, cy = int(cid) // mesh.ny, int(cid) % mesh.ny
-        cc = by_dof[mesh.cell_dofs(cx, cy)]
-        V, Gxi, Geta = basis_mod.eval_basis(p, xi[sel], eta[sel])
-        vals[sel] = V @ cc
+    order = np.argsort(cell_ids, kind="stable")
+    cells, starts = np.unique(cell_ids[order], return_index=True)
+    # (m, p + 1) tables in cell order, so each cell reads a contiguous block
+    Nx, dNx = (t.T[order] for t in basis_mod.shape_functions_1d(mesh.degree, xi))
+    Ny, dNy = (t.T[order] for t in basis_mod.shape_functions_1d(mesh.degree, eta))
+    by_dof = np.asarray(coeffs).reshape(-1, ncomp)
+    srt = np.empty((3 if gradients else 1, xs.shape[0], ncomp))
+    for cid, lo, hi in zip(cells, starts, np.append(starts[1:], xs.shape[0])):
+        cx, cy = divmod(int(cid), mesh.ny)
+        C = by_dof[mesh.cell_dofs(cx, cy)].reshape(n1, n1 * ncomp)
+        # T[k, b, c] = sum_a N_a(xi_k) C[a, b, c]
+        T = (Nx[lo:hi] @ C).reshape(-1, n1, ncomp)
+        srt[0, lo:hi] = np.einsum("kbc,kb->kc", T, Ny[lo:hi])
         if gradients:
-            grads[sel, :, 0] = (Gxi * (2.0 / mesh.hx)) @ cc
-            grads[sel, :, 1] = (Geta * (2.0 / mesh.hy)) @ cc
-    if ncomp == 1:
-        vals = vals[:, 0]
-        if gradients:
-            grads = grads[:, 0, :]
-    return (vals, grads) if gradients else vals
-
-
+            Tx = (dNx[lo:hi] @ C).reshape(-1, n1, ncomp)
+            srt[1, lo:hi] = np.einsum("kbc,kb->kc", Tx, Ny[lo:hi]) * (2.0 / mesh.hx)
+            srt[2, lo:hi] = np.einsum("kbc,kb->kc", T, dNy[lo:hi]) * (2.0 / mesh.hy)
+    out = np.empty_like(srt)
+    out[:, order] = srt
+    vals = out[0, :, 0] if ncomp == 1 else out[0]
+    if not gradients:
+        return vals
+    grads = np.stack([out[1], out[2]], axis=-1)
+    return vals, (grads[:, 0, :] if ncomp == 1 else grads)
 def strain_energy(volume_system: GlobalSystem, coeffs: np.ndarray) -> float:
     """Energy 0.5 u^T K u of the volume (penalty-free) operator."""
     return 0.5 * float(coeffs @ (volume_system.K @ coeffs))

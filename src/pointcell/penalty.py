@@ -482,7 +482,8 @@ def _assemble_cells(mesh, ncomp, beta, cell_iter):
                 yield ix, iy, Ke, fe
 
     K, f = scatter_cells(mesh, ncomp, pairs())
-    return (beta * K).tocsr(), beta * f, n_points
+    K.data *= beta
+    return K, beta * f, n_points
 
 
 def assemble_diffuse_penalty(mesh: StructuredMesh, cloud: PointCloud,

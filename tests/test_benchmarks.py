@@ -11,7 +11,8 @@ from pointcell import (AnnularConfig, BoundaryNotFoundError, DiffuseParams,
                        PenaltyParams, beta_grid, build_annular_problem,
                        build_membrane_problem, circle_cloud, circle_polyline,
                        count_diffuse_points, default_diffuse_params,
-                       default_sharp_params, energy_error, gauss_legendre_1d,
+                       default_membrane_params, default_sharp_params,
+                       energy_error, gauss_legendre_1d,
                        StructuredMesh, load_scaled_cloud, run_beta_study)
 
 
@@ -92,6 +93,12 @@ def test_annular_config_validation():
         AnnularConfig(k=0)
     with pytest.raises(ValueError, match="r must be positive"):
         AnnularConfig(r=0.0)
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
+        AnnularConfig(n_points=0)
+    with pytest.raises(ValueError, match="n_cells must be >= 1"):
+        AnnularConfig(n_cells=0)
+    with pytest.raises(ValueError, match="extent must be positive"):
+        AnnularConfig(extent=0.0)
     cfg = AnnularConfig(n_points=100)
     assert cfg.spacing == pytest.approx(2.0 * np.pi * cfg.r_inner / 100.0, rel=1e-14)
 
@@ -185,11 +192,14 @@ def test_default_diffuse_params_formulas():
 
 def test_run_beta_study_light_sweep():
     prob = build_annular_problem(_light_config())
+    volume = prob.volume.K.data.tobytes(), prob.volume.f.tobytes()
     betas = np.array([1e3, 1e4, 1e5])
     out = run_beta_study(prob, betas,
                          sharp=default_sharp_params(prob.config),
                          diffuse=default_diffuse_params(2e-2, n_cells=2),
                          reference_chords=256)
+    # every sum with a penalty pair is a new data array
+    assert (prob.volume.K.data.tobytes(), prob.volume.f.tobytes()) == volume
     np.testing.assert_array_equal(out["beta"], betas)
     for route in ("sharp", "diffuse", "reference"):
         assert out[route].shape == (3,)
@@ -228,6 +238,17 @@ def test_load_scaled_cloud_normalizes_extent(tmp_path):
     cloud = load_scaled_cloud(path)
     np.testing.assert_allclose(cloud.points.min(axis=0), [-1.0, -0.25], atol=1e-15)
     np.testing.assert_allclose(cloud.points.max(axis=0), [1.0, 0.25], atol=1e-15)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"extent": 0.0}, "extent must be positive"),
+    ({"extent": -1.0}, "extent must be positive"),
+    ({"n_cells": 0}, "n_cells must be >= 1"),
+])
+def test_default_membrane_params_reject_bad_sizes(kwargs, message):
+    cloud = PointCloud(circle_cloud(1.0, 64))
+    with pytest.raises(ValueError, match=message):
+        default_membrane_params(cloud, **kwargs)
 
 
 def test_membrane_raises_when_no_boundary_found():

@@ -148,6 +148,9 @@ _BAD_NUMBERS = {
                     "[problem] beta: beta must be finite and positive"),
     "study-betas": (_tiny_annular("[study]\n        betas = -10, 100"), [], "beta-study",
                     "[study] betas: beta must be finite and positive"),
+    "annular-n-points": (_tiny_annular().replace("n_points = 96", "n_points = 0"), [],
+                         "solve", "n_points must be >= 1"),
+    "membrane-extent": ("[mesh]\nextent = 0\n", [], "solve", "extent must be positive"),
 }
 
 
