@@ -455,13 +455,20 @@ def solve(system: GlobalSystem) -> np.ndarray:
     stable without pivoting; partial pivoting and an unsymmetric column
     ordering only add fill (12x on the 16 x 16, p = 10 membrane).
 
+    K must be exactly symmetric, entry for entry and in its stored pattern,
+    because its CSR arrays are handed to SuperLU as the CSC arrays of K^T.
+    Every operator the package builds is: scatter_cells symmetrizes each
+    cell's matrix in the same order for (i, j) and (j, i) on a symmetric
+    pattern, and add_operators and apply_strong_zero preserve that.
+
     The relative residual is stored on system.last_residual (a RuntimeWarning
     is issued above 1e-10) and the number of nonzeros in L + U on
     system.stats["factor_nnz"].  A SolverError is raised when the factor is
     exactly singular or the solution is not finite (typically a system with
     no Dirichlet constraints at all).
     """
-    K = system.K.tocsc()
+    K = sp.csc_matrix((system.K.data, system.K.indices, system.K.indptr),
+                      shape=system.K.shape)
     try:
         lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -554,6 +561,8 @@ def evaluate(mesh: StructuredMesh, coeffs: np.ndarray, xs, ncomp: int = 1,
         return vals
     grads = np.stack([out[1], out[2]], axis=-1)
     return vals, (grads[:, 0, :] if ncomp == 1 else grads)
+
+
 def strain_energy(volume_system: GlobalSystem, coeffs: np.ndarray) -> float:
     """Energy 0.5 u^T K u of the volume (penalty-free) operator."""
     return 0.5 * float(coeffs @ (volume_system.K @ coeffs))

@@ -116,6 +116,10 @@ def _knn_indices_many(cloud: PointCloud, xs: np.ndarray, k: int) -> tuple[np.nda
 
     Returns (indices, distances), each (m, k), neighbors sorted by
     (distance, index).  Equivalent to a brute-force scan with the same sort.
+    The tree's k + _TIE_SLACK candidates are re-sorted by exact squared
+    distance (_resort_exact), which sorts only the rows the tree returned out
+    of (distance, index) order; a tie straddling the candidate window falls
+    back to a scan of the whole cloud for that row.
     """
     n = len(cloud)
     if k < 1:
@@ -143,13 +147,26 @@ def _knn_indices_many(cloud: PointCloud, xs: np.ndarray, k: int) -> tuple[np.nda
 
 
 def _resort_exact(points, xs, idx):
-    """Sort candidate neighbor indices of each row by (squared distance, index)."""
+    """Sort candidate neighbor indices of each row by (squared distance, index).
+
+    Returns the sorted (d2, idx); the input idx is never written, so it may
+    be a read-only broadcast.  A row is out of order when some adjacent pair
+    breaks the (d2, index) order: d2[j + 1] < d2[j], or the two are equal
+    and idx[j + 1] < idx[j].  Only those rows are lexsorted.  Every other
+    row already is in the order a full sort would give, since the indices of
+    a row are distinct.
+    """
     diff = points[idx] - xs[:, None, :]
     d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-    m = idx.shape[1]
-    order = np.lexsort((idx, d2), axis=1) if m > 1 else np.zeros_like(idx)
-    take = np.take_along_axis
-    return take(d2, order, axis=1), take(idx, order, axis=1)
+    d_lo, d_hi = d2[:, :-1], d2[:, 1:]
+    swapped = (d_hi < d_lo) | ((d_hi == d_lo) & (idx[:, 1:] < idx[:, :-1]))
+    rows = np.nonzero(swapped.any(axis=1))[0]
+    if rows.size:
+        idx = idx.copy()
+        order = np.lexsort((idx[rows], d2[rows]), axis=1)
+        d2[rows] = np.take_along_axis(d2[rows], order, axis=1)
+        idx[rows] = np.take_along_axis(idx[rows], order, axis=1)
+    return d2, idx
 
 
 def _smallest_eigvec_2x2(a, b, c):

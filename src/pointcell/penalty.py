@@ -176,23 +176,27 @@ def _subcell_test_points(cells, g):
 
 def identify_contributing_regions(cell_bounds, cloud: PointCloud,
                                   dparams: DistanceParams, sparams: SharpParams):
-    """Order-k Voronoi region keys whose regions may intersect a cell.
+    """Order-k Voronoi region keys whose regions may intersect the cells.
 
-    A query quadtree over the cell keeps, per level, the subcells whose center
-    lies within halfdiag + r of its nearest cloud point; the surviving
-    deepest subcells are sampled on a cell-centered test grid and the keys at
-    sample points within r of their nearest cloud point are collected (sample
-    points beyond r lie outside the reconstruction zone).  A sample point
-    within r of the cloud puts every subcell holding it within halfdiag + r
-    (triangle inequality), so the pruning drops no key of the full lattice.
-    With r = inf no pruning or exclusion happens at all.
+    cell_bounds is one cell (x0, y0, x1, y1) as a (4,) array or many cells as
+    an (m, 4) array; all cells run through one batched pass.  A query
+    quadtree over each cell keeps, per level, the subcells whose center lies
+    within halfdiag + r of its nearest cloud point, halfdiag being that
+    subcell's own half-diagonal; the surviving deepest subcells are sampled
+    on a cell-centered test grid and the keys at sample points within r of
+    their nearest cloud point are collected (sample points beyond r lie
+    outside the reconstruction zone).  A sample point within r of the cloud
+    puts every subcell holding it within halfdiag + r (triangle inequality),
+    so the pruning drops no key of the full lattice.  With r = inf no
+    pruning or exclusion happens at all.
 
-    Returns the unique keys in lexicographic order as a list of tuples.
+    Returns the unique keys over all cells, the union of the one-cell calls,
+    in lexicographic order as a list of tuples.
     """
-    active = np.asarray(cell_bounds, dtype=float).reshape(1, 4)
+    active = np.asarray(cell_bounds, dtype=float).reshape(-1, 4)
     for depth in range(sparams.n_query + 1):
         if np.isfinite(dparams.r):
-            halfdiag = 0.5 * np.hypot(*(active[0, 2:] - active[0, :2]))
+            halfdiag = 0.5 * np.hypot(active[:, 2] - active[:, 0], active[:, 3] - active[:, 1])
             centers = 0.5 * (active[:, :2] + active[:, 2:])
             active = active[cloud.tree.query(centers, k=1)[0] <= halfdiag + dparams.r]
             if active.shape[0] == 0:
@@ -212,6 +216,11 @@ def _bisect_batched(cloud: PointCloud, keys_arr, supports, tangents,
                     sparams: SharpParams, k: int):
     """Region-bounded subsegments for many regions at once.
 
+    Each interval is classified by whether its two ends and its midpoint lie
+    in the region.  The ends are queried once, at level 0; a child interval
+    takes its ends' flags from its parent's end and midpoint, which are the
+    same floats, so each later level queries only midpoints.
+
     Returns (region_row, lo, hi) arrays; parameters measured along each
     region's unit tangent from its support point.
     """
@@ -227,15 +236,15 @@ def _bisect_batched(cloud: PointCloud, keys_arr, supports, tangents,
         keys = region_keys_many(cloud, pts, k)
         return np.all(keys == keys_arr[rows], axis=1)
 
+    lo_in, hi_in = contains(np.concatenate([row, row]),
+                            np.concatenate([lo, hi])).reshape(2, R)
     for level in range(sparams.n_sub + 1):
         if row.size == 0:
             break
         mid = 0.5 * (lo + hi)
-        stacked_rows = np.concatenate([row, row, row])
-        stacked_t = np.concatenate([lo, mid, hi])
-        flags = contains(stacked_rows, stacked_t).reshape(3, row.size)
-        all_in = flags.all(axis=0)
-        none_in = ~flags.any(axis=0)
+        mid_in = contains(row, mid)
+        all_in = lo_in & mid_in & hi_in
+        none_in = ~(lo_in | mid_in | hi_in)
         mixed = ~(all_in | none_in)
         if np.any(all_in):
             kept_row.append(row[all_in])
@@ -251,6 +260,8 @@ def _bisect_batched(cloud: PointCloud, keys_arr, supports, tangents,
         row = np.concatenate([row_m, row_m])
         lo = np.concatenate([lo_m, mid_m])
         hi = np.concatenate([mid_m, hi_m])
+        lo_in = np.concatenate([lo_in[mixed], mid_in[mixed]])
+        hi_in = np.concatenate([mid_in[mixed], hi_in[mixed]])
     if not kept_row:
         return (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
     row = np.concatenate(kept_row)
@@ -529,12 +540,11 @@ def collect_sharp_segments(mesh: StructuredMesh, cloud: PointCloud,
                            dparams: DistanceParams, sparams: SharpParams):
     """The sharp boundary: kept subsegments of every contributing region.
 
-    Each cell's query lattice names its regions (identify_contributing_regions);
-    the union is reconstructed once (see _reconstruct).  Returns a list of
-    BoundedSegment in lexicographic key order, one per kept region.
+    Every cell's query lattice names its regions, all cells in one
+    identify_contributing_regions call; the union is reconstructed once (see
+    _reconstruct).  Returns a list of BoundedSegment in lexicographic key
+    order, one per kept region.
     """
-    keys = set()
-    for ix, iy in mesh.cells():
-        keys.update(identify_contributing_regions(mesh.cell_bounds(ix, iy), cloud,
-                                                  dparams, sparams))
-    return _reconstruct(cloud, sorted(keys), sparams)
+    cells = np.array([mesh.cell_bounds(ix, iy) for ix, iy in mesh.cells()])
+    keys = identify_contributing_regions(cells, cloud, dparams, sparams)
+    return _reconstruct(cloud, keys, sparams)

@@ -11,15 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointcell import (AnnularConfig, GlobalSystem, IndicatorField, MeshQueryError,
-                       PenaltyParams, PlaneStress, PoissonCoefficient,
+                       PenaltyParams, PlaneStress, PointCloud, PoissonCoefficient,
                        SolverError, StructuredMesh, add_operators, apply_strong_zero,
                        assemble_diffuse_penalty, assemble_reference_penalty,
                        assemble_sharp_penalty, assemble_volume, build_alpha_tree,
-                       build_annular_problem, circle_polyline, collect_sharp_segments,
+                       build_annular_problem, build_membrane_problem, circle_cloud,
+                       circle_polyline, collect_sharp_segments,
                        component_dofs, default_diffuse_params, default_sharp_params,
                        eval_basis, evaluate, everywhere, gauss_legendre_1d,
                        solve, strain_energy, tree_quadrature_points)
-from pointcell import fcm, penalty
+from pointcell import benchmarks, fcm, penalty
 from pointcell.fcm import scatter_cells
 
 _NOTHING = IndicatorField(inside=lambda pts: np.zeros(pts.shape[0], dtype=bool))
@@ -170,12 +171,26 @@ def test_cut_cell_counter_sees_interface():
     assert full.stats["cut_cells"] == 0
 
 
+def _assert_exactly_symmetric(K):
+    """K equals K^T entry for entry and in its stored pattern, so its CSR
+    arrays are exactly the CSC arrays of K, which solve relies on."""
+    assert (K != K.T).nnz == 0
+    C = K.tocsc()
+    for got, want in ((K.indptr, C.indptr), (K.indices, C.indices), (K.data, C.data)):
+        assert np.array_equal(got, want)
+
+
 def test_assembled_matrix_is_symmetric():
+    """Scalar and vector volume operators, cut and uncut, and their strong
+    pins (apply_strong_zero)."""
     mesh = StructuredMesh((0, 0), (1, 1), 2, 2, 5)
     disc = IndicatorField(inside=lambda pts: (pts[:, 0] - 0.5) ** 2 + (pts[:, 1] - 0.5) ** 2 < 0.16)
-    sysm = assemble_volume(mesh, PoissonCoefficient(), disc, tree_depth=4)
-    d = sysm.K - sysm.K.T
-    assert abs(d).max() == 0.0
+    for material in (PoissonCoefficient(), PlaneStress(E=2.0, nu=0.3)):
+        for indicator, depth in ((disc, 4), (IndicatorField(inside=everywhere), 0)):
+            sysm = assemble_volume(mesh, material, indicator, tree_depth=depth)
+            assert (sysm.stats["cut_cells"] > 0) == (indicator is disc)
+            _assert_exactly_symmetric(sysm.K)
+            _assert_exactly_symmetric(apply_strong_zero(sysm, mesh.boundary_scalar_dofs()).K)
 
 
 def test_annular_indicator_measure():
@@ -379,14 +394,14 @@ def test_volume_matches_coo_route(recorded_scatter, material, cut):
     np.testing.assert_array_equal(got.f, want_f)
 
 
-def test_penalty_pairs_match_coo_route(recorded_scatter):
-    """The sharp, diffuse and reference pairs of a light annulus, at beta = 3."""
+def _light_annulus_routes():
+    """A light annulus and its sharp, diffuse and reference pairs at beta = 3."""
     prob = build_annular_problem(AnnularConfig(n_points=200, degree=6, n_cells=2,
                                                volume_depth=6, r=0.02))
     mesh, cloud = prob.mesh, prob.cloud
     pen = PenaltyParams(beta=3.0, u_hat=prob.u_hat)
     sharp = default_sharp_params(prob.config)
-    routes = [
+    return prob, [
         assemble_sharp_penalty(mesh, cloud, collect_sharp_segments(mesh, cloud, prob.dparams, sharp),
                                pen, sharp.n_gauss),
         assemble_diffuse_penalty(mesh, cloud, prob.dparams,
@@ -394,12 +409,29 @@ def test_penalty_pairs_match_coo_route(recorded_scatter):
         assemble_reference_penalty(mesh, np.vstack([circle_polyline(0.25, 128),
                                                     circle_polyline(1.0, 512)]), pen, n_gauss=6),
     ]
+
+
+def test_penalty_pairs_match_coo_route(recorded_scatter):
+    """The sharp, diffuse and reference pairs of a light annulus, at beta = 3."""
+    prob, routes = _light_annulus_routes()
     assert len(recorded_scatter) == 4  # the volume, then one per route
     for (Kp, fp, stats), (_, ncomp, pairs) in zip(routes, recorded_scatter[1:]):
         assert stats["penalty_points"] > 0
-        want_K, want_f = _coo_scatter(mesh, ncomp, pairs)
+        want_K, want_f = _coo_scatter(prob.mesh, ncomp, pairs)
         assert _rel_frobenius(Kp, 3.0 * want_K) <= 1e-15
         np.testing.assert_array_equal(fp, 3.0 * want_f)
+
+
+def test_penalty_operators_and_sums_are_exactly_symmetric():
+    """The penalty pairs of a light annulus, their add_operators sums with
+    the volume, and those sums pinned."""
+    prob, routes = _light_annulus_routes()
+    mesh = prob.mesh
+    for Kp, fp, _ in routes:
+        _assert_exactly_symmetric(Kp)
+        total = GlobalSystem(K=add_operators(prob.volume.K, Kp), f=prob.volume.f + fp, mesh=mesh)
+        _assert_exactly_symmetric(total.K)
+        _assert_exactly_symmetric(apply_strong_zero(total, mesh.boundary_scalar_dofs()).K)
 
 
 def test_scatter_cells_peak_memory():
@@ -481,6 +513,33 @@ def test_solve_fill_stays_sparse():
     solve(pinned)
     assert pinned.last_residual < 1e-12
     assert 0 < pinned.stats["factor_nnz"] < 1_000_000
+
+
+def _solve_via_tocsc(system):
+    """Oracle of solve: the same factorization of a CSC copy of K."""
+    lu = spla.splu(system.K.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    return lu.solve(system.f)
+
+
+def test_solve_matches_tocsc_route_on_membrane(monkeypatch):
+    systems = []
+    monkeypatch.setattr(benchmarks, "solve", lambda s: systems.append(s) or solve(s))
+    res = build_membrane_problem(PointCloud(circle_cloud(1.0, 512)))
+    system, = systems
+    assert np.array_equal(res.coeffs, _solve_via_tocsc(system))
+
+
+def test_solve_matches_tocsc_route_on_annular():
+    config = AnnularConfig(n_points=500, degree=8, volume_depth=8)
+    prob = build_annular_problem(config)
+    sharp = default_sharp_params(config)
+    segments = collect_sharp_segments(prob.mesh, prob.cloud, prob.dparams, sharp)
+    Kp, fp, _ = assemble_sharp_penalty(prob.mesh, prob.cloud, segments,
+                                       PenaltyParams(beta=1e4, u_hat=prob.u_hat), sharp.n_gauss)
+    system = GlobalSystem(K=add_operators(prob.volume.K, Kp), f=prob.volume.f + fp,
+                          mesh=prob.mesh)
+    assert np.array_equal(solve(system), _solve_via_tocsc(system))
 
 
 # the dense solver warns about the fictitious region's rcond ~ 1e-16

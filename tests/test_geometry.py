@@ -1,12 +1,17 @@
 """Point-cloud loading, kNN queries, and plane-fit distance tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from pointcell import geometry
 from pointcell import (CloudLoadError, DegenerateGeometryError, DistanceParams,
                        PointCloud, fit_planes, load_point_cloud,
                        pca_distance_many)
-from pointcell.geometry import _knn_indices_many
+from pointcell.geometry import _TIE_SLACK, _knn_indices_many
 
 
 def _knn(cloud, x, k):
@@ -146,6 +151,105 @@ def test_knn_tie_on_lattice_prefers_low_index():
     cloud = PointCloud(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
     got = _knn(cloud, (0.0, 0.0), 2)
     assert [i for i, _ in got] == [0, 1]
+
+
+def _resort_all_rows(points, xs, idx):
+    """Oracle of _resort_exact: lexsort every row by (squared distance, index)."""
+    diff = points[idx] - xs[:, None, :]
+    d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
+    order = np.lexsort((idx, d2), axis=1)
+    return np.take_along_axis(d2, order, axis=1), np.take_along_axis(idx, order, axis=1)
+
+
+def _assert_knn_matches_full_sort(cloud, xs, k):
+    got = _knn_indices_many(cloud, xs, k)
+    with mock.patch.object(geometry, "_resort_exact", _resort_all_rows):
+        want = _knn_indices_many(cloud, xs, k)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def _tree_rows_out_of_order(cloud, xs, k):
+    """Rows whose tree candidates are not in (distance, index) order."""
+    _, idx = cloud.tree.query(xs, k=min(len(cloud), k + _TIE_SLACK))
+    _, srt = _resort_all_rows(cloud.points, xs, idx)
+    return int(np.sum(np.any(srt != idx, axis=1)))
+
+
+def _shuffled_lattice(g, seed):
+    """g x g integer lattice in a seeded random point order."""
+    gx, gy = np.meshgrid(np.arange(g, dtype=float), np.arange(g, dtype=float))
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    return PointCloud(pts[np.random.default_rng(seed).permutation(g * g)])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80), k=st.integers(1, 8))
+def test_knn_kernel_matches_full_sort_on_random_clouds(seed, n, k):
+    rng = np.random.default_rng(seed)
+    cloud = PointCloud(rng.uniform(-1.0, 1.0, (n, 2)))
+    xs = np.vstack([rng.uniform(-1.2, 1.2, (40, 2)), cloud.points[:5]])
+    _assert_knn_matches_full_sort(cloud, xs, min(k, n))
+
+
+@given(seed=st.integers(0, 2**32 - 1), g=st.integers(2, 8), k=st.integers(1, 8))
+def test_knn_kernel_matches_full_sort_on_lattice_ties(seed, g, k):
+    """Lattice centres and nodes see shells of equidistant neighbors."""
+    cloud = _shuffled_lattice(g, seed)
+    c = np.arange(-1, g, dtype=float) + 0.5
+    cx, cy = np.meshgrid(c, c)
+    xs = np.vstack([np.column_stack([cx.ravel(), cy.ravel()]), cloud.points])
+    _assert_knn_matches_full_sort(cloud, xs, min(k, g * g))
+
+
+def test_knn_kernel_sorts_tree_rows_out_of_index_order():
+    """The lattice case above does exercise the sort: the tree returns some
+    equidistant neighbors in descending index order."""
+    cloud = _shuffled_lattice(6, 0)
+    c = np.arange(6, dtype=float) + 0.5
+    cx, cy = np.meshgrid(c, c)
+    xs = np.column_stack([cx.ravel(), cy.ravel()])
+    assert _tree_rows_out_of_order(cloud, xs, 4) > 0
+    idx, _ = _knn_indices_many(cloud, xs, 4)
+    want = [[i for i, _ in _brute_knn(cloud.points, x, 4)] for x in xs]
+    assert idx.tolist() == want
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
+def test_knn_kernel_matches_full_sort_on_near_duplicates(seed, k):
+    """Pairs of points 1 ulp apart in x or y."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, (12, 2))
+    twin = base.copy()
+    axis = rng.integers(0, 2, 12)
+    twin[np.arange(12), axis] = np.nextafter(base[np.arange(12), axis], np.inf)
+    cloud = PointCloud(np.vstack([base, twin])[rng.permutation(24)])
+    xs = np.vstack([rng.uniform(-1.2, 1.2, (30, 2)), base, twin])
+    _assert_knn_matches_full_sort(cloud, xs, k)
+
+
+def test_knn_kernel_matches_full_sort_on_ties_straddling_the_window():
+    """At a lattice centre the second shell holds 8 equidistant points, so
+    for k = 5 the tie runs past the k + _TIE_SLACK candidates and the whole
+    cloud is scanned."""
+    cloud = _shuffled_lattice(6, 3)
+    xs = np.array([[2.5, 2.5], [1.5, 2.5], [2.5, 3.5]])
+    k = 5
+    _assert_knn_matches_full_sort(cloud, xs, k)
+    with mock.patch.object(geometry, "_resort_exact", wraps=geometry._resort_exact) as spy:
+        idx, _ = _knn_indices_many(cloud, xs, k)
+    assert [c.args[2].shape for c in spy.call_args_list] == [(3, k + _TIE_SLACK), (3, 36)]
+    assert idx.tolist() == [[i for i, _ in _brute_knn(cloud.points, x, k)] for x in xs]
+
+
+def test_knn_kernel_matches_full_sort_on_c3_lattice():
+    """C3's cloud of seed 1008 (k = 4) on its full 1024 x 1024 lattice."""
+    rng = np.random.default_rng(1008)
+    cloud = PointCloud(rng.random((int(rng.integers(8, 41)), 2)))
+    c = (np.arange(1024) + 0.5) / 1024
+    gx, gy = np.meshgrid(c, c, indexing="ij")
+    xs = np.column_stack([gx.ravel(), gy.ravel()])
+    for rows in np.array_split(xs, 4):
+        _assert_knn_matches_full_sort(cloud, rows, 4)
 
 
 # ---------------------------------------------------------------------------

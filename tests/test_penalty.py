@@ -6,17 +6,19 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pointcell import (DiffuseParams, DistanceParams, PenaltyParams, PointCloud,
+from pointcell import (AnnularConfig, DiffuseParams, DistanceParams, PenaltyParams, PointCloud,
                        SharpBoundaryWarning, SharpParams, StructuredMesh,
                        assemble_diffuse_penalty, assemble_reference_penalty,
                        assemble_sharp_penalty, bisect_plane_segments,
                        brute_force_regions_in_box, circle_cloud,
-                       collect_sharp_segments, diffuse_penalty_cell,
+                       collect_sharp_segments, default_membrane_params,
+                       default_sharp_params, diffuse_penalty_cell,
                        gauss_legendre_1d, identify_contributing_regions,
                        reference_segment_penalty, region_keys_many,
                        sharp_penalty_cell)
+from pointcell import penalty
 from pointcell.geometry import _knn_indices_many
-from pointcell.penalty import _subcell_test_points
+from pointcell.penalty import _bisect_batched, _subcell_test_points
 from pointcell.quadrature import _split
 
 _MESH1 = StructuredMesh((0.0, 0.0), (1.0, 1.0), 1, 1, 2)
@@ -38,6 +40,45 @@ def _const_mode_vector(mesh):
 
 def _rel_frobenius(A, B):
     return np.linalg.norm(A - B) / np.linalg.norm(B)
+
+
+def _membrane_512():
+    """The membrane workload's cloud, mesh and derived parameters."""
+    cloud = PointCloud(circle_cloud(1.0, 512))
+    dp, sp = default_membrane_params(cloud)
+    return StructuredMesh((-1.1, -1.1), (2.2, 2.2), 16, 16, 1), cloud, dp, sp
+
+
+def _annular_500():
+    """The annular workload's cloud and mesh (AnnularConfig(n_points=500))."""
+    c = AnnularConfig(n_points=500, degree=8, volume_depth=8)
+    cloud = PointCloud(np.vstack([circle_cloud(c.r_inner, c.n_points),
+                                  circle_cloud(c.r_outer, 4 * c.n_points)]))
+    mesh = StructuredMesh((-c.extent, -c.extent), (2 * c.extent, 2 * c.extent),
+                          c.n_cells, c.n_cells, 1)
+    return mesh, cloud, DistanceParams(k=c.k, r=c.r), default_sharp_params(c)
+
+
+def _circle_on_axes():
+    """64 points on the unit circle, four of them exactly on the axes."""
+    pts = circle_cloud(1.0, 64)
+    pts[np.abs(pts) < 1e-12] = 0.0
+    assert np.sum(pts == 0.0) == 4
+    return PointCloud(pts)
+
+
+def _two_by_two(cloud):
+    """A 2 x 2 mesh whose interfaces are the axes, membrane parameters."""
+    dp, sp = default_membrane_params(cloud, n_cells=2)
+    return StructuredMesh((-1.1, -1.1), (2.2, 2.2), 2, 2, 1), cloud, dp, sp
+
+
+_WORKLOADS = {
+    "membrane-512": _membrane_512,
+    "annular-500": _annular_500,
+    "circle-128-phase": lambda: _two_by_two(PointCloud(circle_cloud(1.0, 128, phase=0.0467))),
+    "circle-on-interfaces": lambda: _two_by_two(_circle_on_axes()),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +211,25 @@ def test_identify_returns_sorted_unique_keys():
     assert keys == sorted(set(keys))
 
 
+@pytest.mark.parametrize("name", _WORKLOADS)
+def test_identify_all_cells_at_once_is_the_union_of_one_cell_calls(name):
+    mesh, cloud, dp, sp = _WORKLOADS[name]()
+    cells = np.array([mesh.cell_bounds(ix, iy) for ix, iy in mesh.cells()])
+    union = set()
+    for bounds in cells:
+        one = identify_contributing_regions(bounds, cloud, dp, sp)
+        assert one == identify_contributing_regions(bounds[None], cloud, dp, sp)
+        union.update(one)
+    assert identify_contributing_regions(cells, cloud, dp, sp) == sorted(union)
+
+
+def test_identify_far_cell_finds_nothing():
+    mesh, cloud, dp, sp = _membrane_512()
+    far = np.array([[5.0, 5.0, 5.1, 5.1]])
+    assert identify_contributing_regions(far[0], cloud, dp, sp) == []
+    assert identify_contributing_regions(far, cloud, dp, sp) == []
+
+
 # ---------------------------------------------------------------------------
 # plane-segment bisection
 
@@ -219,6 +279,87 @@ def test_bisect_support_outside_region_warns_and_skips():
     with pytest.warns(SharpBoundaryWarning):
         seg = bisect_plane_segments(cloud, (0, 5), dp, sp)
     assert seg is None
+
+
+def _bisect_three_queries(cloud, keys_arr, supports, tangents, sparams, k):
+    """Oracle of _bisect_batched: queries lo, mid and hi at every level."""
+    R = keys_arr.shape[0]
+    half = 0.5 * sparams.l_max
+    row = np.arange(R)
+    lo = np.full(R, -half)
+    hi = np.full(R, half)
+    kept_row, kept_lo, kept_hi = [], [], []
+
+    def contains(rows, ts):
+        pts = supports[rows] + ts[:, None] * tangents[rows]
+        keys = penalty.region_keys_many(cloud, pts, k)
+        return np.all(keys == keys_arr[rows], axis=1)
+
+    for level in range(sparams.n_sub + 1):
+        if row.size == 0:
+            break
+        mid = 0.5 * (lo + hi)
+        stacked_rows = np.concatenate([row, row, row])
+        stacked_t = np.concatenate([lo, mid, hi])
+        flags = contains(stacked_rows, stacked_t).reshape(3, row.size)
+        all_in = flags.all(axis=0)
+        none_in = ~flags.any(axis=0)
+        mixed = ~(all_in | none_in)
+        if np.any(all_in):
+            kept_row.append(row[all_in])
+            kept_lo.append(lo[all_in])
+            kept_hi.append(hi[all_in])
+        if level == sparams.n_sub:
+            if np.any(mixed):
+                kept_row.append(row[mixed])
+                kept_lo.append(lo[mixed])
+                kept_hi.append(hi[mixed])
+            break
+        row_m, lo_m, hi_m, mid_m = row[mixed], lo[mixed], hi[mixed], mid[mixed]
+        row = np.concatenate([row_m, row_m])
+        lo = np.concatenate([lo_m, mid_m])
+        hi = np.concatenate([mid_m, hi_m])
+    if not kept_row:
+        return (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
+    row = np.concatenate(kept_row)
+    lo = np.concatenate(kept_lo)
+    hi = np.concatenate(kept_hi)
+    order = np.lexsort((lo, row))
+    row, lo, hi = row[order], lo[order], hi[order]
+    # Sibling pieces share their split float exactly, so contiguous kept runs
+    # merge on equality; one rule per run instead of one per dyadic sliver.
+    new_run = np.ones(row.size, dtype=bool)
+    new_run[1:] = (row[1:] != row[:-1]) | (lo[1:] != hi[:-1])
+    starts = np.nonzero(new_run)[0]
+    ends = np.r_[starts[1:], row.size] - 1
+    return row[starts], lo[starts], hi[ends]
+
+
+@pytest.mark.parametrize("name", ["membrane-512", "annular-500"])
+def test_bisect_inherited_flags_match_three_query_oracle(name, monkeypatch):
+    """Same (row, lo, hi) as querying both ends and the midpoint at every
+    level, from 2R end queries plus one midpoint query per interval."""
+    mesh, cloud, dp, sp = _WORKLOADS[name]()
+    calls = []
+    monkeypatch.setattr(penalty, "_bisect_batched",
+                        lambda *args: calls.append(args) or _bisect_batched(*args))
+    collect_sharp_segments(mesh, cloud, dp, sp)
+    args, = calls
+    rows = []
+    region_keys = penalty.region_keys_many
+    monkeypatch.setattr(penalty, "region_keys_many",
+                        lambda c, xs, k: rows.append(len(xs)) or region_keys(c, xs, k))
+    got = _bisect_batched(*args)
+    got_rows = rows.copy()
+    rows.clear()
+    want = _bisect_three_queries(*args)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    # level 0 asks both ends, then every level asks the midpoints alone
+    R = args[1].shape[0]
+    assert got_rows[0] == 2 * R
+    assert [3 * n for n in got_rows[1:]] == rows
+    assert sum(got_rows) < sum(rows)
 
 
 def test_collect_segments_covers_embedded_line():
