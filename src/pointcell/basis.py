@@ -12,42 +12,37 @@ import numpy as np
 
 
 def _legendre_table(p: int, x: np.ndarray):
-    """Legendre polynomials L_0..L_p and derivatives at x, shape (p + 1, m)."""
-    m = x.size
-    L = np.empty((p + 1, m))
-    dL = np.empty((p + 1, m))
+    """Legendre polynomials L_0..L_p at x, shape (p + 1, m)."""
+    L = np.empty((p + 1, x.size))
     L[0] = 1.0
-    dL[0] = 0.0
     if p >= 1:
         L[1] = x
-        dL[1] = 1.0
     for j in range(2, p + 1):
         L[j] = ((2 * j - 1) * x * L[j - 1] - (j - 1) * L[j - 2]) / j
-        dL[j] = ((2 * j - 1) * (L[j - 1] + x * dL[j - 1]) - (j - 1) * dL[j - 2]) / j
-    return L, dL
+    return L
 
 
 def shape_functions_1d(p: int, x):
     """Values and derivatives of the p + 1 hierarchic 1D modes at x.
 
     Mode 0 and 1 are the hats (1 -+ x)/2; mode j >= 2 is the integrated
-    Legendre function of polynomial degree j.  Returns (N, dN), each of shape
-    (p + 1, m).
+    Legendre function (L_j - L_{j-2}) / sqrt(4j - 2) of polynomial degree j,
+    whose derivative is sqrt((2j - 1) / 2) L_{j-1}, so the derivatives need
+    no recurrence of their own.  Returns (N, dN), each of shape (p + 1, m).
     """
     if p < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {p}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    L, dL = _legendre_table(p, x)
+    L = _legendre_table(p, x)
+    j = np.arange(2, p + 1)[:, None]
     N = np.empty((p + 1, x.size))
     dN = np.empty((p + 1, x.size))
     N[0] = 0.5 * (1.0 - x)
     dN[0] = -0.5
     N[1] = 0.5 * (1.0 + x)
     dN[1] = 0.5
-    for j in range(2, p + 1):
-        s = 1.0 / np.sqrt(4.0 * j - 2.0)
-        N[j] = (L[j] - L[j - 2]) * s
-        dN[j] = (dL[j] - dL[j - 2]) * s
+    N[2:] = (L[2:] - L[:-2]) * (1.0 / np.sqrt(4.0 * j - 2.0))
+    dN[2:] = np.sqrt((2.0 * j - 1.0) / 2.0) * L[1:-1]
     return N, dN
 
 

@@ -18,6 +18,16 @@ data array; sums of operators (add_operators), scaling by beta and strong
 pins (apply_strong_zero) act on the data alone.  Field sampling uses the
 same factorization as assembly: 1D tables at each point's xi and eta and
 one contraction with the cell's coefficient block.
+
+The solve condenses statically: a cell's (p - 1)^2 interior modes couple
+only with that cell's modes, so they are eliminated cell by cell (one
+batched Cholesky factorization of the interior blocks, whose places in the
+data array StructuredMesh.condensation gives) and only the skeleton of
+vertex and edge modes is factored as a sparse matrix.  This needs K
+symmetric positive definite, interior blocks included, and exactly
+symmetric entry for entry; every operator the package assembles is.  The
+solve records the skeleton's size and the fill of its factor in the
+system's stats (skeleton_dofs, factor_nnz).
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -65,6 +76,7 @@ class StructuredMesh:
         self._line_x = self._line_pattern(self.nx)
         self._line_y = self._line_pattern(self.ny)
         self._patterns = {}
+        self._condensations = {}
 
     def _dof_line(self, ne):
         p = self.degree
@@ -156,23 +168,74 @@ class StructuredMesh:
         return indptr, indices
 
     def cell_positions(self, ix: int, iy: int, ncomp: int = 1):
-        """Places in pattern(ncomp)'s data array of the cell's local matrix.
+        """Places in pattern(ncomp)'s data array of the cell's local matrix,
+        flat in the order of Ke.reshape(-1) (see local_positions)."""
+        return self.local_positions([ix], [iy], ncomp).reshape(-1)
 
-        The result is flat in the order of Ke.reshape(-1) for Ke in the
-        layout of component_dofs: entry (a, b, c) x (a', b', c') of mode
-        (a, b) = N_a(x) N_b(y) lies at indptr[row] + (rank_x(a, a') *
-        len_y(b) + rank_y(b, b')) * ncomp + c', with the ranks read from the
-        1D line patterns.
+    def local_positions(self, ix, iy, ncomp: int = 1):
+        """Places in pattern(ncomp)'s data array of the local matrices of the
+        cells (ix[k], iy[k]), shape (m, n, n) with n = (p + 1)^2 ncomp.
+
+        Rows and columns are local dofs in the layout of component_dofs:
+        entry (a, b, c) x (a', b', c') of mode (a, b) = N_a(x) N_b(y) lies
+        at indptr[row] + (rank_x(a, a') * len_y(b) + rank_y(b, b')) * ncomp
+        + c', with the ranks read from the 1D line patterns.  The result
+        has the pattern's index dtype.
         """
         indptr, _ = self.pattern(ncomp)
+        dt = indptr.dtype
         n1 = self.degree + 1
-        rows = component_dofs(self.cell_dofs(ix, iy), ncomp).reshape(n1, n1, ncomp)
-        len_y = np.diff(self._line_y[0])[self._dof_1d_y[iy]]
-        # x part over (a, b, c, a'), y part over (b, b', c')
+        n = n1 * n1 * ncomp
+        gx = self._dof_1d_x[ix]
+        gy = self._dof_1d_y[iy]
+        comps = np.arange(ncomp, dtype=dt)
+        rows = (ncomp * (gx[:, :, None] * self.n1y + gy[:, None, :]))[..., None] + comps
+        len_y = (ncomp * np.diff(self._line_y[0])[gy]).astype(dt)
+        rank_x = self._line_x[2][ix].astype(dt)
+        rank_y = self._line_y[2][iy].astype(dt)
+        # x part over (m, a, b, c, a'), y part over (m, b, (b', c'))
         xpart = (indptr[rows][..., None]
-                 + (self._line_x[2][ix][:, None, :] * (ncomp * len_y)[None, :, None])[:, :, None, :])
-        ypart = ncomp * self._line_y[2][iy][:, :, None] + np.arange(ncomp)
-        return (xpart[..., None, None] + ypart[None, :, None, None, :, :]).reshape(-1)
+                 + (rank_x[:, :, None, :] * len_y[:, None, :, None])[:, :, :, None, :])
+        ypart = (ncomp * rank_y[..., None] + comps).reshape(len(iy), -1, n1 * ncomp)
+        return (xpart[..., None] + ypart[:, None, :, None, None]).reshape(-1, n, n)
+
+    def condensation(self, ncomp: int = 1):
+        """Index plan of the static condensation in solve, built once per
+        ncomp (see Condensation)."""
+        if ncomp not in self._condensations:
+            self._condensations[ncomp] = self._build_condensation(ncomp)
+        return self._condensations[ncomp]
+
+    def _build_condensation(self, ncomp):
+        indptr, indices = self.pattern(ncomp)
+        dt = indptr.dtype
+        n1 = self.degree + 1
+        a, b, c = np.unravel_index(np.arange(n1 * n1 * ncomp), (n1, n1, ncomp))
+        inner = (a >= 2) & (b >= 2)
+        rows_i, rows_s = np.nonzero(inner)[0], np.nonzero(~inner)[0]
+        iy, ix = np.divmod(np.arange(self.nx * self.ny), self.nx)
+        # every cell's local dofs as global ids, (cells, (p + 1)^2 ncomp)
+        dofs = ncomp * (self._dof_1d_x[ix[:, None], a] * self.n1y
+                        + self._dof_1d_y[iy[:, None], b]) + c
+        is_skeleton = np.ones(self.n_scalar_dofs * ncomp, dtype=bool)
+        is_skeleton[dofs[:, rows_i]] = False
+        skeleton = np.nonzero(is_skeleton)[0]
+        # The skeleton rows and columns of a matrix whose data are the places
+        # in the mesh data array: their data is keep, their pattern the
+        # skeleton operator's.
+        n = indptr.size - 1
+        places = sp.csr_matrix((np.arange(indices.size, dtype=dt), indices, indptr), shape=(n, n))
+        skel = places[skeleton][:, skeleton]
+        skel_place = np.empty(indices.size, dtype=dt)
+        skel_place[skel.data] = np.arange(skel.nnz, dtype=dt)
+        # An interior row lists its cell's modes in local order (see
+        # _line_pattern), so local_positions reduces to indptr[row] + k'.
+        row_start = indptr[dofs[:, rows_i]][..., None]
+        return Condensation(
+            interior=dofs[:, rows_i], cell_skeleton=(np.cumsum(is_skeleton) - 1)[dofs[:, rows_s]],
+            skeleton=skeleton, ii=row_start + rows_i.astype(dt), i_s=row_start + rows_s.astype(dt),
+            keep=skel.data, indptr=skel.indptr.astype(dt), indices=skel.indices.astype(dt),
+            ss=skel_place[self.local_positions(ix, iy, ncomp)[:, rows_s][:, :, rows_s]])
 
     def cell_bounds(self, ix: int, iy: int):
         x0 = self.origin[0] + ix * self.hx
@@ -221,6 +284,39 @@ class StructuredMesh:
         on_y = np.isin(B, [0, self.ny])
         grid = on_x[:, None] | on_y[None, :]
         return np.nonzero(grid.reshape(-1))[0]
+
+
+@dataclass(frozen=True)
+class Condensation:
+    """Index plan of solve's static condensation on one mesh and ncomp.
+
+    A cell's interior modes, N_a(x) N_b(y) with a, b >= 2, couple only with
+    the modes of that cell; every other dof is a skeleton dof.  Per cell,
+    in cell order (iy outer, ix inner) and local dof order:
+
+    - interior: the interior dofs, (cells, nI) global ids;
+    - cell_skeleton: the skeleton dofs, (cells, nS) ids in the skeleton
+      numbering, which keeps the global order;
+    - ii, i_s: places in pattern(ncomp)'s data array of the
+      interior-interior and interior-skeleton blocks, (cells, nI, nI) and
+      (cells, nI, nS);
+    - ss: places of the skeleton-skeleton block in the skeleton operator's
+      data array, (cells, nS, nS).
+
+    skeleton lists the skeleton dofs in global order; keep holds the places
+    in the mesh data array of the skeleton operator's entries, stored as
+    the CSR pattern (indptr, indices) of the skeleton rows and columns.
+    """
+
+    interior: np.ndarray
+    cell_skeleton: np.ndarray
+    skeleton: np.ndarray
+    ii: np.ndarray
+    i_s: np.ndarray
+    keep: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    ss: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -443,47 +539,120 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
     return GlobalSystem(K=K, f=fvec, mesh=mesh, ncomp=ncomp, stats=stats)
 
 
+def _mesh_pattern_data(K, mesh: StructuredMesh, ncomp: int):
+    """K's entries as a data array on mesh.pattern(ncomp).
+
+    An operator already stored on the pattern gives its own data.  Any other
+    CSR operator is re-stored with one sorted-key lookup of its (row, col)
+    pairs in the pattern's, which lists them in ascending order; its
+    unstored entries become zeros.  Raises ValueError for a stored entry
+    outside the pattern.
+    """
+    indptr, indices = mesh.pattern(ncomp)
+    if (K.indices is indices and K.indptr is indptr) or (
+            np.array_equal(K.indptr, indptr) and np.array_equal(K.indices, indices)):
+        return K.data
+    n = K.shape[0]
+    rows = np.arange(n, dtype=np.int64)
+    keys = np.repeat(rows, np.diff(K.indptr)) * n + K.indices
+    mesh_keys = np.repeat(rows, np.diff(indptr)) * n + indices
+    at = np.minimum(np.searchsorted(mesh_keys, keys), mesh_keys.size - 1)
+    if not np.array_equal(mesh_keys[at], keys):
+        raise ValueError("the operator stores an entry outside the mesh's sparsity pattern")
+    return np.bincount(at, weights=K.data, minlength=indices.size)
+
+
 def solve(system: GlobalSystem) -> np.ndarray:
-    """Direct sparse solve of K u = f for a symmetric positive definite K.
+    """Direct solve of K u = f for a symmetric positive definite K, with
+    every cell's interior modes condensed out first.
+
+    A cell's interior modes (N_a(x) N_b(y) with a, b >= 2; (p - 1)^2 ncomp
+    dofs) couple only with the modes of that cell, so they are eliminated
+    cell by cell before the global factorization, the static condensation
+    of p-version finite elements (Szabo & Babuska, Finite Element Analysis,
+    1991).  With the cell blocks A_II, A_IS of K (Condensation gives their
+    places in K's data array) and A_II = L L^T:
+
+    1. all interior blocks are factored in one batched Cholesky call;
+    2. W = L^-1 [A_IS | f_I], and the skeleton operator is
+       K_SS - sum over cells of W_S^T W_S, its load f_S - W_S^T w_f;
+    3. the skeleton system is factored with a minimum-degree ordering of
+       the pattern of K_SS + K_SS^T and diagonal pivots (SuperLU's
+       symmetric mode with a zero pivot threshold), which for SPD matrices
+       is a sparse Cholesky;
+    4. the interiors follow as u_I = L^-T (w_f - W_S u_S).
+
+    The symmetric form W_S^T W_S keeps the accuracy of the Cholesky factor
+    at large penalties, where the unsymmetric A_SI X with X = A_II^-1 A_IS
+    loses it.
 
     Every operator this package assembles is SPD: a volume stiffness with
     alpha_fic > 0 (or no fictitious region), plus positive semidefinite
-    penalty pairs, plus unit-diagonal strong pins.  K is therefore factored
-    symmetrically: a minimum-degree ordering of the pattern of K + K^T,
-    eliminated with diagonal pivots (SuperLU's symmetric mode with a zero
-    pivot threshold).  For SPD matrices this is Cholesky, which is backward
-    stable without pivoting; partial pivoting and an unsymmetric column
-    ordering only add fill (12x on the 16 x 16, p = 10 membrane).
+    penalty pairs, plus unit-diagonal strong pins; so is each of its
+    interior blocks.  K must also be exactly symmetric, entry for entry:
+    each W_S^T W_S is symmetrized and the cells are summed in one order for
+    (i, j) and (j, i), so the skeleton operator is exactly symmetric too,
+    and its CSR arrays are handed to SuperLU as the CSC arrays of its
+    transpose.  scatter_cells symmetrizes each cell's matrix in the same
+    order for (i, j) and (j, i) on a symmetric pattern, and add_operators
+    and apply_strong_zero preserve that.  K is read on the mesh's pattern;
+    an operator stored on another pattern (such as scipy's A + B) is
+    re-stored on it first, and an entry outside it raises ValueError.
 
-    K must be exactly symmetric, entry for entry and in its stored pattern,
-    because its CSR arrays are handed to SuperLU as the CSC arrays of K^T.
-    Every operator the package builds is: scatter_cells symmetrizes each
-    cell's matrix in the same order for (i, j) and (j, i) on a symmetric
-    pattern, and add_operators and apply_strong_zero preserve that.
-
-    The relative residual is stored on system.last_residual (a RuntimeWarning
-    is issued above 1e-10) and the number of nonzeros in L + U on
-    system.stats["factor_nnz"].  A SolverError is raised when the factor is
-    exactly singular or the solution is not finite (typically a system with
-    no Dirichlet constraints at all).
+    The relative residual of the full K is stored on system.last_residual
+    (a RuntimeWarning is issued above 1e-10), the number of nonzeros in the
+    skeleton factor's L + U on system.stats["factor_nnz"] and the number
+    of skeleton dofs on system.stats["skeleton_dofs"].  A SolverError is
+    raised when an interior block is not positive definite (typically
+    modes supported only in a fictitious region with alpha_fic = 0), when
+    the skeleton factor is exactly singular, or when the solution is not
+    finite (typically a system with no Dirichlet constraints at all).
     """
-    K = sp.csc_matrix((system.K.data, system.K.indices, system.K.indptr),
-                      shape=system.K.shape)
+    plan = system.mesh.condensation(system.ncomp)
+    data = _mesh_pattern_data(system.K, system.mesh, system.ncomp)
+    f = system.f
+    # np.take: fancy indexing would first copy the int32 places to intp
     try:
-        lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        chol = np.linalg.cholesky(data.take(plan.ii))
+    except np.linalg.LinAlgError:
+        raise SolverError(
+            "a cell's interior block is not positive definite; the system is singular, "
+            "check the fictitious stiffness alpha_fic and the Dirichlet constraints"
+        ) from None
+    n_s = plan.ss.shape[1]
+    # a non-finite entry fails the Cholesky factor or the final check
+    W = scipy.linalg.solve_triangular(
+        chol, np.concatenate([data.take(plan.i_s), f[plan.interior][..., None]], axis=2),
+        lower=True, check_finite=False)
+    G = W.transpose(0, 2, 1) @ W
+    S = G[:, :n_s, :n_s] + G[:, :n_s, :n_s].transpose(0, 2, 1)
+    S *= 0.5
+    n = plan.skeleton.size
+    schur = np.bincount(plan.ss.ravel(), S.ravel(), minlength=plan.keep.size)
+    K_s = sp.csc_matrix((data.take(plan.keep) - schur, plan.indices, plan.indptr), shape=(n, n))
+    f_s = f[plan.skeleton] - np.bincount(plan.cell_skeleton.ravel(), G[:, :n_s, n_s].ravel(),
+                                         minlength=n)
+    try:
+        lu = spla.splu(K_s, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
-        u = lu.solve(system.f)
+        u_s = lu.solve(f_s)
     except RuntimeError as exc:
         raise SolverError(
             f"sparse factorization failed ({exc}); the system is singular, "
             "check that Dirichlet constraints (penalty or strong) were added"
         ) from None
     system.stats["factor_nnz"] = int(lu.L.nnz + lu.U.nnz)
+    system.stats["skeleton_dofs"] = n
+    u = np.empty(f.size)
+    u[plan.skeleton] = u_s
+    rhs = W[:, :, n_s:] - W[:, :, :n_s] @ u_s[plan.cell_skeleton][..., None]
+    u[plan.interior] = scipy.linalg.solve_triangular(chol, rhs, lower=True, trans="T",
+                                                         check_finite=False)[..., 0]
     if not np.all(np.isfinite(u)):
         raise SolverError("solution contains non-finite entries; system is singular "
                           "or lacks Dirichlet constraints")
-    scale = max(float(np.linalg.norm(system.f)), np.finfo(float).tiny)
-    system.last_residual = float(np.linalg.norm(system.K @ u - system.f) / scale)
+    scale = max(float(np.linalg.norm(f)), np.finfo(float).tiny)
+    system.last_residual = float(np.linalg.norm(system.K @ u - f) / scale)
     if system.last_residual > 1e-10:
         warnings.warn(f"solver residual {system.last_residual:.3e} exceeds 1.0e-10",
                       RuntimeWarning, stacklevel=2)

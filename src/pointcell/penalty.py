@@ -134,8 +134,10 @@ def diffuse_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointClo
                          pen: PenaltyParams, ncomp: int = 1):
     """Penalty matrix/vector of one cell via the regularized-delta layer.
 
-    Returns (Ke, fe, n_points) in cell-local dense form; every leaf of the
-    distance-driven tree is integrated, whether or not it sensed the layer.
+    Returns (Ke, fe, n_points) in cell-local dense form.  Every Gauss point
+    of the distance-driven tree is placed and counted in n_points, but only
+    those with a nonzero weight (distance below epsilon) are integrated;
+    the others would add exact zeros.
     """
     bounds = mesh.cell_bounds(ix, iy)
     dist = lambda pts: pca_distance_many(cloud, pts, dparams)
@@ -144,7 +146,9 @@ def diffuse_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointClo
     pts, wts, _ = tree_quadrature_points(tree, rule)
     d = pca_distance_many(cloud, pts, dparams)
     w = wts * regularized_delta_raw(d, diff.epsilon)
-    return _accumulate_point_penalty(mesh, ix, iy, pts, w, pen, ncomp) + (pts.shape[0],)
+    weighted = w != 0.0
+    return _accumulate_point_penalty(mesh, ix, iy, pts[weighted], w[weighted], pen,
+                                     ncomp) + (pts.shape[0],)
 
 
 def _accumulate_point_penalty(mesh, ix, iy, pts, w, pen, ncomp):

@@ -479,9 +479,11 @@ def _disc_indicator(center, radius, alpha_fic):
 
 
 def test_solve_reports_singular_matrix():
-    """Diagonal pivots without a threshold still stop at an exact zero pivot:
-    on the zero matrix, and on a K that is nonzero except for the rows of
-    modes supported only in the unpenalized fictitious region."""
+    """The zero matrix of a p = 1 cell has no interior modes, and the
+    skeleton factor's diagonal pivots stop at its exact zero pivot.  A K
+    that is nonzero except for the rows of modes supported only in the
+    unpenalized fictitious region is stopped earlier, by the Cholesky
+    factor of an interior block that is not positive definite."""
     mesh = StructuredMesh((0, 0), (1, 1), 1, 1, 1)
     empty = assemble_volume(mesh, PoissonCoefficient(),
                             IndicatorField(inside=lambda p: np.zeros(p.shape[0], bool),
@@ -502,9 +504,10 @@ def test_solve_reports_singular_matrix():
 
 
 def test_solve_fill_stays_sparse():
-    """The SPD ordering keeps the factor of an 8 x 8, p = 8 Poisson system
-    (4,225 dofs) well under a million nonzeros; an unsymmetric column ordering
-    with partial pivoting fills it to 2.4 million."""
+    """On an 8 x 8, p = 8 Poisson system (4,225 dofs) the condensation
+    leaves the 1,089 skeleton dofs, and the SPD ordering keeps their factor
+    well under a million nonzeros; factoring all 4,225 dofs with an
+    unsymmetric column ordering and partial pivoting fills 2.4 million."""
     mesh = StructuredMesh((0, 0), (1, 1), 8, 8, 8)
     sysm = assemble_volume(mesh, PoissonCoefficient(), IndicatorField(inside=everywhere),
                            body=lambda q: np.ones(q.shape[0]))
@@ -512,25 +515,35 @@ def test_solve_fill_stays_sparse():
     assert pinned.ndof == 4225
     solve(pinned)
     assert pinned.last_residual < 1e-12
+    assert pinned.stats["skeleton_dofs"] == 1089
     assert 0 < pinned.stats["factor_nnz"] < 1_000_000
 
 
 def _solve_via_tocsc(system):
-    """Oracle of solve: the same factorization of a CSC copy of K."""
+    """Oracle of solve: the former factorization of all dofs, on a CSC copy
+    of K, without condensation."""
     lu = spla.splu(system.K.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     return lu.solve(system.f)
 
 
 def test_solve_matches_tocsc_route_on_membrane(monkeypatch):
+    """The condensed solve of membrane-512 leaves a round-off residual on
+    the full K and the coefficients of the full factorization to 1e-8 of
+    their size (1.2e-10 measured); 5,185 of its 25,921 dofs are skeleton."""
     systems = []
     monkeypatch.setattr(benchmarks, "solve", lambda s: systems.append(s) or solve(s))
     res = build_membrane_problem(PointCloud(circle_cloud(1.0, 512)))
     system, = systems
-    assert np.array_equal(res.coeffs, _solve_via_tocsc(system))
+    assert system.last_residual <= 1e-13
+    assert system.stats["skeleton_dofs"] == 5185 and system.ndof == 25921
+    want = _solve_via_tocsc(system)
+    assert np.max(np.abs(res.coeffs - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def test_solve_matches_tocsc_route_on_annular():
+    """On the cut annulus, whose fictitious coefficients are determined only
+    to alpha_fic, the two solves agree in the volume energy to 1e-9."""
     config = AnnularConfig(n_points=500, degree=8, volume_depth=8)
     prob = build_annular_problem(config)
     sharp = default_sharp_params(config)
@@ -539,7 +552,115 @@ def test_solve_matches_tocsc_route_on_annular():
                                        PenaltyParams(beta=1e4, u_hat=prob.u_hat), sharp.n_gauss)
     system = GlobalSystem(K=add_operators(prob.volume.K, Kp), f=prob.volume.f + fp,
                           mesh=prob.mesh)
-    assert np.array_equal(solve(system), _solve_via_tocsc(system))
+    u = solve(system)
+    assert system.last_residual <= 1e-13
+    want = strain_energy(prob.volume, _solve_via_tocsc(system))
+    assert abs(strain_energy(prob.volume, u) - want) <= 1e-9 * abs(want)
+
+
+def _cut_disc_system(mesh, material, radius=0.4):
+    """Volume of a cut disc around the mesh center, plus a reference penalty
+    on its rim at beta = 1e6, as (volume, K_penalty, f_penalty)."""
+    ncomp = material.ncomp
+    center = mesh.origin + 0.5 * mesh.lengths
+    vol = assemble_volume(mesh, material, _disc_indicator(center, radius, 1e-8),
+                          body=lambda q: np.ones((q.shape[0], ncomp)), tree_depth=4)
+    slopes = np.array([[0.5, -0.25], [-0.3, 0.4]])[:ncomp]
+    Kp, fp, _ = assemble_reference_penalty(
+        mesh, circle_polyline(radius, 128, center=center),
+        PenaltyParams(beta=1e6, u_hat=lambda q: 1.0 + q @ slopes.T), n_gauss=6, ncomp=ncomp)
+    return vol, Kp, fp
+
+
+@pytest.mark.parametrize("degree, material", [(1, PoissonCoefficient()), (4, PlaneStress())],
+                         ids=["p1_poisson", "p4_plane_stress"])
+def test_condensed_solve_matches_oracle_on_small_meshes(degree, material):
+    """p = 1 has no interior modes, so every dof is skeleton; plane stress
+    condenses two components per interior mode.  Both leave a round-off
+    residual and the energy of the full factorization."""
+    mesh = StructuredMesh((0.0, 0.0), (1.2, 0.8), 3, 2, degree)
+    vol, Kp, fp = _cut_disc_system(mesh, material)
+    sysm = GlobalSystem(K=add_operators(vol.K, Kp), f=vol.f + fp, mesh=mesh, ncomp=material.ncomp)
+    u = solve(sysm)
+    assert sysm.last_residual <= 1e-13
+    n_interior = 6 * (degree - 1) ** 2 * material.ncomp
+    assert sysm.stats["skeleton_dofs"] == sysm.ndof - n_interior
+    want = strain_energy(vol, _solve_via_tocsc(sysm))
+    assert abs(strain_energy(vol, u) - want) <= 1e-9 * abs(want)
+
+
+def test_solve_restores_an_operator_stored_off_the_mesh_pattern():
+    """The pinned rim rows of the corner cells, which the penalty misses,
+    are explicit zeros, and scipy's A + B drops them; solve re-stores the
+    sum on the mesh pattern and returns the bits of add_operators(A, B)."""
+    mesh = StructuredMesh((0.0, 0.0), (1.0, 1.0), 4, 4, 3)
+    vol, Kp, fp = _cut_disc_system(mesh, PoissonCoefficient(), radius=0.3)
+    A = apply_strong_zero(vol, mesh.boundary_scalar_dofs())
+    summed = (A.K + Kp).tocsr()
+    assert summed.nnz < Kp.nnz
+    on_pattern = GlobalSystem(K=add_operators(A.K, Kp), f=A.f + fp, mesh=mesh)
+    off_pattern = GlobalSystem(K=summed, f=A.f + fp, mesh=mesh)
+    np.testing.assert_array_equal(solve(off_pattern), solve(on_pattern))
+    assert off_pattern.last_residual <= 1e-13
+
+
+def test_solve_rejects_an_entry_outside_the_mesh_pattern():
+    """Scalar dofs 0 and 2 n1y are the vertices (0, 0) and (2, 0) of a 2 x 1
+    mesh; no cell holds both, so the pattern has no entry between them."""
+    mesh = StructuredMesh((0.0, 0.0), (2.0, 1.0), 2, 1, 2)
+    sysm = assemble_volume(mesh, PoissonCoefficient(), IndicatorField(inside=everywhere),
+                           body=lambda q: np.ones(q.shape[0]))
+    pinned = apply_strong_zero(sysm, mesh.boundary_scalar_dofs())
+    far = sp.csr_matrix(([1e-3, 1e-3], ([0, 2 * mesh.n1y], [2 * mesh.n1y, 0])),
+                        shape=pinned.K.shape)
+    with pytest.raises(ValueError, match="outside the mesh"):
+        solve(GlobalSystem(K=(pinned.K + far).tocsr(), f=pinned.f, mesh=mesh))
+
+
+def test_solve_returns_zero_at_a_pinned_interior_dof():
+    """A strong pin on an interior mode gives its Cholesky row a unit
+    diagonal and nothing else, so the back substitution returns exactly 0."""
+    mesh = StructuredMesh((0.0, 0.0), (1.0, 1.0), 2, 2, 3)
+    sysm = assemble_volume(mesh, PoissonCoefficient(), IndicatorField(inside=everywhere),
+                           body=lambda q: np.ones(q.shape[0]))
+    interiors = mesh.condensation().interior
+    pinned = apply_strong_zero(sysm, np.append(mesh.boundary_scalar_dofs(), interiors[3, 2]))
+    u = solve(pinned)
+    assert u[interiors[3, 2]] == 0.0
+    assert np.count_nonzero(u[interiors]) == interiors.size - 1
+    assert pinned.last_residual <= 1e-13
+
+
+@pytest.mark.parametrize("nx, ny, p, ncomp", [(3, 2, 4, 1), (2, 3, 3, 2), (1, 1, 2, 2), (2, 2, 1, 1)])
+def test_condensation_plan_matches_local_positions(nx, ny, p, ncomp):
+    """The plan's interior places, read as indptr[row] + local index, equal
+    the closed form of local_positions; its skeleton operator holds the
+    skeleton rows and columns of K, and ss addresses each cell's skeleton
+    block in it."""
+    mesh = StructuredMesh((0.0, 0.0), (1.0, 1.0), nx, ny, p)
+    plan = mesh.condensation(ncomp)
+    n1 = p + 1
+    a, b, _ = np.unravel_index(np.arange(n1 * n1 * ncomp), (n1, n1, ncomp))
+    inner = (a >= 2) & (b >= 2)
+    iy, ix = np.divmod(np.arange(nx * ny), nx)
+    every = mesh.local_positions(ix, iy, ncomp)
+    np.testing.assert_array_equal(plan.ii, every[:, inner][:, :, inner])
+    np.testing.assert_array_equal(plan.i_s, every[:, inner][:, :, ~inner])
+    np.testing.assert_array_equal(plan.keep[plan.ss], every[:, ~inner][:, :, ~inner])
+    indptr, indices = mesh.pattern(ncomp)
+    ndof = ncomp * mesh.n_scalar_dofs
+    ramp = np.arange(1.0, indices.size + 1)
+    K = sp.csr_matrix((ramp, indices, indptr), shape=(ndof, ndof)).toarray()
+    n = plan.skeleton.size
+    skel = sp.csr_matrix((ramp[plan.keep], plan.indices, plan.indptr), shape=(n, n))
+    np.testing.assert_array_equal(skel.toarray(), K[np.ix_(plan.skeleton, plan.skeleton)])
+    assert skel.nnz == np.count_nonzero(K[np.ix_(plan.skeleton, plan.skeleton)])
+    interior = np.setdiff1d(np.arange(ndof), plan.skeleton)
+    np.testing.assert_array_equal(np.sort(plan.interior, axis=None), interior)
+    for k, (cx, cy) in enumerate(zip(ix, iy)):
+        dofs = component_dofs(mesh.cell_dofs(cx, cy), ncomp)
+        np.testing.assert_array_equal(plan.interior[k], dofs[inner])
+        np.testing.assert_array_equal(plan.skeleton[plan.cell_skeleton[k]], dofs[~inner])
 
 
 # the dense solver warns about the fictitious region's rcond ~ 1e-16

@@ -10,12 +10,12 @@ from pointcell import (AnnularConfig, DiffuseParams, DistanceParams, PenaltyPara
                        SharpBoundaryWarning, SharpParams, StructuredMesh,
                        assemble_diffuse_penalty, assemble_reference_penalty,
                        assemble_sharp_penalty, bisect_plane_segments,
-                       brute_force_regions_in_box, circle_cloud,
+                       brute_force_regions_in_box, build_diffuse_tree, circle_cloud,
                        collect_sharp_segments, default_membrane_params,
                        default_sharp_params, diffuse_penalty_cell,
                        gauss_legendre_1d, identify_contributing_regions,
-                       reference_segment_penalty, region_keys_many,
-                       sharp_penalty_cell)
+                       pca_distance_many, reference_segment_penalty, region_keys_many,
+                       regularized_delta_raw, sharp_penalty_cell, tree_quadrature_points)
 from pointcell import penalty
 from pointcell.geometry import _knn_indices_many
 from pointcell.penalty import _bisect_batched, _subcell_test_points
@@ -435,6 +435,34 @@ def test_diffuse_cell_matches_reference_segment():
     Kr, _, _ = reference_segment_penalty(_MESH1, 0, 0, segs, PenaltyParams(beta=1.0), 10)
     assert _rel_frobenius(Kd, Kr) <= 1e-3
     assert n > 1000
+
+
+def _diffuse_cell_unfiltered(mesh, ix, iy, cloud, dp, diff, pen, ncomp=1):
+    """The former diffuse_penalty_cell, kept as the oracle: every placed
+    Gauss point, weighted or not, enters the accumulation."""
+    dist = lambda pts: pca_distance_many(cloud, pts, dp)
+    tree = build_diffuse_tree(mesh.cell_bounds(ix, iy), dist, diff)
+    pts, wts, _ = tree_quadrature_points(tree, gauss_legendre_1d(diff.n_gauss))
+    w = wts * regularized_delta_raw(pca_distance_many(cloud, pts, dp), diff.epsilon)
+    return penalty._accumulate_point_penalty(mesh, ix, iy, pts, w, pen, ncomp) + (pts.shape[0],)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_diffuse_cell_integrates_only_weighted_points(ncomp):
+    """Dropping the points outside the layer, whose weights are exact zeros,
+    moves K and f by round-off only (1e-14, relative Frobenius), and every
+    placed point is still counted."""
+    mesh = StructuredMesh((0.0, 0.0), (1.0, 1.0), 2, 2, 4)
+    cloud = PointCloud(circle_cloud(0.3, 200, center=(0.5, 0.5)))
+    dp = DistanceParams(k=4, r=0.05)
+    diff = DiffuseParams(epsilon=0.02, n_sub=5, n_gauss=4)
+    pen = PenaltyParams(beta=1.0, u_hat=lambda q: np.column_stack([q[:, 0], 1.0 - q[:, 1]])[:, :ncomp])
+    for ix, iy in mesh.cells():
+        Ke, fe, n = diffuse_penalty_cell(mesh, ix, iy, cloud, dp, diff, pen, ncomp)
+        want_K, want_f, want_n = _diffuse_cell_unfiltered(mesh, ix, iy, cloud, dp, diff, pen, ncomp)
+        assert n == want_n
+        assert _rel_frobenius(Ke, want_K) <= 1e-14
+        assert _rel_frobenius(fe, want_f) <= 1e-14
 
 
 def test_cell_operators_scale_exactly_with_beta():
