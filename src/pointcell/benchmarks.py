@@ -35,7 +35,7 @@ from .fcm import (GlobalSystem, IndicatorField, PoissonCoefficient,
                   everywhere, solve, strain_energy)
 from .geometry import DistanceParams, PointCloud, pca_distance_many
 from .penalty import (DiffuseParams, PenaltyParams, SharpParams, _diffuse_cells,
-                      assemble_diffuse_penalty, assemble_reference_penalty,
+                      _segment_rows, assemble_diffuse_penalty, assemble_reference_penalty,
                       assemble_sharp_penalty, collect_sharp_segments)
 from .quadrature import build_diffuse_tree
 
@@ -190,8 +190,7 @@ def default_sharp_params(config: AnnularConfig) -> SharpParams:
     cell = 2.0 * config.extent / config.n_cells
     test_grid = 3
     n_query = max(0, math.ceil(math.log2(2.0 * cell / (test_grid * h))))
-    return SharpParams(n_query=n_query, n_sub=8, n_gauss=6, l_max=3.0 * h,
-                       test_grid=test_grid)
+    return SharpParams(n_query=n_query, n_gauss=6, l_max=3.0 * h, test_grid=test_grid)
 
 
 def default_diffuse_params(epsilon: float = 5e-3, extent: float = AnnularConfig.extent,
@@ -324,7 +323,7 @@ def default_membrane_params(cloud: PointCloud, extent: float = MEMBRANE_EXTENT,
     dparams = DistanceParams(k=4, r=3.0 * h if r is None else r)
     cell = 2.0 * extent / n_cells
     n_query = max(0, math.ceil(math.log2(cell / (0.25 * dparams.r))))
-    return dparams, SharpParams(n_query=n_query, n_sub=8, n_gauss=4, l_max=3.0 * h)
+    return dparams, SharpParams(n_query=n_query, n_gauss=4, l_max=3.0 * h)
 
 
 def build_membrane_problem(cloud: PointCloud, *, extent: float = MEMBRANE_EXTENT,
@@ -358,8 +357,8 @@ def build_membrane_problem(cloud: PointCloud, *, extent: float = MEMBRANE_EXTENT
     system = GlobalSystem(K=add_operators(volume.K, Kp), f=volume.f + fp, mesh=mesh)
     system = apply_strong_zero(system, mesh.boundary_scalar_dofs())
     u = solve(system)
-    # Points entered the penalty, so some kept subsegment exists.
-    ends = np.concatenate([s.endpoints() for s in segments])
+    # Points entered the penalty, so some segment exists.
+    ends = _segment_rows(segments)
     bpts = np.unique(np.vstack([ends[:, 0:2], ends[:, 2:4]]), axis=0)
     from .fcm import evaluate
 

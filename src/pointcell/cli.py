@@ -33,8 +33,7 @@ _KEYS = {
     "mesh": {"extent": float, "n_cells": int, "degree": int},
     "distance": {"k": int, "r": float},
     "diffuse": {"epsilon": float, "n_sub": int, "n_gauss": int},
-    "sharp": {"n_query": int, "n_sub": int, "n_gauss": int, "l_max": float,
-              "test_grid": int},
+    "sharp": {"n_query": int, "n_gauss": int, "l_max": float, "test_grid": int},
     "study": {"betas": str, "methods": str, "reference_chords": int},
     "output": {"dir": str, "field_resolution": int},
 }
@@ -45,8 +44,8 @@ _FLAGS = {
     "method": ("problem", "method"), "k": ("distance", "k"), "r": ("distance", "r"),
     "beta": ("problem", "beta"), "epsilon": ("diffuse", "epsilon"),
     "n-sub-eps": ("diffuse", "n_sub"), "n-gauss-eps": ("diffuse", "n_gauss"),
-    "n-query-s": ("sharp", "n_query"), "n-sub-s": ("sharp", "n_sub"),
-    "n-gauss-s": ("sharp", "n_gauss"), "l-max-s": ("sharp", "l_max"),
+    "n-query-s": ("sharp", "n_query"), "n-gauss-s": ("sharp", "n_gauss"),
+    "l-max-s": ("sharp", "l_max"),
 }
 
 

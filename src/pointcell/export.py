@@ -45,7 +45,7 @@ def write_study_csv(path, betas, errors) -> None:
 
 
 def write_segments_csv(path, segments) -> None:
-    """Kept subsegments as "x0,y0,x1,y1,key"; key indices space-separated."""
+    """Sharp segments as "x0,y0,x1,y1,key"; key indices space-separated."""
     lines = ["x0,y0,x1,y1,key"]
     for seg in segments:
         key = " ".join(str(i) for i in seg.key)

@@ -11,16 +11,16 @@ solution just off the boundary, which flattens its normal gradient there.
 Sharp route: the boundary is rebuilt as bounded plane segments, once per
 problem.  Reconstruct once: every cell's query lattice names the order-k
 Voronoi regions that may meet it; the union of those keys is fitted and
-bisected in one batched pass (the TLS plane of each region's k defining
-points, bounded to the region by bisection), giving one segment list that the
-penalty, the segment export and the membrane diagnostics all share.
-Integrate by clipping: every kept subsegment is clipped to each cell it
-crosses, the rule is laid on each clipped piece, and a Gauss point enters
-only if it lies in its own region.  Cells are half-open, so a piece on a
-shared edge is counted once, and a piece reaching into a cell whose own
-lattice missed its region is still integrated there.  Points sit on the
-reconstructed boundary itself, so nothing constrains the field away from it,
-and far fewer points are needed than in the layer.
+clipped in one batched pass (the TLS plane of each region's k defining
+points, cut exactly to the region, an intersection of half-planes), giving
+one segment list that the penalty, the segment export and the membrane
+diagnostics all share.  Integrate by clipping: every segment is clipped to
+each cell it crosses and the rule is laid on each clipped piece, exactly as
+for the reference route.  Cells are half-open, so a piece on a shared edge is
+counted once, and a piece reaching into a cell whose own lattice missed its
+region is still integrated there.  Points sit on the reconstructed boundary
+itself, so nothing constrains the field away from it, and far fewer points
+are needed than in the layer.
 
 A reference route over explicit polyline segments serves as the ground truth
 for both; it shares the sharp route's segment integrator.
@@ -78,20 +78,21 @@ class SharpParams:
 
     n_query: query-tree depth used to find contributing Voronoi regions.
     test_grid: per-subcell sample points per direction (cell-centered).
-    l_max: initial plane-segment length, of the order of a few point spacings.
-    n_sub: bisection depth bounding each segment to its region.
-    n_gauss: rule order per kept subsegment.
+    l_max: longest plane segment, of the order of a few point spacings.
+    n_gauss: rule order per segment.
+    n_sub: unused; no result depends on it.  It is kept so that existing
+    callers that pass it still construct.
     """
 
     n_query: int
-    n_sub: int
     n_gauss: int
     l_max: float
     test_grid: int = 3
+    n_sub: int = 0
 
     def __post_init__(self):
-        if self.n_query < 0 or self.n_sub < 0:
-            raise ValueError("tree depths must be >= 0")
+        if self.n_query < 0:
+            raise ValueError(f"n_query must be >= 0, got {self.n_query}")
         if not self.l_max > 0.0:
             raise ValueError(f"l_max must be positive, got {self.l_max}")
         if self.test_grid < 1:
@@ -102,11 +103,11 @@ class SharpParams:
 
 @dataclass
 class BoundedSegment:
-    """Plane segment of one Voronoi region after bisection.
+    """Plane segment of one Voronoi region, clipped to that region.
 
-    intervals holds (m, 2) parameter ranges along the unit direction,
-    measured from the support point; kept subsegments are disjoint and lie
-    within l_max/2 of the support.
+    intervals holds the (1, 2) parameter range [lo, hi] along the unit
+    direction, measured from the support point: the region's piece of the
+    line, cut to within l_max/2 of the support.
     """
 
     key: tuple
@@ -121,7 +122,7 @@ class BoundedSegment:
         return float(np.sum(self.intervals[:, 1] - self.intervals[:, 0]))
 
     def endpoints(self):
-        """(m, 4) rows x0, y0, x1, y1 of the kept subsegments."""
+        """(m, 4) rows x0, y0, x1, y1 of the segment's pieces."""
         return (self.support + self.intervals[:, :, None] * self.direction).reshape(-1, 4)
 
 
@@ -216,81 +217,49 @@ def identify_contributing_regions(cell_bounds, cloud: PointCloud,
     return [tuple(int(i) for i in row) for row in _unique_rows(keys)]
 
 
-def _bisect_batched(cloud: PointCloud, keys_arr, supports, tangents,
-                    sparams: SharpParams, k: int):
-    """Region-bounded subsegments for many regions at once.
+def _clip_to_regions(cloud: PointCloud, keys_arr, supports, tangents, l_max: float):
+    """Each region's piece [lo, hi] of its line s + t tau, within |t| <= l_max/2.
 
-    Each interval is classified by whether its two ends and its midpoint lie
-    in the region.  The ends are queried once, at level 0; a child interval
-    takes its ends' flags from its parent's end and midpoint, which are the
-    same floats, so each later level queries only midpoints.
-
-    Returns (region_row, lo, hi) arrays; parameters measured along each
-    region's unit tangent from its support point.
+    An order-k region is the intersection of the half-planes
+    (x - m_ij).(p_j - p_i) <= 0 over i in its key and j outside it, m_ij being
+    their midpoint (Lee, IEEE Trans. Comput. C-31, 1982); on the line each is
+    a half-line in t.  At an end of the piece some p_j ties with a key point,
+    so p_j lies within the k-th neighbour distance of that end, which is at
+    most reach + l_max/2 (the distance is 1-Lipschitz, reach being its value
+    max |p_i - s| at the support).  One ball of radius reach + l_max around
+    each support (widened by 1e-12 relative against round-off) thus holds
+    every constraint that can bind.  The support lies in its region, so a
+    bisector parallel to the line binds nowhere on it, and lo <= 0 <= hi;
+    the latter is imposed against round-off in t.
     """
-    R = keys_arr.shape[0]
-    half = 0.5 * sparams.l_max
-    row = np.arange(R)
-    lo = np.full(R, -half)
-    hi = np.full(R, half)
-    kept_row, kept_lo, kept_hi = [], [], []
-
-    def contains(rows, ts):
-        pts = supports[rows] + ts[:, None] * tangents[rows]
-        keys = region_keys_many(cloud, pts, k)
-        return np.all(keys == keys_arr[rows], axis=1)
-
-    lo_in, hi_in = contains(np.concatenate([row, row]),
-                            np.concatenate([lo, hi])).reshape(2, R)
-    for level in range(sparams.n_sub + 1):
-        if row.size == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        mid_in = contains(row, mid)
-        all_in = lo_in & mid_in & hi_in
-        none_in = ~(lo_in | mid_in | hi_in)
-        mixed = ~(all_in | none_in)
-        if np.any(all_in):
-            kept_row.append(row[all_in])
-            kept_lo.append(lo[all_in])
-            kept_hi.append(hi[all_in])
-        if level == sparams.n_sub:
-            if np.any(mixed):
-                kept_row.append(row[mixed])
-                kept_lo.append(lo[mixed])
-                kept_hi.append(hi[mixed])
-            break
-        row_m, lo_m, hi_m, mid_m = row[mixed], lo[mixed], hi[mixed], mid[mixed]
-        row = np.concatenate([row_m, row_m])
-        lo = np.concatenate([lo_m, mid_m])
-        hi = np.concatenate([mid_m, hi_m])
-        lo_in = np.concatenate([lo_in[mixed], mid_in[mixed]])
-        hi_in = np.concatenate([mid_in[mixed], hi_in[mixed]])
-    if not kept_row:
-        return (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
-    row = np.concatenate(kept_row)
-    lo = np.concatenate(kept_lo)
-    hi = np.concatenate(kept_hi)
-    order = np.lexsort((lo, row))
-    row, lo, hi = row[order], lo[order], hi[order]
-    # Sibling pieces share their split float exactly, so contiguous kept runs
-    # merge on equality; one rule per run instead of one per dyadic sliver.
-    new_run = np.ones(row.size, dtype=bool)
-    new_run[1:] = (row[1:] != row[:-1]) | (lo[1:] != hi[:-1])
-    starts = np.nonzero(new_run)[0]
-    ends = np.r_[starts[1:], row.size] - 1
-    return row[starts], lo[starts], hi[ends]
+    pts = cloud.points
+    key_pts = pts[keys_arr]
+    reach = np.sqrt(np.max(np.sum((key_pts - supports[:, None]) ** 2, axis=2), axis=1))
+    balls = cloud.tree.query_ball_point(supports, reach * (1.0 + 1e-12) + l_max)
+    row = np.repeat(np.arange(len(keys_arr)), [len(ball) for ball in balls])
+    j = np.concatenate(balls)
+    outside = ~np.any(j[:, None] == keys_arr[row], axis=1)
+    row, pj = row[outside], pts[j[outside], None]
+    d = pj - key_pts[row]
+    a = np.sum((supports[row, None] - 0.5 * (pj + key_pts[row])) * d, axis=2)
+    b = np.sum(tangents[row, None] * d, axis=2)
+    rows = np.broadcast_to(row[:, None], b.shape)
+    lo = np.full(len(keys_arr), -0.5 * l_max)
+    hi = -lo
+    up, down = b > 0.0, b < 0.0
+    np.minimum.at(hi, rows[up], -a[up] / b[up])
+    np.maximum.at(lo, rows[down], -a[down] / b[down])
+    return np.minimum(lo, 0.0), np.maximum(hi, 0.0)
 
 
 def _reconstruct(cloud: PointCloud, keys, sparams: SharpParams):
     """Bounded plane segments of many regions in one batched pass.
 
-    Fits the TLS plane of each key's defining points, lays a segment of
-    length l_max along its tangent through the support point and bisects it
-    to depth n_sub, keeping subsegments fully inside the region and,
-    conservatively, the still-intersected ones at the final level.  Regions
-    whose fit is isotropic or whose support fell outside their own region
-    are skipped, with one SharpBoundaryWarning for the whole call.
+    Fits the TLS plane of each key's defining points and clips the line
+    along its tangent through the support point to the region, within l_max/2
+    of the support (_clip_to_regions).  Regions whose fit is isotropic or
+    whose support fell outside their own region are skipped, with one
+    SharpBoundaryWarning for the whole call.
 
     keys is a sorted sequence of key tuples; returns a BoundedSegment per
     kept key, in the same order.
@@ -316,44 +285,30 @@ def _reconstruct(cloud: PointCloud, keys, sparams: SharpParams):
                       f"first keys: {', '.join(map(str, first))}",
                       SharpBoundaryWarning, stacklevel=3)
     keep = ~(iso | outside)
+    if not np.any(keep):
+        return []
     keys_arr, supports, tangents = keys_arr[keep], supports[keep], tangents[keep]
-    row, lo, hi = _bisect_batched(cloud, keys_arr, supports, tangents, sparams, k)
-    bounds = np.searchsorted(row, np.arange(keys_arr.shape[0] + 1))
-    return [BoundedSegment(key=tuple(int(i) for i in keys_arr[r]), support=supports[r],
-                           direction=tangents[r],
-                           intervals=np.column_stack([lo[a:b], hi[a:b]]))
-            for r, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    lo, hi = _clip_to_regions(cloud, keys_arr, supports, tangents, sparams.l_max)
+    return [BoundedSegment(key=tuple(int(i) for i in key), support=s, direction=tau,
+                           intervals=np.array([[a, b]]))
+            for key, s, tau, a, b in zip(keys_arr, supports, tangents, lo, hi)]
 
 
 def bisect_plane_segments(cloud: PointCloud, key, dparams: DistanceParams,
                           sparams: SharpParams) -> BoundedSegment | None:
     """Bounded plane segment of a single region (see _reconstruct).
 
-    Returns None, with a warning, when the region is skipped.
+    Returns None, with a warning, when the region is skipped.  The segment
+    is clipped exactly, not bisected; the name stays because
+    perfbench/spans.py binds it.
     """
     segments = _reconstruct(cloud, [tuple(key)], sparams)
     return segments[0] if segments else None
 
 
-def _sharp_cell_pairs(mesh: StructuredMesh, cloud: PointCloud, segments,
-                      pen: PenaltyParams, n_gauss: int, ncomp: int, cells):
-    """Sharp penalty pairs (ix, iy, (Ke, fe, n_points)) of the given cells.
-
-    The kept subsegments go through the segment integrator
-    (_segment_cell_pairs); a Gauss point enters only if it lies in its own
-    region, tested for all cells in one region query.
-    """
-    if not segments:
-        return iter(())
-    keys = np.asarray([s.key for s in segments], dtype=int)
-    region = np.repeat(np.arange(len(segments)), [s.intervals.shape[0] for s in segments])
-
-    def in_region(rows, pts):
-        return np.all(region_keys_many(cloud, pts, keys.shape[1]) == keys[region[rows]],
-                      axis=1)
-
-    segs = np.concatenate([s.endpoints() for s in segments])
-    return _segment_cell_pairs(mesh, segs, pen, n_gauss, ncomp, cells, in_region)
+def _segment_rows(segments):
+    """(m, 4) rows x0, y0, x1, y1 of every piece of a BoundedSegment list."""
+    return np.concatenate([s.endpoints() for s in segments] + [np.zeros((0, 4))])
 
 
 def _first_pair(mesh: StructuredMesh, ncomp: int, pairs):
@@ -373,9 +328,9 @@ def sharp_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointCloud
     whole mesh, integrated over this cell only, so the cells sum to
     assemble_sharp_penalty.  Returns (Ke, fe, n_points).
     """
-    segments = collect_sharp_segments(mesh, cloud, dparams, sparams)
-    return _first_pair(mesh, ncomp, _sharp_cell_pairs(mesh, cloud, segments, pen,
-                                                      sparams.n_gauss, ncomp, [(ix, iy)]))
+    segs = _segment_rows(collect_sharp_segments(mesh, cloud, dparams, sparams))
+    return _first_pair(mesh, ncomp, _segment_cell_pairs(mesh, segs, pen, sparams.n_gauss,
+                                                        ncomp, [(ix, iy)]))
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +365,14 @@ def _clip_segments_to_rect(segs, bounds, closed):
 
 
 def _segment_cell_pairs(mesh: StructuredMesh, segs, pen: PenaltyParams, n_gauss: int,
-                        ncomp: int, cells, keep=None):
+                        ncomp: int, cells):
     """Penalty pairs (ix, iy, (Ke, fe, n_points)) of (m, 4) segments x0, y0, x1, y1.
 
     Each segment is clipped to every given cell its bounding box meets (cells
     half-open, closed only at the mesh's upper edges, so a piece on a shared
     edge or interface is counted once), and the n_gauss rule is laid on each
-    clipped piece.  keep(rows, pts), when given, masks the points of all
-    cells at once.  n_points counts the points that enter; cells with none
-    are not yielded.
+    clipped piece.  n_points counts the points placed; cells with none are
+    not yielded.
     """
     cells = list(cells)
     segs = np.asarray(segs, dtype=float).reshape(-1, 4)
@@ -445,9 +399,6 @@ def _segment_cell_pairs(mesh: StructuredMesh, segs, pen: PenaltyParams, n_gauss:
     pts = (p0[:, None, :] + t[:, :, None] * d[:, None, :]).reshape(-1, 2)
     w = w.reshape(-1)
     cell = np.repeat(cell, rule.n)
-    if keep is not None:
-        ok = keep(np.repeat(row, rule.n), pts)
-        cell, pts, w = cell[ok], pts[ok], w[ok]
     bounds = np.searchsorted(cell, np.arange(len(cells) + 1))
     for (ix, iy), a, b in zip(cells, bounds[:-1], bounds[1:]):
         if b > a:
@@ -521,12 +472,14 @@ def assemble_sharp_penalty(mesh: StructuredMesh, cloud: PointCloud, segments,
                            pen: PenaltyParams, n_gauss: int, ncomp: int = 1):
     """Global sharp penalty pair over reconstructed segments.
 
-    segments is the output of collect_sharp_segments; the rule is laid on
-    each clipped piece of every kept subsegment, and penalty_points counts
-    the Gauss points that enter the integral.
+    segments is the output of collect_sharp_segments, and each one lies in
+    its own region, so they are integrated as the reference route's
+    segments are; cloud is not read.  penalty_points counts the Gauss
+    points.
     """
     unit = PenaltyParams(beta=1.0, u_hat=pen.u_hat)
-    it = _sharp_cell_pairs(mesh, cloud, segments, unit, n_gauss, ncomp, mesh.cells())
+    it = _segment_cell_pairs(mesh, _segment_rows(segments), unit, n_gauss, ncomp,
+                             mesh.cells())
     K, f, n = _assemble_cells(mesh, ncomp, pen.beta, it)
     return K, f, {"penalty_points": n}
 
@@ -542,7 +495,7 @@ def assemble_reference_penalty(mesh: StructuredMesh, segments, pen: PenaltyParam
 
 def collect_sharp_segments(mesh: StructuredMesh, cloud: PointCloud,
                            dparams: DistanceParams, sparams: SharpParams):
-    """The sharp boundary: kept subsegments of every contributing region.
+    """The sharp boundary: the clipped segment of every contributing region.
 
     Every cell's query lattice names its regions, all cells in one
     identify_contributing_regions call; the union is reconstructed once (see

@@ -42,7 +42,6 @@ def _tiny_annular(extra: str = "") -> str:
         r = 0.02
         [sharp]
         n_query = 5
-        n_sub = 6
         n_gauss = 3
         l_max = 0.05
         [output]
@@ -55,14 +54,24 @@ def _tiny_annular(extra: str = "") -> str:
 
 
 def test_unknown_key_is_rejected(tmp_path, capsys):
-    ini = _write(tmp_path / "run.ini", """\
-        [mesh]
-        extnet = 3
-        """)
-    assert main(["--config", ini, "solve"]) == 2
-    err = capsys.readouterr().err
-    assert "config error:" in err
-    assert "extnet" in err
+    """A typo and a removed key ([sharp] n_sub, which no result read) are
+    both rejected by name."""
+    for section, key in [("mesh", "extnet"), ("sharp", "n_sub")]:
+        ini = _write(tmp_path / "run.ini", f"""\
+            [{section}]
+            {key} = 3
+            """)
+        assert main(["--config", ini, "solve"]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert f"unknown config key [{section}] {key}" in err
+
+
+def test_removed_sharp_depth_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--n-sub-s=5"])
+    assert exc.value.code == 2
+    assert "--n-sub-s" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["preset = log26", "epsilon = 5e-3"])
@@ -335,17 +344,17 @@ def _recorded_params(monkeypatch, argv):
 
 
 def test_flag_replaces_its_field_and_derived_values_follow(tmp_path, monkeypatch):
-    """--n-sub-s sets n_sub only; n_query stays derived, from the user's r
-    when --r is given."""
+    """--n-gauss-s sets n_gauss only; n_query stays derived, from the user's
+    r when --r is given."""
     path = _circle_file(tmp_path)
     cloud = load_scaled_cloud(path)
-    base = ["--cloud", path, "--out-dir", str(tmp_path), "--n-sub-s", "5"]
+    base = ["--cloud", path, "--out-dir", str(tmp_path), "--n-gauss-s", "5"]
     dparams, sparams = default_membrane_params(cloud)
     got = _recorded_params(monkeypatch, base + ["reconstruct"])
-    assert got == (dparams, dataclasses.replace(sparams, n_sub=5))
+    assert got == (dparams, dataclasses.replace(sparams, n_gauss=5))
     dparams, sparams = default_membrane_params(cloud, r=0.05)
     got = _recorded_params(monkeypatch, base + ["--r", "0.05", "reconstruct"])
-    assert got == (dparams, dataclasses.replace(sparams, n_sub=5))
+    assert got == (dparams, dataclasses.replace(sparams, n_gauss=5))
     assert got[1].n_query != default_membrane_params(cloud)[1].n_query
 
 

@@ -18,7 +18,7 @@ from pointcell import (AnnularConfig, DiffuseParams, DistanceParams, PenaltyPara
                        regularized_delta_raw, sharp_penalty_cell, tree_quadrature_points)
 from pointcell import penalty
 from pointcell.geometry import _knn_indices_many
-from pointcell.penalty import _bisect_batched, _subcell_test_points
+from pointcell.penalty import _subcell_test_points
 from pointcell.quadrature import _split
 
 _MESH1 = StructuredMesh((0.0, 0.0), (1.0, 1.0), 1, 1, 2)
@@ -42,11 +42,9 @@ def _rel_frobenius(A, B):
     return np.linalg.norm(A - B) / np.linalg.norm(B)
 
 
-def _membrane_512():
+def _membrane_512(degree=1):
     """The membrane workload's cloud, mesh and derived parameters."""
-    cloud = PointCloud(circle_cloud(1.0, 512))
-    dp, sp = default_membrane_params(cloud)
-    return StructuredMesh((-1.1, -1.1), (2.2, 2.2), 16, 16, 1), cloud, dp, sp
+    return _on_square(PointCloud(circle_cloud(1.0, 512)), 16, degree)
 
 
 def _annular_500():
@@ -59,25 +57,27 @@ def _annular_500():
     return mesh, cloud, DistanceParams(k=c.k, r=c.r), default_sharp_params(c)
 
 
-def _circle_on_axes():
-    """64 points on the unit circle, four of them exactly on the axes."""
-    pts = circle_cloud(1.0, 64)
+def _circle_on_axes(radius=1.0):
+    """64 points on a circle, four of them exactly on the axes."""
+    pts = circle_cloud(radius, 64)
     pts[np.abs(pts) < 1e-12] = 0.0
     assert np.sum(pts == 0.0) == 4
     return PointCloud(pts)
 
 
-def _two_by_two(cloud):
-    """A 2 x 2 mesh whose interfaces are the axes, membrane parameters."""
-    dp, sp = default_membrane_params(cloud, n_cells=2)
-    return StructuredMesh((-1.1, -1.1), (2.2, 2.2), 2, 2, 1), cloud, dp, sp
+def _on_square(cloud, n_cells, degree=1):
+    """An n_cells x n_cells mesh of [-1.1, 1.1]^2, membrane parameters; for
+    even n_cells the axes are cell interfaces."""
+    dp, sp = default_membrane_params(cloud, n_cells=n_cells)
+    mesh = StructuredMesh((-1.1, -1.1), (2.2, 2.2), n_cells, n_cells, degree)
+    return mesh, cloud, dp, sp
 
 
 _WORKLOADS = {
     "membrane-512": _membrane_512,
     "annular-500": _annular_500,
-    "circle-128-phase": lambda: _two_by_two(PointCloud(circle_cloud(1.0, 128, phase=0.0467))),
-    "circle-on-interfaces": lambda: _two_by_two(_circle_on_axes()),
+    "circle-128-phase": lambda: _on_square(PointCloud(circle_cloud(1.0, 128, phase=0.0467)), 2),
+    "circle-on-interfaces": lambda: _on_square(_circle_on_axes(), 2),
 }
 
 
@@ -114,13 +114,13 @@ def test_diffuse_params_validation():
 
 def test_sharp_params_validation():
     with pytest.raises(ValueError):
-        SharpParams(n_query=-1, n_sub=2, n_gauss=2, l_max=0.1)
+        SharpParams(n_query=-1, n_gauss=2, l_max=0.1)
     with pytest.raises(ValueError):
-        SharpParams(n_query=2, n_sub=2, n_gauss=2, l_max=0.0)
+        SharpParams(n_query=2, n_gauss=2, l_max=0.0)
     with pytest.raises(ValueError):
-        SharpParams(n_query=2, n_sub=2, n_gauss=2, l_max=0.1, test_grid=0)
+        SharpParams(n_query=2, n_gauss=2, l_max=0.1, test_grid=0)
     with pytest.raises(ValueError):
-        SharpParams(n_query=2, n_sub=2, n_gauss=0, l_max=0.1)
+        SharpParams(n_query=2, n_gauss=0, l_max=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_identify_line_cloud_matches_brute_force_exactly():
     brute-force lattice on a dyadic cell, so the region sets must be equal."""
     cloud = _line_cloud(0.5, 0.05)
     dp = DistanceParams(k=4, r=np.inf)
-    sp = SharpParams(n_query=5, n_sub=1, n_gauss=1, l_max=1.0, test_grid=4)
+    sp = SharpParams(n_query=5, n_gauss=1, l_max=1.0, test_grid=4)
     got = set(identify_contributing_regions((0.0, 0.0, 1.0, 1.0), cloud, dp, sp))
     want = brute_force_regions_in_box(cloud, ((0.0, 0.0), (1.0, 1.0)), 4, 128)
     assert got == want
@@ -145,7 +145,7 @@ def test_identify_circle_cloud_matches_brute_force_exactly():
     # box side 4 keeps every lattice coordinate an exact dyadic value
     cloud = PointCloud(circle_cloud(1.0, 200))
     dp = DistanceParams(k=4, r=np.inf)
-    sp = SharpParams(n_query=7, n_sub=1, n_gauss=1, l_max=1.0, test_grid=4)
+    sp = SharpParams(n_query=7, n_gauss=1, l_max=1.0, test_grid=4)
     got = set(identify_contributing_regions((-2.0, -2.0, 2.0, 2.0), cloud, dp, sp))
     want = brute_force_regions_in_box(cloud, ((-2.0, -2.0), (2.0, 2.0)), 4, 512)
     assert got == want
@@ -156,7 +156,7 @@ def test_identify_radius_only_prunes():
     """A finite fit radius can only drop regions relative to the unpruned
     query, never invent new ones."""
     cloud = _line_cloud(0.5, 0.05)
-    sp = SharpParams(n_query=5, n_sub=1, n_gauss=1, l_max=1.0, test_grid=4)
+    sp = SharpParams(n_query=5, n_gauss=1, l_max=1.0, test_grid=4)
     full = set(identify_contributing_regions((0.0, 0.0, 1.0, 1.0), cloud,
                                              DistanceParams(k=4, r=np.inf), sp))
     near = set(identify_contributing_regions((0.0, 0.0, 1.0, 1.0), cloud,
@@ -183,7 +183,7 @@ def test_identify_pruning_keeps_every_key_of_the_full_lattice():
     """On noisy clouds the plane-fit distance can exceed the nearest-point
     distance; pruning must still keep every key the unpruned lattice finds
     within r of the cloud."""
-    sp = SharpParams(n_query=5, n_sub=1, n_gauss=1, l_max=0.1, test_grid=3)
+    sp = SharpParams(n_query=5, n_gauss=1, l_max=0.1, test_grid=3)
     box = np.array([[0.0, 0.0, 1.0, 1.0]])
     lattice = box
     for _ in range(sp.n_query):
@@ -206,7 +206,7 @@ def test_identify_pruning_keeps_every_key_of_the_full_lattice():
 def test_identify_returns_sorted_unique_keys():
     cloud = _line_cloud(0.5, 0.05)
     dp = DistanceParams(k=4, r=np.inf)
-    sp = SharpParams(n_query=4, n_sub=1, n_gauss=1, l_max=1.0, test_grid=3)
+    sp = SharpParams(n_query=4, n_gauss=1, l_max=1.0, test_grid=3)
     keys = identify_contributing_regions((0.0, 0.0, 1.0, 1.0), cloud, dp, sp)
     assert keys == sorted(set(keys))
 
@@ -231,29 +231,26 @@ def test_identify_far_cell_finds_nothing():
 
 
 # ---------------------------------------------------------------------------
-# plane-segment bisection
+# plane-segment clipping
 
 
 def test_bisect_consecutive_region_width():
     """For an equispaced straight cloud the order-4 region of 4 consecutive
-    points is one spacing wide; the kept run recovers it within the
-    subsegment overhang bound 2 l_max / 2^n_sub."""
+    points is one spacing wide; the exact clip recovers it to round-off."""
     cloud = _line_cloud(0.5, 0.05)
     dp = DistanceParams(k=4, r=np.inf)
-    sp = SharpParams(n_query=5, n_sub=8, n_gauss=2, l_max=0.2, test_grid=4)
+    sp = SharpParams(n_query=5, n_gauss=2, l_max=0.2, test_grid=4)
     seg = bisect_plane_segments(cloud, (18, 19, 20, 21), dp, sp)
     assert seg is not None
-    tol = 2.0 * sp.l_max / 2.0**sp.n_sub
-    assert abs(seg.total_length - 0.05) <= tol
-    assert seg.total_length == pytest.approx(0.05, abs=1e-9)
-    assert seg.intervals.shape[0] == 1
+    assert seg.total_length == pytest.approx(0.05, abs=1e-15)
+    assert seg.intervals.shape == (1, 2)
 
 
 def test_bisect_whole_segment_when_region_never_ends():
     # k = n: the region is the whole plane, nothing is trimmed
     cloud = PointCloud(np.array([[0.0, 0.0], [10.0, 0.0]]))
     dp = DistanceParams(k=2, r=np.inf)
-    sp = SharpParams(n_query=3, n_sub=6, n_gauss=2, l_max=3.0)
+    sp = SharpParams(n_query=3, n_gauss=2, l_max=3.0)
     seg = bisect_plane_segments(cloud, (0, 1), dp, sp)
     assert seg.total_length == 3.0
     np.testing.assert_array_equal(seg.intervals, [[-1.5, 1.5]])
@@ -264,7 +261,7 @@ def test_bisect_whole_segment_when_region_never_ends():
 def test_bisect_isotropic_fit_warns_and_skips():
     cloud = PointCloud(np.array([[0.2, 0.2], [0.8, 0.2], [0.2, 0.8], [0.8, 0.8]]))
     dp = DistanceParams(k=4, r=np.inf)
-    sp = SharpParams(n_query=3, n_sub=4, n_gauss=2, l_max=1.0)
+    sp = SharpParams(n_query=3, n_gauss=2, l_max=1.0)
     with pytest.warns(SharpBoundaryWarning):
         seg = bisect_plane_segments(cloud, (0, 1, 2, 3), dp, sp)
     assert seg is None
@@ -275,103 +272,95 @@ def test_bisect_support_outside_region_warns_and_skips():
     xs = np.arange(6, dtype=float)
     cloud = PointCloud(np.column_stack([xs, np.zeros(6)]))
     dp = DistanceParams(k=2, r=np.inf)
-    sp = SharpParams(n_query=3, n_sub=4, n_gauss=2, l_max=1.0)
+    sp = SharpParams(n_query=3, n_gauss=2, l_max=1.0)
     with pytest.warns(SharpBoundaryWarning):
         seg = bisect_plane_segments(cloud, (0, 5), dp, sp)
     assert seg is None
 
 
-def _bisect_three_queries(cloud, keys_arr, supports, tangents, sparams, k):
-    """Oracle of _bisect_batched: queries lo, mid and hi at every level."""
-    R = keys_arr.shape[0]
-    half = 0.5 * sparams.l_max
-    row = np.arange(R)
-    lo = np.full(R, -half)
-    hi = np.full(R, half)
-    kept_row, kept_lo, kept_hi = [], [], []
-
-    def contains(rows, ts):
-        pts = supports[rows] + ts[:, None] * tangents[rows]
-        keys = penalty.region_keys_many(cloud, pts, k)
-        return np.all(keys == keys_arr[rows], axis=1)
-
-    for level in range(sparams.n_sub + 1):
-        if row.size == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        stacked_rows = np.concatenate([row, row, row])
-        stacked_t = np.concatenate([lo, mid, hi])
-        flags = contains(stacked_rows, stacked_t).reshape(3, row.size)
-        all_in = flags.all(axis=0)
-        none_in = ~flags.any(axis=0)
-        mixed = ~(all_in | none_in)
-        if np.any(all_in):
-            kept_row.append(row[all_in])
-            kept_lo.append(lo[all_in])
-            kept_hi.append(hi[all_in])
-        if level == sparams.n_sub:
-            if np.any(mixed):
-                kept_row.append(row[mixed])
-                kept_lo.append(lo[mixed])
-                kept_hi.append(hi[mixed])
-            break
-        row_m, lo_m, hi_m, mid_m = row[mixed], lo[mixed], hi[mixed], mid[mixed]
-        row = np.concatenate([row_m, row_m])
-        lo = np.concatenate([lo_m, mid_m])
-        hi = np.concatenate([mid_m, hi_m])
-    if not kept_row:
-        return (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
-    row = np.concatenate(kept_row)
-    lo = np.concatenate(kept_lo)
-    hi = np.concatenate(kept_hi)
-    order = np.lexsort((lo, row))
-    row, lo, hi = row[order], lo[order], hi[order]
-    # Sibling pieces share their split float exactly, so contiguous kept runs
-    # merge on equality; one rule per run instead of one per dyadic sliver.
-    new_run = np.ones(row.size, dtype=bool)
-    new_run[1:] = (row[1:] != row[:-1]) | (lo[1:] != hi[:-1])
-    starts = np.nonzero(new_run)[0]
-    ends = np.r_[starts[1:], row.size] - 1
-    return row[starts], lo[starts], hi[ends]
+def _jittered_circle():
+    """300 points on the unit circle, each moved up to 0.2 spacings."""
+    h = 2.0 * np.pi / 300
+    jitter = np.random.default_rng(7).uniform(-0.2 * h, 0.2 * h, (300, 2))
+    return PointCloud(circle_cloud(1.0, 300) + jitter)
 
 
-@pytest.mark.parametrize("name", ["membrane-512", "annular-500"])
-def test_bisect_inherited_flags_match_three_query_oracle(name, monkeypatch):
-    """Same (row, lo, hi) as querying both ends and the midpoint at every
-    level, from 2R end queries plus one midpoint query per interval."""
-    mesh, cloud, dp, sp = _WORKLOADS[name]()
-    calls = []
-    monkeypatch.setattr(penalty, "_bisect_batched",
-                        lambda *args: calls.append(args) or _bisect_batched(*args))
-    collect_sharp_segments(mesh, cloud, dp, sp)
-    args, = calls
-    rows = []
-    region_keys = penalty.region_keys_many
-    monkeypatch.setattr(penalty, "region_keys_many",
-                        lambda c, xs, k: rows.append(len(xs)) or region_keys(c, xs, k))
-    got = _bisect_batched(*args)
-    got_rows = rows.copy()
-    rows.clear()
-    want = _bisect_three_queries(*args)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-    # level 0 asks both ends, then every level asks the midpoints alone
-    R = args[1].shape[0]
-    assert got_rows[0] == 2 * R
-    assert [3 * n for n in got_rows[1:]] == rows
-    assert sum(got_rows) < sum(rows)
+def _lattice(n, spacing, rim_only=False):
+    """An n x n lattice centred on the origin (dyadic, so distances tie
+    exactly), or its 4 (n - 1) rim points."""
+    g = spacing * (np.arange(n) - 0.5 * (n - 1))
+    xx, yy = np.meshgrid(g, g, indexing="ij")
+    keep = (np.abs(xx) == g[-1]) | (np.abs(yy) == g[-1]) if rim_only else np.full(xx.shape, True)
+    return PointCloud(np.column_stack([xx[keep], yy[keep]]))
+
+
+def _circle_with_ulp_copies():
+    """200 points on the unit circle and copies of 10 of them moved 1 ulp in x."""
+    pts = circle_cloud(1.0, 200)
+    copies = pts[::20].copy()
+    copies[:, 0] = np.nextafter(copies[:, 0], np.inf)
+    return PointCloud(np.vstack([pts, copies]))
+
+
+_CERTIFIED = {
+    "membrane-512": _membrane_512,
+    "annular-500": _annular_500,
+    "jittered-circle-300": lambda: _on_square(_jittered_circle(), 4),
+    "lattice-square-rim-32": lambda: _on_square(_lattice(9, 0.25, rim_only=True), 8),
+    "lattice-11x11": lambda: _on_square(_lattice(11, 0.125), 4),
+    "circle-200-ulp-copies": lambda: _on_square(_circle_with_ulp_copies(), 4),
+    "line-on-interface-41": lambda: _on_square(
+        PointCloud(np.column_stack([np.linspace(-1.0, 1.0, 41), np.zeros(41)])), 2),
+}
+
+
+def _scan_keys(points, xs, k):
+    """Order-k keys of xs by a linear scan, ties broken by ascending index."""
+    keys = []
+    for start in range(0, xs.shape[0], 512):
+        d2 = np.sum((xs[start:start + 512, None] - points[None]) ** 2, axis=2)
+        keys.append(np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1))
+    return np.concatenate(keys)
+
+
+@pytest.mark.filterwarnings("ignore::pointcell.SharpBoundaryWarning")
+@pytest.mark.parametrize("name", _CERTIFIED)
+def test_clipped_piece_is_the_regions_piece_of_the_line(name):
+    """A linear scan with the index tie rule puts both ends of every kept
+    piece (moved 1e-7 of its length inward) and its midpoint in the piece's
+    region, and a point 1e-7 of its length beyond each end outside it,
+    unless the l_max/2 clamp set that end."""
+    mesh, cloud, dp, sp = _CERTIFIED[name]()
+    segments = collect_sharp_segments(mesh, cloud, dp, sp)
+    assert segments
+    half = 0.5 * sp.l_max
+    probes, owners, inside = [], [], []
+    for seg in segments:
+        (lo, hi), = seg.intervals
+        eps = 1e-7 * (hi - lo)
+        ts = [(lo + eps, True), (0.5 * (lo + hi), True), (hi - eps, True)]
+        if lo > -half:
+            ts.append((lo - eps, False))
+        if hi < half:
+            ts.append((hi + eps, False))
+        t, want = np.array(ts).T
+        probes.append(seg.support + t[:, None] * seg.direction)
+        owners += [seg.key] * t.size
+        inside += list(want.astype(bool))
+    got = np.all(_scan_keys(cloud.points, np.concatenate(probes), dp.k) == owners, axis=1)
+    assert [key for key, g, w in zip(owners, got, inside) if g != w] == []
 
 
 def test_collect_segments_covers_embedded_line():
     cloud = _line_cloud(0.5, 0.05)
     dp = DistanceParams(k=4, r=np.inf)
-    sp = SharpParams(n_query=5, n_sub=8, n_gauss=2, l_max=0.2, test_grid=4)
+    sp = SharpParams(n_query=5, n_gauss=2, l_max=0.2, test_grid=4)
     segs = collect_sharp_segments(_MESH1, cloud, dp, sp)
     keys = [s.key for s in segs]
     assert keys == sorted(set(keys))
     total = sum(s.total_length for s in segs)
     assert abs(total - 1.0) <= 0.1
-    # spot-check one region against a direct bisection
+    # spot-check one region against a direct one-region call
     one = next(s for s in segs if s.key == (18, 19, 20, 21))
     direct = bisect_plane_segments(cloud, (18, 19, 20, 21), dp, sp)
     np.testing.assert_array_equal(one.intervals, direct.intervals)
@@ -383,15 +372,15 @@ def test_collect_segments_covers_embedded_line():
 
 def test_sharp_cell_constant_mode_integrates_length():
     """The penalty quadratic form of the constant-one mode is the embedded
-    boundary length inside the cell (unit beta)."""
+    boundary length inside the cell (unit beta), to round-off."""
     cloud = _line_cloud(0.3, 1e-3)
     dp = DistanceParams(k=4, r=0.01)
-    sp = SharpParams(n_query=9, n_sub=12, n_gauss=4, l_max=3e-3)
+    sp = SharpParams(n_query=9, n_gauss=4, l_max=3e-3)
     Ke, fe, n = sharp_penalty_cell(_MESH1, 0, 0, cloud, dp, sp, PenaltyParams(beta=1.0))
     w = np.zeros(9)
     w[[0, 1, 3, 4]] = 1.0
     q = w @ Ke @ w
-    assert abs(q - 1.0) <= 2e-3
+    assert abs(q - 1.0) <= 1e-12
     assert n > 0
 
 
@@ -401,28 +390,28 @@ def test_sharp_cells_partition_without_double_counting():
     mesh = StructuredMesh((0.0, 0.0), (2.0, 1.0), 2, 1, 2)
     cloud = _line_cloud(0.3, 1e-3, lo=-0.5, hi=2.5)
     dp = DistanceParams(k=4, r=0.01)
-    sp = SharpParams(n_query=9, n_sub=12, n_gauss=4, l_max=3e-3)
+    sp = SharpParams(n_query=9, n_gauss=4, l_max=3e-3)
     w = np.zeros(9)
     w[[0, 1, 3, 4]] = 1.0
     total = 0.0
     for ix in (0, 1):
         Ke, _, _ = sharp_penalty_cell(mesh, ix, 0, cloud, dp, sp, PenaltyParams(beta=1.0))
         q = w @ Ke @ w
-        assert abs(q - 1.0) <= 2e-3
+        assert abs(q - 1.0) <= 1e-12
         total += q
-    assert abs(total - 2.0) <= 4e-3
+    assert abs(total - 2.0) <= 2e-12
 
 
 def test_sharp_cell_matches_reference_segment():
-    """Bisected Voronoi subsegments of a straight cloud reproduce the exact
-    chord integral to solver precision at deep bisection."""
+    """Clipped Voronoi segments of a straight cloud tile the line, so they
+    reproduce the exact chord integral to round-off."""
     cloud = _line_cloud(0.3, 1e-3)
     dp = DistanceParams(k=4, r=0.01)
-    sp = SharpParams(n_query=9, n_sub=23, n_gauss=10, l_max=3e-3)
+    sp = SharpParams(n_query=9, n_gauss=10, l_max=3e-3)
     Ks, _, _ = sharp_penalty_cell(_MESH1, 0, 0, cloud, dp, sp, PenaltyParams(beta=1.0))
     segs = np.array([[-0.5, 0.3, 1.5, 0.3]])
     Kr, _, _ = reference_segment_penalty(_MESH1, 0, 0, segs, PenaltyParams(beta=1.0), 10)
-    assert _rel_frobenius(Ks, Kr) <= 1e-6
+    assert _rel_frobenius(Ks, Kr) <= 1e-12
 
 
 def test_diffuse_cell_matches_reference_segment():
@@ -485,7 +474,7 @@ def test_cell_operators_scale_exactly_with_beta():
 def test_sharp_cell_isotropic_cloud_warns_and_contributes_nothing():
     cloud = PointCloud(np.array([[0.2, 0.2], [0.8, 0.2], [0.2, 0.8], [0.8, 0.8]]))
     dp = DistanceParams(k=4, r=np.inf)
-    sp = SharpParams(n_query=3, n_sub=4, n_gauss=2, l_max=1.0)
+    sp = SharpParams(n_query=3, n_gauss=2, l_max=1.0)
     with pytest.warns(SharpBoundaryWarning):
         Ke, fe, n = sharp_penalty_cell(_MESH1, 0, 0, cloud, dp, sp, PenaltyParams(beta=1.0))
     assert np.all(Ke == 0.0)
@@ -542,7 +531,7 @@ def test_assemblers_scale_exactly_with_beta_power_of_two():
     cloud = _line_cloud(0.5, 0.05)
     dp = DistanceParams(k=4, r=1.0)
     diff = DiffuseParams(epsilon=0.05, n_sub=4, n_gauss=3)
-    sp = SharpParams(n_query=4, n_sub=6, n_gauss=2, l_max=0.2, test_grid=3)
+    sp = SharpParams(n_query=4, n_gauss=2, l_max=0.2, test_grid=3)
     for assemble in (
         lambda pen: assemble_diffuse_penalty(_MESH1, cloud, dp, diff, pen),
         lambda pen: assemble_sharp_penalty(
@@ -587,7 +576,7 @@ def test_sharp_assembler_matches_cell_sum():
     mesh = StructuredMesh((0.0, 0.0), (2.0, 1.0), 2, 1, 2)
     cloud = _line_cloud(0.4, 0.02, lo=-0.5, hi=2.5)
     dp = DistanceParams(k=4, r=0.1)
-    sp = SharpParams(n_query=5, n_sub=8, n_gauss=3, l_max=0.06, test_grid=3)
+    sp = SharpParams(n_query=5, n_gauss=3, l_max=0.06, test_grid=3)
     pen = PenaltyParams(beta=5.0, u_hat=1.0)
     _assert_sharp_assembler_matches_cell_sum(mesh, cloud, dp, sp, pen)
 
@@ -596,7 +585,7 @@ def test_sharp_assembler_matches_cell_sum():
     mesh = StructuredMesh((0.0, 0.0), (2.0, 2.0), 2, 2, 3)
     cloud = PointCloud(circle_cloud(0.6, 120, center=(1.0, 1.0), phase=0.01))
     h = 2.0 * np.pi * 0.6 / 120
-    sp = SharpParams(n_query=5, n_sub=8, n_gauss=3, l_max=3.0 * h, test_grid=3)
+    sp = SharpParams(n_query=5, n_gauss=3, l_max=3.0 * h, test_grid=3)
     pen = PenaltyParams(beta=5.0, u_hat=lambda q: q[:, 0] - 2.0 * q[:, 1])
     found = [set(identify_contributing_regions(mesh.cell_bounds(ix, iy), cloud, dp, sp))
              for ix, iy in mesh.cells()]
@@ -614,15 +603,15 @@ def test_sharp_assembler_matches_cell_sum():
 def test_sharp_assembler_integrates_regions_a_cell_query_missed():
     """Where the circle crosses an interface, some regions reach into a cell
     whose own query lattice never sampled them.  The boundary is one object:
-    each subsegment is split at the interfaces x = 0 and y = 0, the rule is
-    laid on each part, and every Gauss point in its own region enters the
-    cell it lies in, so the assembled mass of the constant mode is the total
-    in-region weight."""
+    each segment is split at the interfaces x = 0 and y = 0, the rule is
+    laid on each part, and every Gauss point, each in its own region, enters
+    the cell it lies in, so the assembled mass of the constant mode is the
+    total weight."""
     mesh = StructuredMesh((-1.2, -1.2), (2.4, 2.4), 2, 2, 1)
     h = 2.0 * np.pi / 128
     cloud = PointCloud(circle_cloud(1.0, 128, phase=0.0467))
     dp = DistanceParams(k=4, r=3.0 * h)
-    sp = SharpParams(n_query=5, n_sub=8, n_gauss=6, l_max=3.0 * h)
+    sp = SharpParams(n_query=5, n_gauss=6, l_max=3.0 * h)
     segments = collect_sharp_segments(mesh, cloud, dp, sp)
     found = {cell: set(identify_contributing_regions(mesh.cell_bounds(*cell), cloud, dp, sp))
              for cell in mesh.cells()}
@@ -639,34 +628,58 @@ def test_sharp_assembler_integrates_regions_a_cell_query_missed():
                 wts.append(0.5 * (b - a) * rule.weights)
                 owner.extend([seg.key] * rule.n)
     pts, wts, owner = np.concatenate(pts), np.concatenate(wts), np.asarray(owner)
-    inside = np.all(region_keys_many(cloud, pts, dp.k) == owner, axis=1)
+    assert np.all(region_keys_many(cloud, pts, dp.k) == owner)
     missed = 0
-    for (x, y), key in zip(pts[inside], owner[inside]):
+    for (x, y), key in zip(pts, owner):
         cell = (int((x + 1.2) // mesh.hx), int((y + 1.2) // mesh.hy))
         missed += tuple(int(i) for i in key) not in found[cell]
     assert missed > 0
     _, f, stats = assemble_sharp_penalty(mesh, cloud, segments,
                                          PenaltyParams(beta=1.0, u_hat=1.0), sp.n_gauss)
-    assert np.sum(f) == pytest.approx(float(np.sum(wts[inside])), rel=1e-12)
-    assert stats["penalty_points"] == int(inside.sum())
+    assert np.sum(f) == pytest.approx(float(np.sum(wts)), rel=1e-12)
+    assert stats["penalty_points"] == wts.size
+
+
+def _circle_on_vertices():
+    """The radius-0.55 circle of 64 points over an 8 x 8 mesh of [-1.1, 1.1]^2:
+    its four axis points lie on cell interfaces, at mesh vertices."""
+    mesh, cloud, dp, sp = _on_square(_circle_on_axes(0.55), 8, degree=3)
+    edges = mesh.origin[0] + mesh.hx * np.arange(mesh.nx + 1)
+    assert {0.0, 0.55, -0.55} <= set(edges)
+    return mesh, cloud, dp, sp
+
+
+@pytest.mark.parametrize("case", [lambda: _membrane_512(degree=3), _circle_on_vertices],
+                         ids=["membrane-512", "circle-on-vertices"])
+def test_sharp_constant_mode_mass_is_the_reconstructed_length(case):
+    """With unit vertex dofs, beta = 1 and u_hat = 1, 1^T K 1 and 1^T f are
+    the total length of the kept segments: every Gauss weight enters, once."""
+    mesh, cloud, dp, sp = case()
+    segments = collect_sharp_segments(mesh, cloud, dp, sp)
+    K, f, _ = assemble_sharp_penalty(mesh, cloud, segments, PenaltyParams(beta=1.0, u_hat=1.0),
+                                     sp.n_gauss)
+    w = _const_mode_vector(mesh)
+    length = sum(s.total_length for s in segments)
+    assert w @ (K @ w) == pytest.approx(length, rel=1e-12)
+    assert w @ f == pytest.approx(length, rel=1e-12)
 
 
 def test_sharp_rule_is_exact_on_pieces_crossing_cell_edges():
     """The rule is laid on each clipped piece, so a polynomial integrand is
     integrated exactly on both sides of a cell edge: over a straight cloud,
-    sharp K and f equal the reference chord's up to the bisection overhang."""
+    sharp K and f equal the reference chord's to round-off."""
     h = 0.07
     mesh = StructuredMesh((0.0, 0.0), (2.0, 1.0), 2, 1, 3)
     cloud = _line_cloud(0.3, h, lo=-0.5, hi=2.5)
     dp = DistanceParams(k=4, r=10.0 * h)
-    sp = SharpParams(n_query=9, n_sub=23, n_gauss=4, l_max=3.0 * h)
+    sp = SharpParams(n_query=9, n_gauss=4, l_max=3.0 * h)
     pen = PenaltyParams(beta=1.0, u_hat=lambda q: q[:, 0] ** 2)
     segments = collect_sharp_segments(mesh, cloud, dp, sp)
     Ks, fs, _ = assemble_sharp_penalty(mesh, cloud, segments, pen, sp.n_gauss)
     Kr, fr, _ = assemble_reference_penalty(mesh, np.array([[-0.5, 0.3, 2.5, 0.3]]), pen,
                                            sp.n_gauss)
-    assert _rel_frobenius(Ks.toarray(), Kr.toarray()) <= 1e-5
-    assert _rel_frobenius(fs, fr) <= 1e-5
+    assert _rel_frobenius(Ks.toarray(), Kr.toarray()) <= 1e-12
+    assert _rel_frobenius(fs, fr) <= 1e-12
 
 
 def test_boundary_on_interior_interface_counted_once():
@@ -681,12 +694,12 @@ def test_boundary_on_interior_interface_counted_once():
     assert stats["penalty_points"] == 3
     cloud = _line_cloud(1.0, 0.05)
     dp = DistanceParams(k=4, r=0.1)
-    sp = SharpParams(n_query=5, n_sub=8, n_gauss=3, l_max=0.15)
+    sp = SharpParams(n_query=5, n_gauss=3, l_max=0.15)
     segments = collect_sharp_segments(mesh, cloud, dp, sp)
     K, f, _ = assemble_sharp_penalty(mesh, cloud, segments, pen, sp.n_gauss)
-    assert abs(w @ (K @ w) - 1.0) <= 1e-2
+    assert abs(w @ (K @ w) - 1.0) <= 1e-12
     we = np.zeros(9)
     we[[0, 1, 3, 4]] = 1.0
     for iy, want in ((0, 0.0), (1, 1.0)):
         Ke, _, _ = sharp_penalty_cell(mesh, 0, iy, cloud, dp, sp, pen)
-        assert abs(we @ Ke @ we - want) <= 1e-2
+        assert abs(we @ Ke @ we - want) <= 1e-12
