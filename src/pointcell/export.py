@@ -74,5 +74,6 @@ def write_field_vtk(path, mesh: StructuredMesh, coeffs: np.ndarray,
         "SCALARS u double 1",
         "LOOKUP_TABLE default",
     ]
-    lines.extend(_fmt(v) for v in vals)
+    # tolist gives Python floats, whose repr is _fmt's text
+    lines.extend(map(repr, vals.tolist()))
     atomic_write(path, "\n".join(lines) + "\n")

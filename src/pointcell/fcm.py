@@ -10,6 +10,9 @@ integrals are sum-factorized: the 1D shape functions are tabulated only at
 each leaf's x and y abscissae, and the pointwise weight alpha * w is
 contracted with the y tables leaf by leaf and then with the x tables in one
 matrix product (Orszag's sum factorization on the finite-cell quadtree rule).
+A cell the indicator does not cut is one leaf on the rule's own abscissae,
+so all uncut cells share their 1D tables, and one contraction per distinct
+weight array gives the element matrix of every uncut cell that has it.
 
 Every operator on a mesh shares one sparsity pattern, the tensor product of
 the two 1D dof lines (StructuredMesh.pattern), and stores the entries it
@@ -42,7 +45,8 @@ import scipy.sparse.linalg as spla
 
 from . import basis as basis_mod
 from .errors import MeshQueryError, SolverError
-from .quadrature import build_alpha_tree, gauss_legendre_1d, tree_quadrature_points
+from .quadrature import (build_alpha_tree, gauss_legendre_1d, is_cut, tensor_points,
+                         tree_quadrature_points)
 
 
 class StructuredMesh:
@@ -169,8 +173,10 @@ class StructuredMesh:
 
     def cell_positions(self, ix: int, iy: int, ncomp: int = 1):
         """Places in pattern(ncomp)'s data array of the cell's local matrix,
-        flat in the order of Ke.reshape(-1) (see local_positions)."""
-        return self.local_positions([ix], [iy], ncomp).reshape(-1)
+        flat in the order of Ke.reshape(-1) (see local_positions), as intp:
+        a fancy-index add converts int32 places on the read and again on the
+        write."""
+        return self.local_positions([ix], [iy], ncomp).reshape(-1).astype(np.intp)
 
     def local_positions(self, ix, iy, ncomp: int = 1):
         """Places in pattern(ncomp)'s data array of the local matrices of the
@@ -196,7 +202,7 @@ class StructuredMesh:
         # x part over (m, a, b, c, a'), y part over (m, b, (b', c'))
         xpart = (indptr[rows][..., None]
                  + (rank_x[:, :, None, :] * len_y[:, None, :, None])[:, :, :, None, :])
-        ypart = (ncomp * rank_y[..., None] + comps).reshape(len(iy), -1, n1 * ncomp)
+        ypart = (ncomp * rank_y[..., None] + comps).reshape(len(iy), n1, n1 * ncomp)
         return (xpart[..., None] + ypart[:, None, :, None, None]).reshape(-1, n, n)
 
     def condensation(self, ncomp: int = 1):
@@ -237,10 +243,12 @@ class StructuredMesh:
             keep=skel.data, indptr=skel.indptr.astype(dt), indices=skel.indices.astype(dt),
             ss=skel_place[self.local_positions(ix, iy, ncomp)[:, rows_s][:, :, rows_s]])
 
-    def cell_bounds(self, ix: int, iy: int):
-        x0 = self.origin[0] + ix * self.hx
-        y0 = self.origin[1] + iy * self.hy
-        return np.array([x0, y0, x0 + self.hx, y0 + self.hy])
+    def cell_bounds(self, ix, iy):
+        """(x0, y0, x1, y1) of cell (ix, iy); for arrays of cells, one row
+        per cell."""
+        x0 = self.origin[0] + np.asarray(ix) * self.hx
+        y0 = self.origin[1] + np.asarray(iy) * self.hy
+        return np.stack([x0, y0, x0 + self.hx, y0 + self.hy], axis=-1)
 
     def cells(self):
         for iy in range(self.ny):
@@ -494,6 +502,17 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
     in the same two steps.  W = alpha * w stays pointwise, so the
     factorization is exact for any indicator; work and memory per cell are
     O(L n (p + 1)^2) tables instead of O(L n^2 (p + 1)^2).
+
+    One is_cut call over every cell's root stencil classifies the mesh.  An
+    uncut cell (tree_depth 0, or a stencil that agrees) is the one leaf
+    build_alpha_tree would give: its points sit at the rule's own abscissae
+    and its Jacobian is 0.25 hx hy on every cell, so the 1D tables are
+    tabulated once at rule.points and the uncut cells differ only in their
+    weight arrays W.  The contraction runs once per distinct W (one on an
+    uncut mesh, typically two on an embedding: alpha 1 and alpha_fic), and
+    the uncut loads are one batched product.  A cell whose points still see
+    mixed alpha has a W of its own, so the sharing is exact.  Cut cells
+    build their quadtree (build_alpha_tree, tree_quadrature_points).
     """
     p = mesh.degree
     n1 = p + 1
@@ -503,14 +522,42 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
         n_gauss = p + 1
     rule = gauss_legendre_1d(n_gauss)
     n = rule.n
-    stats = {"volume_points": 0, "cut_cells": 0}
+    # every cell's bounds, in mesh.cells() order
+    cell_y, cell_x = np.divmod(np.arange(mesh.nx * mesh.ny), mesh.nx)
+    bounds = mesh.cell_bounds(cell_x, cell_y)
+    uncut = (np.ones(len(bounds), dtype=bool) if tree_depth == 0
+             else ~is_cut(bounds, indicator.inside))
+    n_uncut = int(uncut.sum())
+    stats = {"volume_points": n_uncut * n * n, "cut_cells": len(bounds) - n_uncut}
+
+    # The uncut cells: shared 1D tables, one element matrix per distinct W.
+    pts = tensor_points(bounds[uncut], rule)
+    wt2 = (0.25 * mesh.hx * mesh.hy) * np.outer(rule.weights, rule.weights).reshape(-1)
+    W_uncut = wt2 * indicator.alpha(pts).reshape(-1, n * n)
+    W_rows, row_of = np.unique(W_uncut, axis=0, return_inverse=True)
+    # the 1D modes at the rule's abscissae; as tables of one leaf, (1, n, p + 1)
+    N, dN = basis_mod.shape_functions_1d(p, rule.points)
+    X = (dN.T[None] * (2.0 / mesh.hx), N.T[None])
+    Y = (N.T[None], dN.T[None] * (2.0 / mesh.hy))
+    Ke_rows = [sum(np.kron(_factorized_block(w.reshape(1, n, n), X[d], X[e], Y[d], Y[e]), C)
+                   for d, e, C in blocks) for w in W_rows]
+    if body is None:
+        fe_uncut = np.zeros((n_uncut, n1 * n1 * ncomp))
+    else:
+        B = np.asarray(body(pts), dtype=float).reshape(n_uncut, n, n, ncomp)
+        WB = (W_uncut.reshape(n_uncut, n, n, 1) * B).reshape(n_uncut, n, n * ncomp)
+        # fe[k, a, b, c] = sum_j N_b(y_j) sum_i N_a(x_i) (W B)[k, i, j, c]
+        fe_uncut = (N @ (N @ WB).reshape(n_uncut, n1, n, ncomp)).reshape(n_uncut, n1 * n1 * ncomp)
+    uncut_pairs = zip(row_of.ravel(), fe_uncut)
 
     def cell_pairs():
         # a generator, so each cell is scattered while its Ke is still in cache
-        for ix, iy in mesh.cells():
-            bounds = mesh.cell_bounds(ix, iy)
-            tree = build_alpha_tree(bounds, indicator.inside, tree_depth)
-            stats["cut_cells"] += int(tree.n_leaves > 1)
+        for k, (ix, iy) in enumerate(mesh.cells()):
+            if uncut[k]:
+                row, fe = next(uncut_pairs)
+                yield ix, iy, Ke_rows[row], fe
+                continue
+            tree = build_alpha_tree(bounds[k], indicator.inside, tree_depth)
             pts, wts, _ = tree_quadrature_points(tree, rule)
             stats["volume_points"] += pts.shape[0]
             L = tree.n_leaves

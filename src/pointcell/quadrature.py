@@ -166,22 +166,25 @@ def _build_tree(root, refine, max_depth: int) -> SpaceTree:
     return SpaceTree(root, np.concatenate(leaves, axis=0), np.concatenate(depths), max_depth)
 
 
+def is_cut(cells, inside_test):
+    """(m,) mask of the (m, 4) cells whose 3x3 stencil (corners, edge
+    midpoints, center) disagrees about being inside, from one inside_test
+    call over all their stencils."""
+    pts = _stencil_3x3(cells).reshape(-1, 2)
+    flags = np.asarray(inside_test(pts), dtype=bool).reshape(cells.shape[0], 9)
+    return ~(np.all(flags, axis=1) | np.all(~flags, axis=1))
+
+
 def build_alpha_tree(cell, inside_test, max_depth: int) -> SpaceTree:
     """Quadtree refined wherever the domain indicator is cut.
 
     inside_test maps an (m, 2) array to an (m,) boolean array.  A subcell is
-    subdivided when its 3x3 stencil (corners, edge midpoints, center)
-    disagrees about being inside; sampling is pointwise, so features thinner
-    than the stencil spacing can be missed (cheap and adequate for smooth
-    boundaries).
+    subdivided when its 3x3 stencil disagrees about being inside (is_cut);
+    sampling is pointwise, so features thinner than the stencil spacing can
+    be missed (cheap and adequate for smooth boundaries).  The tree is one
+    leaf exactly when max_depth is 0 or the root itself is not cut.
     """
-
-    def cut(active):
-        pts = _stencil_3x3(active).reshape(-1, 2)
-        flags = np.asarray(inside_test(pts), dtype=bool).reshape(active.shape[0], 9)
-        return ~(np.all(flags, axis=1) | np.all(~flags, axis=1))
-
-    return _build_tree(_as_root(cell), cut, max_depth)
+    return _build_tree(_as_root(cell), lambda active: is_cut(active, inside_test), max_depth)
 
 
 def build_diffuse_tree(cell, dist, params: DiffuseParams) -> SpaceTree:
@@ -231,23 +234,32 @@ def regularized_delta_raw(t, epsilon: float):
     return out
 
 
-def tree_quadrature_points(tree: SpaceTree, rule: QuadratureRule1D):
-    """All tensor Gauss points of a tree with their physical weights.
-
-    Returns (points, weights, leaf_of_point) with points ordered leaf by leaf
-    in construction order; weights include the per-leaf Jacobian, so plain
-    summation integrates over the root.
-    """
-    m = tree.n_leaves
+def tensor_points(boxes, rule: QuadratureRule1D):
+    """Tensor Gauss points of each (m, 4) box, shape (m n^2, 2), box by box;
+    within a box point (i, j) has the i-th x- and the j-th y-abscissa."""
     n = rule.n
-    x0, y0 = tree.leaves[:, 0], tree.leaves[:, 1]
-    w = tree.leaves[:, 2] - tree.leaves[:, 0]
-    h = tree.leaves[:, 3] - tree.leaves[:, 1]
+    x0, y0 = boxes[:, 0], boxes[:, 1]
+    w = boxes[:, 2] - boxes[:, 0]
+    h = boxes[:, 3] - boxes[:, 1]
     gx = x0[:, None] + 0.5 * w[:, None] * (rule.points[None, :] + 1.0)
     gy = y0[:, None] + 0.5 * h[:, None] * (rule.points[None, :] + 1.0)
     px = np.repeat(gx[:, :, None], n, axis=2)
     py = np.repeat(gy[:, None, :], n, axis=1)
-    pts = np.stack([px, py], axis=-1).reshape(m * n * n, 2)
+    return np.stack([px, py], axis=-1).reshape(-1, 2)
+
+
+def tree_quadrature_points(tree: SpaceTree, rule: QuadratureRule1D):
+    """All tensor Gauss points of a tree with their physical weights.
+
+    Returns (points, weights, leaf_of_point) with points ordered leaf by leaf
+    in construction order (tensor_points); weights include the per-leaf
+    Jacobian, so plain summation integrates over the root.
+    """
+    m = tree.n_leaves
+    n = rule.n
+    pts = tensor_points(tree.leaves, rule)
+    w = tree.leaves[:, 2] - tree.leaves[:, 0]
+    h = tree.leaves[:, 3] - tree.leaves[:, 1]
     wt2 = rule.weights[:, None] * rule.weights[None, :]
     jac = 0.25 * w * h
     wts = (jac[:, None, None] * wt2[None, :, :]).reshape(m * n * n)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from pointcell import StructuredMesh
+from pointcell import StructuredMesh, export
 from pointcell.export import (atomic_write, write_field_vtk, write_segments_csv,
                               write_study_csv)
 
@@ -94,6 +94,21 @@ def test_field_vtk_structured_points(tmp_path):
     ys = np.linspace(0.0, 1.0, 5)
     X, Y = np.meshgrid(xs, ys)
     np.testing.assert_allclose(vals, (1.0 + 2.0 * X - Y).ravel(), atol=1e-13)
+
+
+def test_field_vtk_values_are_reprs_of_each_float(monkeypatch, tmp_path):
+    """The value lines are repr(float(v)) written one by one, signed zeros
+    and extreme magnitudes included."""
+    rng = np.random.default_rng(7)
+    vals = np.concatenate([rng.normal(scale=3.0, size=21), [0.0, -0.0, 1e-300, 1e300]])
+    rng.shuffle(vals)
+    monkeypatch.setattr(export, "evaluate", lambda mesh, coeffs, pts: vals)
+    mesh = StructuredMesh((0.0, 0.0), (1.0, 1.0), 1, 1, 1)
+    path = tmp_path / "field.vtk"
+    write_field_vtk(path, mesh, np.zeros(mesh.n_scalar_dofs), resolution=5)
+    lines = path.read_text().splitlines()
+    assert lines[10:] == [repr(float(v)) for v in vals]
+    assert "-0.0" in lines[10:] and "1e-300" in lines[10:] and "1e+300" in lines[10:]
 
 
 def test_writers_are_deterministic(tmp_path):

@@ -253,15 +253,48 @@ def test_oracle_disc_leaves_mixed_leaves_at_max_depth():
     assert mixed > 0
 
 
-@pytest.mark.parametrize("with_body", [False, True])
-@pytest.mark.parametrize("extra", [-1, 0, 2])
-@pytest.mark.parametrize("p", [1, 3, 8])
-@pytest.mark.parametrize("material", [PoissonCoefficient(c=1.5), PlaneStress(E=2.0, nu=0.3)],
-                         ids=["poisson", "plane_stress"])
+def test_oracle_disc_4x4_mesh_holds_every_kind_of_cell():
+    """On 4 x 4 cells the disc leaves cells uncut inside, uncut outside and
+    cut, so the oracle comparison below covers the shared uncut path too."""
+    mesh = StructuredMesh((0.0, 0.0), (1.0, 0.8), 4, 4, 1)
+    kinds = []
+    for ix, iy in mesh.cells():
+        tree = build_alpha_tree(mesh.cell_bounds(ix, iy), _disc, 4)
+        flags = _disc(tree_quadrature_points(tree, gauss_legendre_1d(2))[0])
+        kinds.append("cut" if tree.n_leaves > 1 else "inside" if flags.all() else "outside")
+    assert set(kinds) == {"cut", "inside", "outside"}
+
+
+def _oracle_cases(test):
+    """The oracle comparison's cases: material, degree, rule size relative
+    to p + 1 and load."""
+    test = pytest.mark.parametrize(
+        "material", [PoissonCoefficient(c=1.5), PlaneStress(E=2.0, nu=0.3)],
+        ids=["poisson", "plane_stress"])(test)
+    test = pytest.mark.parametrize("p", [1, 3, 8])(test)
+    test = pytest.mark.parametrize("extra", [-1, 0, 2])(test)
+    return pytest.mark.parametrize("with_body", [False, True])(test)
+
+
+@_oracle_cases
 def test_factorized_volume_matches_dense_oracle(material, p, extra, with_body):
     """The sum-factorized cell contraction equals the pointwise dense one on a
     cut disc whose deepest leaves still mix inside and outside points."""
-    mesh = StructuredMesh((0.0, 0.0), (1.0, 0.8), 2, 2, p)
+    _check_volume_against_oracle(2, material, p, extra, with_body)
+
+
+@_oracle_cases
+def test_uncut_and_cut_volume_matches_dense_oracle(material, p, extra, with_body):
+    """So does the shared contraction of the uncut cells, on 4 x 4 cells that
+    are uncut inside the disc, uncut outside it and cut."""
+    _check_volume_against_oracle(4, material, p, extra, with_body)
+
+
+def _check_volume_against_oracle(cells, material, p, extra, with_body):
+    """K and f of assemble_volume on cells x cells over the _disc embedding
+    against _dense_volume_oracle, and its stats against the points and cut
+    cells of per-cell quadtrees."""
+    mesh = StructuredMesh((0.0, 0.0), (1.0, 0.8), cells, cells, p)
     indicator = IndicatorField(inside=_disc, alpha_fic=1e-3)
     n_gauss, depth = p + 1 + extra, 4
     def body(q):
@@ -277,6 +310,59 @@ def test_factorized_volume_matches_dense_oracle(material, p, extra, with_body):
         assert np.linalg.norm(got.f - f) <= 1e-12 * np.linalg.norm(f)
     else:
         assert not np.any(got.f)
+    leaves = [build_alpha_tree(mesh.cell_bounds(ix, iy), _disc, depth).n_leaves
+              for ix, iy in mesh.cells()]
+    assert got.stats == {"volume_points": sum(leaves) * n_gauss**2,
+                         "cut_cells": sum(n > 1 for n in leaves)}
+
+
+@pytest.fixture
+def counted_blocks(monkeypatch):
+    """The weight array of every fcm._factorized_block call."""
+    calls = []
+    block = fcm._factorized_block
+
+    def counting(W, *tables):
+        calls.append(W)
+        return block(W, *tables)
+
+    monkeypatch.setattr(fcm, "_factorized_block", counting)
+    return calls
+
+
+@pytest.mark.parametrize("material, blocks", [(PoissonCoefficient(c=1.5), 2),
+                                              (PlaneStress(E=2.0, nu=0.3), 4)],
+                         ids=["poisson", "plane_stress"])
+def test_uncut_mesh_runs_one_contraction_per_block(counted_blocks, material, blocks):
+    """Every cell of an uncut mesh shares one element matrix: one contraction
+    per material block in all, not one per block and cell."""
+    mesh = StructuredMesh((0.0, 0.0), (1.0, 0.8), 4, 4, 3)
+    indicator = IndicatorField(inside=everywhere, alpha_fic=1e-3)
+    got = assemble_volume(mesh, material, indicator, tree_depth=3)
+    assert len(counted_blocks) == blocks
+    assert got.stats == {"volume_points": 16 * 4 * 4, "cut_cells": 0}
+    K, _ = _dense_volume_oracle(mesh, material, indicator, None, 3, 4)
+    assert np.linalg.norm(got.K.toarray() - K) <= 1e-12 * np.linalg.norm(K)
+
+
+def test_uncut_cells_with_mixed_points_keep_their_own_weights(counted_blocks):
+    """Without a quadtree the disc's boundary cells are single leaves whose
+    points see both alphas; each distinct weight array gets its own
+    contraction, and the result stays the pointwise one."""
+    mesh = StructuredMesh((0.0, 0.0), (1.0, 0.8), 4, 4, 3)
+    indicator = IndicatorField(inside=_disc, alpha_fic=1e-3)
+    body = lambda q: np.sin(3.0 * q[:, 0]) + q[:, 1] ** 2
+    got = assemble_volume(mesh, PoissonCoefficient(), indicator, body=body)
+    rule = gauss_legendre_1d(4)
+    alphas = set()
+    for ix, iy in mesh.cells():
+        pts, _, _ = tree_quadrature_points(build_alpha_tree(mesh.cell_bounds(ix, iy), _disc, 0), rule)
+        alphas.add(tuple(indicator.alpha(pts)))
+    assert 2 < len(alphas) < 16
+    assert len(counted_blocks) == 2 * len(alphas)
+    K, f = _dense_volume_oracle(mesh, PoissonCoefficient(), indicator, body, 0, 4)
+    assert np.linalg.norm(got.K.toarray() - K) <= 1e-12 * np.linalg.norm(K)
+    assert np.linalg.norm(got.f - f) <= 1e-12 * np.linalg.norm(f)
 
 
 def test_annular_volume_peak_memory():
@@ -661,6 +747,8 @@ def test_condensation_plan_matches_local_positions(nx, ny, p, ncomp):
         dofs = component_dofs(mesh.cell_dofs(cx, cy), ncomp)
         np.testing.assert_array_equal(plan.interior[k], dofs[inner])
         np.testing.assert_array_equal(plan.skeleton[plan.cell_skeleton[k]], dofs[~inner])
+    none = mesh.local_positions([], [], ncomp)
+    assert none.shape == (0, n1 * n1 * ncomp, n1 * n1 * ncomp) and none.dtype == indptr.dtype
 
 
 # the dense solver warns about the fictitious region's rcond ~ 1e-16
