@@ -61,7 +61,9 @@ def circle_cloud(radius: float, n: int, center=(0.0, 0.0), phase: float = 0.0):
 
 
 def circle_polyline(radius: float, n: int, center=(0.0, 0.0)) -> np.ndarray:
-    """Closed polyline with n chords, as (n, 4) segment rows."""
+    """Closed polyline with n >= 1 chords, as (n, 4) segment rows."""
+    if n < 1:
+        raise ValueError(f"a polyline needs n >= 1 chords, got {n}")
     th = 2.0 * np.pi * np.arange(n + 1) / n
     x = center[0] + radius * np.cos(th)
     y = center[1] + radius * np.sin(th)
@@ -212,7 +214,9 @@ def run_beta_study(problem: AnnularProblem, betas, *, sharp: SharpParams | None 
     The volume pair and each route's unit-penalty pair are assembled once;
     scaling by beta is exact, so the sweep costs one small solve per point.
     A failed solve leaves nan in that slot.  Returns a dict of columns
-    ("beta", one per route, and "<route>_points" counters).
+    ("beta", one per route, and "<route>_points" counters).  Raises
+    BoundaryNotFoundError, naming the routes, when a route places no
+    penalty points.
     """
     betas = np.asarray(betas, dtype=float)
     out: dict = {"beta": betas}
@@ -239,6 +243,9 @@ def run_beta_study(problem: AnnularProblem, betas, *, sharp: SharpParams | None 
                                               n_gauss=6)
         pairs["reference"] = (K, f)
         out["reference_points"] = st["penalty_points"]
+    empty = [name for name in pairs if out[f"{name}_points"] == 0]
+    if empty:
+        raise BoundaryNotFoundError(f"no penalty points from route(s) {', '.join(empty)}")
     for name, (Kp, fp) in pairs.items():
         errs = np.full(betas.size, np.nan)
         for i, b in enumerate(betas):

@@ -38,6 +38,9 @@ _KEYS = {
     "output": {"dir": str, "field_resolution": int},
 }
 
+# The integer keys whose values have a lower bound, and the bound.
+_AT_LEAST = {("output", "field_resolution"): 2, ("study", "reference_chords"): 1}
+
 # Every flag and the config key it overrides.
 _FLAGS = {
     "out-dir": ("output", "dir"), "cloud": ("problem", "cloud"),
@@ -74,6 +77,9 @@ def _settings(args) -> dict:
     for flag, where in _FLAGS.items():
         if vars(args)[flag] is not None:
             out[where] = vars(args)[flag]
+    for (section, key), low in _AT_LEAST.items():
+        if out.get((section, key), low) < low:
+            raise ConfigError(f"[{section}] {key} must be >= {low}, got {out[section, key]}")
     if ("problem", "beta") in out:
         _checked_beta(out["problem", "beta"],
                       "--beta" if args.beta is not None else "[problem] beta")

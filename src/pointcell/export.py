@@ -56,7 +56,10 @@ def write_segments_csv(path, segments) -> None:
 
 def write_field_vtk(path, mesh: StructuredMesh, coeffs: np.ndarray,
                     resolution: int = 101) -> None:
-    """Legacy-ASCII structured-points dump of a scalar field on the mesh."""
+    """Legacy-ASCII structured-points dump of a scalar field on the mesh,
+    sampled on a resolution x resolution grid (resolution >= 2)."""
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
     xs = np.linspace(mesh.origin[0], mesh.origin[0] + mesh.lengths[0], resolution)
     ys = np.linspace(mesh.origin[1], mesh.origin[1] + mesh.lengths[1], resolution)
     X, Y = np.meshgrid(xs, ys)

@@ -14,6 +14,9 @@ A cell the indicator does not cut is one leaf on the rule's own abscissae,
 so all uncut cells share their 1D tables, and one contraction per distinct
 weight array gives the element matrix of every uncut cell that has it.
 
+StructuredMesh._dof_line alone fixes the dof numbering of each 1D line; the
+line patterns, cell dofs and places, boundary dofs and condensation plan all
+derive from it, so another numbering is a change to that one method.
 Every operator on a mesh shares one sparsity pattern, the tensor product of
 the two 1D dof lines (StructuredMesh.pattern), and stores the entries it
 never touches as explicit zeros.  Cell matrices are added straight into its
@@ -53,8 +56,8 @@ class StructuredMesh:
     """Uniform rectangular grid with a shared polynomial degree.
 
     Scalar degrees of freedom are the tensor product of two 1D p-version dof
-    lines (vertices first, then per-element internal modes), which makes the
-    basis C0 across cell interfaces without any orientation bookkeeping.
+    lines (numbered by _dof_line), which makes the basis C0 across cell
+    interfaces without any orientation bookkeeping.
     """
 
     def __init__(self, origin, lengths, nx: int, ny: int, degree: int):
@@ -83,14 +86,11 @@ class StructuredMesh:
         self._condensations = {}
 
     def _dof_line(self, ne):
-        p = self.degree
-        table = np.empty((ne, p + 1), dtype=int)
-        for e in range(ne):
-            table[e, 0] = e
-            table[e, 1] = e + 1
-            for a in range(2, p + 1):
-                table[e, a] = (ne + 1) + e * (p - 1) + (a - 2)
-        return table
+        """Global ids of the 1D modes of each of ne elements, (ne, p + 1): left
+        vertex, right vertex, internal modes.  The only code that knows the
+        order: vertices first, then each element's internal modes."""
+        e = np.arange(ne)[:, None]
+        return np.hstack([e, e + 1, (ne + 1) + e * (self.degree - 1) + np.arange(self.degree - 1)])
 
     def _line_pattern(self, ne):
         """Sparsity of a dof line with ne elements: two dofs couple when they
@@ -98,32 +98,15 @@ class StructuredMesh:
 
         Returns (indptr, indices, rank) of the 1D CSR pattern, with
         rank[e, a, a'] the place of the element's dof a' within the row of
-        its dof a.  In _dof_line's numbering a vertex v's row lists the
-        vertices v - 1 .. v + 1 that exist, then the internal modes of
-        element v - 1, then those of element v; an internal mode's row lists
-        its element's two vertices and its internal modes, in local order.
+        its dof a.
         """
-        p = self.degree
-        e = np.arange(ne)
-        v = np.arange(ne + 1)
-        first = np.maximum(v - 1, 0)
-        n_vert = np.minimum(v + 1, ne) - first + 1
-        n_elem = (v >= 1).astype(int) + (v < ne)
-        lengths = np.concatenate([n_vert + (p - 1) * n_elem, np.full(ne * (p - 1), p + 1)])
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
-        rank = np.empty((ne, p + 1, p + 1), dtype=int)
-        for a, vert in ((0, e), (1, e + 1)):
-            rank[:, a, 0] = e - first[vert]
-            rank[:, a, 1] = e + 1 - first[vert]
-            # for a = 1 element e is the vertex's element v - 1, listed first;
-            # for a = 0 it is element v, after the modes of element v - 1
-            skip = (p - 1) * (vert >= 1) if a == 0 else 0
-            rank[:, a, 2:] = (n_vert[vert] + skip)[:, None] + np.arange(p - 1)
-        rank[:, 2:, :] = np.arange(p + 1)
         dofs = self._dof_line(ne)
-        indices = np.empty(indptr[-1], dtype=int)
-        indices[indptr[dofs][:, :, None] + rank] = dofs[:, None, :]
-        return indptr, indices, rank
+        n = ne * self.degree + 1
+        pairs = dofs[:, :, None] * n + dofs[:, None, :]
+        keys = np.unique(pairs)
+        rows, indices = np.divmod(keys, n)
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        return indptr, indices, np.searchsorted(keys, pairs) - indptr[dofs][:, :, None]
 
     def pattern(self, ncomp: int = 1):
         """CSR index arrays (indptr, indices) shared by every operator on the
@@ -192,11 +175,9 @@ class StructuredMesh:
         dt = indptr.dtype
         n1 = self.degree + 1
         n = n1 * n1 * ncomp
-        gx = self._dof_1d_x[ix]
-        gy = self._dof_1d_y[iy]
         comps = np.arange(ncomp, dtype=dt)
-        rows = (ncomp * (gx[:, :, None] * self.n1y + gy[:, None, :]))[..., None] + comps
-        len_y = (ncomp * np.diff(self._line_y[0])[gy]).astype(dt)
+        rows = component_dofs(self.cell_dofs(ix, iy), ncomp).reshape(-1, n1, n1, ncomp)
+        len_y = (ncomp * np.diff(self._line_y[0])[self._dof_1d_y[iy]]).astype(dt)
         rank_x = self._line_x[2][ix].astype(dt)
         rank_y = self._line_y[2][iy].astype(dt)
         # x part over (m, a, b, c, a'), y part over (m, b, (b', c'))
@@ -216,13 +197,11 @@ class StructuredMesh:
         indptr, indices = self.pattern(ncomp)
         dt = indptr.dtype
         n1 = self.degree + 1
-        a, b, c = np.unravel_index(np.arange(n1 * n1 * ncomp), (n1, n1, ncomp))
+        a, b, _ = np.unravel_index(np.arange(n1 * n1 * ncomp), (n1, n1, ncomp))
         inner = (a >= 2) & (b >= 2)
         rows_i, rows_s = np.nonzero(inner)[0], np.nonzero(~inner)[0]
         iy, ix = np.divmod(np.arange(self.nx * self.ny), self.nx)
-        # every cell's local dofs as global ids, (cells, (p + 1)^2 ncomp)
-        dofs = ncomp * (self._dof_1d_x[ix[:, None], a] * self.n1y
-                        + self._dof_1d_y[iy[:, None], b]) + c
+        dofs = component_dofs(self.cell_dofs(ix, iy), ncomp).reshape(ix.size, -1)
         is_skeleton = np.ones(self.n_scalar_dofs * ncomp, dtype=bool)
         is_skeleton[dofs[:, rows_i]] = False
         skeleton = np.nonzero(is_skeleton)[0]
@@ -234,14 +213,12 @@ class StructuredMesh:
         skel = places[skeleton][:, skeleton]
         skel_place = np.empty(indices.size, dtype=dt)
         skel_place[skel.data] = np.arange(skel.nnz, dtype=dt)
-        # An interior row lists its cell's modes in local order (see
-        # _line_pattern), so local_positions reduces to indptr[row] + k'.
-        row_start = indptr[dofs[:, rows_i]][..., None]
+        pos = self.local_positions(ix, iy, ncomp)
         return Condensation(
             interior=dofs[:, rows_i], cell_skeleton=(np.cumsum(is_skeleton) - 1)[dofs[:, rows_s]],
-            skeleton=skeleton, ii=row_start + rows_i.astype(dt), i_s=row_start + rows_s.astype(dt),
-            keep=skel.data, indptr=skel.indptr.astype(dt), indices=skel.indices.astype(dt),
-            ss=skel_place[self.local_positions(ix, iy, ncomp)[:, rows_s][:, :, rows_s]])
+            skeleton=skeleton, ii=pos[:, rows_i[:, None], rows_i],
+            i_s=pos[:, rows_i[:, None], rows_s], ss=skel_place[pos[:, rows_s[:, None], rows_s]],
+            keep=skel.data, indptr=skel.indptr.astype(dt), indices=skel.indices.astype(dt))
 
     def cell_bounds(self, ix, iy):
         """(x0, y0, x1, y1) of cell (ix, iy); for arrays of cells, one row
@@ -255,11 +232,13 @@ class StructuredMesh:
             for ix in range(self.nx):
                 yield ix, iy
 
-    def cell_dofs(self, ix: int, iy: int):
-        """Global scalar dof ids of cell (ix, iy) in flat tensor mode order."""
+    def cell_dofs(self, ix, iy):
+        """Global scalar dof ids of cell (ix, iy) in flat tensor mode order;
+        for arrays of cells, one row per cell."""
         gx = self._dof_1d_x[ix]
         gy = self._dof_1d_y[iy]
-        return (gx[:, None] * self.n1y + gy[None, :]).reshape(-1)
+        n1 = self.degree + 1
+        return (gx[..., :, None] * self.n1y + gy[..., None, :]).reshape(*np.shape(ix), n1 * n1)
 
     def locate(self, xs):
         """Cell indices and local coordinates for points xs (m, 2)."""
@@ -286,10 +265,9 @@ class StructuredMesh:
 
     def boundary_scalar_dofs(self):
         """Scalar dofs whose basis functions are nonzero on the mesh boundary."""
-        A = np.arange(self.n1x)
-        B = np.arange(self.n1y)
-        on_x = np.isin(A, [0, self.nx])
-        on_y = np.isin(B, [0, self.ny])
+        # the first element's left and the last element's right vertex
+        on_x = np.isin(np.arange(self.n1x), self._dof_1d_x[[0, -1], [0, 1]])
+        on_y = np.isin(np.arange(self.n1y), self._dof_1d_y[[0, -1], [0, 1]])
         grid = on_x[:, None] | on_y[None, :]
         return np.nonzero(grid.reshape(-1))[0]
 
@@ -418,11 +396,11 @@ def component_dofs(scalar_dofs, ncomp: int):
     """Dof ids of all ncomp components of the given scalar dofs.
 
     The layout is interleaved: component c of scalar dof s is dof
-    ncomp * s + c, so the result lists each scalar dof's components in turn.
-    For ncomp = 1 the scalar ids are returned unchanged.
+    ncomp * s + c, so the result lists each scalar dof's components in turn,
+    flat (an array's rows one after another).  For ncomp = 1 it is the ids.
     """
     scalar_dofs = np.asarray(scalar_dofs, dtype=int)
-    return (ncomp * scalar_dofs[:, None] + np.arange(ncomp)).reshape(-1)
+    return (ncomp * scalar_dofs[..., None] + np.arange(ncomp)).reshape(-1)
 
 
 def scatter_cells(mesh: StructuredMesh, ncomp: int, cell_pairs):

@@ -429,10 +429,10 @@ def _diffuse_cells(mesh: StructuredMesh, cloud: PointCloud, dparams: DistancePar
     and of the plane fit, i.e. whose interior can come within
     max(r, epsilon) of a cloud point."""
     reach = max(dparams.r, diff.epsilon) + 0.5 * float(np.hypot(mesh.hx, mesh.hy))
-    cells = list(mesh.cells())
-    bounds = np.array([mesh.cell_bounds(ix, iy) for ix, iy in cells])
+    iy, ix = np.divmod(np.arange(mesh.nx * mesh.ny), mesh.nx)
+    bounds = mesh.cell_bounds(ix, iy)
     dist, _ = cloud.tree.query(0.5 * (bounds[:, :2] + bounds[:, 2:]), k=1)
-    return [c for c, d in zip(cells, dist) if d <= reach]
+    return [(int(x), int(y)) for x, y, d in zip(ix, iy, dist) if d <= reach]
 
 
 def _assemble_cells(mesh, ncomp, beta, cell_iter):
@@ -502,6 +502,6 @@ def collect_sharp_segments(mesh: StructuredMesh, cloud: PointCloud,
     _reconstruct).  Returns a list of BoundedSegment in lexicographic key
     order, one per kept region.
     """
-    cells = np.array([mesh.cell_bounds(ix, iy) for ix, iy in mesh.cells()])
-    keys = identify_contributing_regions(cells, cloud, dparams, sparams)
+    iy, ix = np.divmod(np.arange(mesh.nx * mesh.ny), mesh.nx)
+    keys = identify_contributing_regions(mesh.cell_bounds(ix, iy), cloud, dparams, sparams)
     return _reconstruct(cloud, keys, sparams)

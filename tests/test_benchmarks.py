@@ -1,5 +1,6 @@
 """Manufactured annular problem, penalty sweeps, and the membrane pipeline."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -78,6 +79,12 @@ def test_circle_polyline_closes_and_matches_circumference():
     np.testing.assert_allclose(segs[0, 0:2], segs[-1, 2:4], atol=1e-12)
     total = np.sum(np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1]))
     assert abs(total - 2.0 * np.pi * 1.5) / (2.0 * np.pi * 1.5) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_circle_polyline_needs_a_chord(n):
+    with pytest.raises(ValueError, match="n >= 1 chords"):
+        circle_polyline(1.0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +215,17 @@ def test_run_beta_study_light_sweep():
     # stiffer penalties help every route in this well-resolved range
     assert out["sharp"][2] < out["sharp"][0]
     assert out["reference"][2] < out["reference"][0]
+
+
+def test_run_beta_study_rejects_a_route_without_penalty_points():
+    """A cloud far outside the mesh gives the sharp and diffuse routes no
+    boundary; the study names both rather than sweeping an unconstrained
+    system."""
+    prob = build_annular_problem(_light_config(n_points=24))
+    far = dataclasses.replace(prob, cloud=PointCloud(circle_cloud(0.1, 24, center=(9.0, 9.0))))
+    with pytest.raises(BoundaryNotFoundError, match=r"route\(s\) sharp, diffuse"):
+        run_beta_study(far, [1e3], sharp=default_sharp_params(prob.config),
+                       diffuse=default_diffuse_params(2e-2, n_cells=2))
 
 
 def test_count_diffuse_points_matches_assembler():

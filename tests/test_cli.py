@@ -160,6 +160,11 @@ _BAD_NUMBERS = {
     "annular-n-points": (_tiny_annular().replace("n_points = 96", "n_points = 0"), [],
                          "solve", "n_points must be >= 1"),
     "membrane-extent": ("[mesh]\nextent = 0\n", [], "solve", "extent must be positive"),
+    "field-resolution": (_tiny_annular().replace("field_resolution = 9", "field_resolution = 1"),
+                         [], "solve", "[output] field_resolution must be >= 2, got 1"),
+    "reference-chords": (_tiny_annular("[study]\n        methods = reference\n"
+                                       "        reference_chords = 0"), [], "beta-study",
+                         "[study] reference_chords must be >= 1, got 0"),
 }
 
 
@@ -179,7 +184,8 @@ def test_bad_number_is_config_error(tmp_path, capsys, case):
 @pytest.mark.parametrize("text,flags,command", [
     ("[problem]\n", ["--beta", "nan"], "solve"),
     (_tiny_annular("[study]\n        betas = -10, 100"), [], "beta-study"),
-], ids=["nan-beta-solve", "negative-study-beta"])
+    (_tiny_annular().replace("field_resolution = 9", "field_resolution = 0"), [], "solve"),
+], ids=["nan-beta-solve", "negative-study-beta", "field-resolution-solve"])
 def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, text, flags, command):
     ini = _write(tmp_path / "run.ini", text)
     made = tmp_path / "made"

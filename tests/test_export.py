@@ -73,11 +73,12 @@ def test_segments_csv_layout(tmp_path):
 
 def test_field_vtk_structured_points(tmp_path):
     mesh = StructuredMesh((0.0, 0.0), (2.0, 1.0), 1, 1, 1)
-    # bilinear vertex coefficients reproducing 1 + 2x - y exactly
+    # bilinear vertex coefficients reproducing 1 + 2x - y exactly; the
+    # cell's mode (a, b) is its local dof 2 a + b
     coeffs = np.zeros(mesh.n_scalar_dofs)
     for vx, x in enumerate([0.0, 2.0]):
         for vy, y in enumerate([0.0, 1.0]):
-            coeffs[vx * 2 + vy] = 1.0 + 2.0 * x - y
+            coeffs[mesh.cell_dofs(0, 0)[2 * vx + vy]] = 1.0 + 2.0 * x - y
     path = tmp_path / "field.vtk"
     write_field_vtk(path, mesh, coeffs, resolution=5)
     lines = path.read_text().splitlines()
@@ -94,6 +95,17 @@ def test_field_vtk_structured_points(tmp_path):
     ys = np.linspace(0.0, 1.0, 5)
     X, Y = np.meshgrid(xs, ys)
     np.testing.assert_allclose(vals, (1.0 + 2.0 * X - Y).ravel(), atol=1e-13)
+
+
+@pytest.mark.parametrize("resolution", [0, 1])
+def test_field_vtk_needs_two_samples_per_side(tmp_path, resolution):
+    """The grid spacing needs two samples per side; fewer is rejected
+    before anything is evaluated or written."""
+    mesh = StructuredMesh((0.0, 0.0), (1.0, 1.0), 1, 1, 1)
+    path = tmp_path / "field.vtk"
+    with pytest.raises(ValueError, match="resolution must be >= 2"):
+        write_field_vtk(path, mesh, np.zeros(mesh.n_scalar_dofs), resolution=resolution)
+    assert not path.exists()
 
 
 def test_field_vtk_values_are_reprs_of_each_float(monkeypatch, tmp_path):

@@ -29,12 +29,24 @@ _NOTHING = IndicatorField(inside=lambda pts: np.zeros(pts.shape[0], dtype=bool))
 def _linear_coeffs(mesh, a, b, c):
     """Scalar dof vector reproducing a + b x + c y (vertex modes only)."""
     coeffs = np.zeros(mesh.n_scalar_dofs)
-    for vx in range(mesh.nx + 1):
-        for vy in range(mesh.ny + 1):
-            x = mesh.origin[0] + vx * mesh.hx
-            y = mesh.origin[1] + vy * mesh.hy
-            coeffs[vx * mesh.n1y + vy] = a + b * x + c * y
+    n1 = mesh.degree + 1
+    for ix, iy in mesh.cells():
+        # the cell's modes N_a(x) N_b(y) with a, b in {0, 1}: its corners
+        corners = mesh.cell_dofs(ix, iy).reshape(n1, n1)[:2, :2]
+        x = mesh.origin[0] + (ix + np.array([[0], [1]])) * mesh.hx
+        y = mesh.origin[1] + (iy + np.array([0, 1])) * mesh.hy
+        coeffs[corners] = a + b * x + c * y
     return coeffs
+
+
+class _AlongLineMesh(StructuredMesh):
+    """A mesh whose dof lines are numbered along the line, e p + [0, p, 1,
+    ..., p - 1] for element e, in place of vertices first: nothing else
+    may depend on the numbering."""
+
+    def _dof_line(self, ne):
+        p = self.degree
+        return np.arange(ne)[:, None] * p + np.concatenate([[0, p], np.arange(1, p)])
 
 
 def _element_laplace_4x4():
@@ -411,12 +423,13 @@ def _rel_frobenius(A, B):
 
 @settings(max_examples=40)
 @given(nx=st.integers(1, 4), ny=st.integers(1, 4), p=st.integers(1, 5),
-       ncomp=st.sampled_from([1, 2]))
-def test_mesh_pattern_and_scatter_match_coo_oracle(nx, ny, p, ncomp):
+       ncomp=st.sampled_from([1, 2]), mesh_type=st.sampled_from([StructuredMesh, _AlongLineMesh]))
+def test_mesh_pattern_and_scatter_match_coo_oracle(nx, ny, p, ncomp, mesh_type):
     """Each cell's positions address its own (row, col) pairs in the shared
     pattern, the pattern is the union of the cell blocks, and the data
-    scatter equals the COO route; the shared index arrays are read-only."""
-    mesh = StructuredMesh((0.0, -1.0), (1.0, 2.0), nx, ny, p)
+    scatter equals the COO route, in either dof numbering; the shared index
+    arrays are read-only."""
+    mesh = mesh_type((0.0, -1.0), (1.0, 2.0), nx, ny, p)
     indptr, indices = mesh.pattern(ncomp)
     rng = np.random.default_rng(nx + 10 * ny + 100 * p + 1000 * ncomp)
     pairs, ones = [], []
@@ -675,6 +688,26 @@ def test_condensed_solve_matches_oracle_on_small_meshes(degree, material):
     assert abs(strain_energy(vol, u) - want) <= 1e-9 * abs(want)
 
 
+@pytest.mark.parametrize("material", [PoissonCoefficient(), PlaneStress()],
+                         ids=["poisson", "plane_stress"])
+def test_solve_is_independent_of_the_dof_numbering(material):
+    """A cut disc with the mesh boundary pinned, solved with the lines
+    numbered vertices first and along the line: the two fields agree to
+    round-off at every probe."""
+    ncomp = material.ncomp
+    probes = np.random.default_rng(15).uniform((0.0, 0.0), (1.0, 0.8), size=(50, 2))
+    fields = []
+    for mesh_type in (StructuredMesh, _AlongLineMesh):
+        mesh = mesh_type((0.0, 0.0), (1.0, 0.8), 3, 2, 4)
+        vol = assemble_volume(mesh, material, _disc_indicator((0.5, 0.4), 0.3, 1e-6),
+                              body=lambda q: np.ones((q.shape[0], ncomp)), tree_depth=3)
+        pinned = apply_strong_zero(vol, mesh.boundary_scalar_dofs())
+        u = solve(pinned)
+        assert pinned.last_residual <= 1e-13
+        fields.append(evaluate(mesh, u, probes, ncomp=ncomp))
+    np.testing.assert_allclose(fields[1], fields[0], rtol=0.0, atol=1e-12)
+
+
 def test_solve_restores_an_operator_stored_off_the_mesh_pattern():
     """The pinned rim rows of the corner cells, which the penalty misses,
     are explicit zeros, and scipy's A + B drops them; solve re-stores the
@@ -691,13 +724,15 @@ def test_solve_restores_an_operator_stored_off_the_mesh_pattern():
 
 
 def test_solve_rejects_an_entry_outside_the_mesh_pattern():
-    """Scalar dofs 0 and 2 n1y are the vertices (0, 0) and (2, 0) of a 2 x 1
-    mesh; no cell holds both, so the pattern has no entry between them."""
+    """The vertices (0, 0) and (2, 0) of a 2 x 1 mesh, the first corner of
+    cell 0 and the (+1, -1) corner of cell 1: no cell holds both, so the
+    pattern has no entry between them."""
     mesh = StructuredMesh((0.0, 0.0), (2.0, 1.0), 2, 1, 2)
     sysm = assemble_volume(mesh, PoissonCoefficient(), IndicatorField(inside=everywhere),
                            body=lambda q: np.ones(q.shape[0]))
     pinned = apply_strong_zero(sysm, mesh.boundary_scalar_dofs())
-    far = sp.csr_matrix(([1e-3, 1e-3], ([0, 2 * mesh.n1y], [2 * mesh.n1y, 0])),
+    near, far_end = mesh.cell_dofs(0, 0)[0], mesh.cell_dofs(1, 0)[mesh.degree + 1]
+    far = sp.csr_matrix(([1e-3, 1e-3], ([near, far_end], [far_end, near])),
                         shape=pinned.K.shape)
     with pytest.raises(ValueError, match="outside the mesh"):
         solve(GlobalSystem(K=(pinned.K + far).tocsr(), f=pinned.f, mesh=mesh))
@@ -717,13 +752,18 @@ def test_solve_returns_zero_at_a_pinned_interior_dof():
     assert pinned.last_residual <= 1e-13
 
 
-@pytest.mark.parametrize("nx, ny, p, ncomp", [(3, 2, 4, 1), (2, 3, 3, 2), (1, 1, 2, 2), (2, 2, 1, 1)])
-def test_condensation_plan_matches_local_positions(nx, ny, p, ncomp):
-    """The plan's interior places, read as indptr[row] + local index, equal
-    the closed form of local_positions; its skeleton operator holds the
-    skeleton rows and columns of K, and ss addresses each cell's skeleton
-    block in it."""
-    mesh = StructuredMesh((0.0, 0.0), (1.0, 1.0), nx, ny, p)
+@pytest.mark.parametrize("mesh_type, nx, ny, p, ncomp", [
+    pytest.param(StructuredMesh, 3, 2, 4, 1, id="3-2-4-1"),
+    pytest.param(StructuredMesh, 2, 3, 3, 2, id="2-3-3-2"),
+    pytest.param(StructuredMesh, 1, 1, 2, 2, id="1-1-2-2"),
+    pytest.param(StructuredMesh, 2, 2, 1, 1, id="2-2-1-1"),
+    pytest.param(_AlongLineMesh, 3, 2, 4, 1, id="along-line-3-2-4-1"),
+    pytest.param(_AlongLineMesh, 2, 3, 3, 2, id="along-line-2-3-3-2")])
+def test_condensation_plan_matches_local_positions(mesh_type, nx, ny, p, ncomp):
+    """The plan's interior and interior-skeleton places equal the closed
+    form of local_positions; its skeleton operator holds the skeleton rows
+    and columns of K, and ss addresses each cell's skeleton block in it."""
+    mesh = mesh_type((0.0, 0.0), (1.0, 1.0), nx, ny, p)
     plan = mesh.condensation(ncomp)
     n1 = p + 1
     a, b, _ = np.unravel_index(np.arange(n1 * n1 * ncomp), (n1, n1, ncomp))
@@ -743,7 +783,9 @@ def test_condensation_plan_matches_local_positions(nx, ny, p, ncomp):
     assert skel.nnz == np.count_nonzero(K[np.ix_(plan.skeleton, plan.skeleton)])
     interior = np.setdiff1d(np.arange(ndof), plan.skeleton)
     np.testing.assert_array_equal(np.sort(plan.interior, axis=None), interior)
+    every_dofs = mesh.cell_dofs(ix, iy)
     for k, (cx, cy) in enumerate(zip(ix, iy)):
+        np.testing.assert_array_equal(every_dofs[k], mesh.cell_dofs(cx, cy))
         dofs = component_dofs(mesh.cell_dofs(cx, cy), ncomp)
         np.testing.assert_array_equal(plan.interior[k], dofs[inner])
         np.testing.assert_array_equal(plan.skeleton[plan.cell_skeleton[k]], dofs[~inner])

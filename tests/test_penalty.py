@@ -32,9 +32,10 @@ def _line_cloud(y, spacing, lo=-0.5, hi=1.5):
 def _const_mode_vector(mesh):
     """Scalar coefficients of the constant-one function (vertex modes only)."""
     w = np.zeros(mesh.n_scalar_dofs)
-    for vx in range(mesh.nx + 1):
-        for vy in range(mesh.ny + 1):
-            w[vx * mesh.n1y + vy] = 1.0
+    n1 = mesh.degree + 1
+    iy, ix = np.divmod(np.arange(mesh.nx * mesh.ny), mesh.nx)
+    # every cell's modes N_a(x) N_b(y) with a, b in {0, 1}: its corners
+    w[mesh.cell_dofs(ix, iy).reshape(-1, n1, n1)[:, :2, :2]] = 1.0
     return w
 
 
