@@ -34,7 +34,7 @@ from .penalty import (BoundedSegment, DiffuseParams, PenaltyParams,
                       assemble_reference_penalty, assemble_sharp_penalty,
                       bisect_plane_segments, collect_sharp_segments,
                       diffuse_penalty_cell, identify_contributing_regions,
-                      reference_segment_penalty, sharp_penalty_cell)
+                      sharp_penalty_cell)
 from .benchmarks import (AnnularConfig, AnnularProblem, MembraneResult,
                          beta_grid, build_annular_problem,
                          build_membrane_problem, circle_cloud, circle_polyline,

@@ -75,8 +75,9 @@ class AnnularConfig:
     """Discretization of the annular benchmark.
 
     n_points sits on the inner circle and 4 * n_points on the outer; with
-    r_outer = 4 * r_inner the arc spacing is identical on both.  amp and
-    slope shape the manufactured field (see the module docstring).
+    r_outer = 4 * r_inner the arc spacing is identical on both, and k may
+    not exceed the 5 * n_points points of the cloud.  amp and slope shape
+    the manufactured field (see the module docstring).
     """
 
     n_points: int = 2000
@@ -101,6 +102,8 @@ class AnnularConfig:
         if not 0.0 < self.r_inner < self.r_outer:
             raise ValueError("radii must satisfy 0 < r_inner < r_outer")
         DistanceParams(k=self.k, r=self.r)  # checks k and r
+        if self.k > 5 * self.n_points:
+            raise ValueError(f"k={self.k} exceeds cloud size {5 * self.n_points}")
 
     @property
     def spacing(self) -> float:

@@ -136,7 +136,10 @@ def _membrane_params(cfg, cloud):
     dparams, sparams = _checked(benchmarks.default_membrane_params, cloud,
                                 **_user(cfg, "mesh", {"extent", "n_cells"}),
                                 **_user(cfg, "distance", {"r"}))
-    return _override(cfg, "distance", dparams), _override(cfg, "sharp", sparams)
+    dparams = _override(cfg, "distance", dparams)
+    if dparams.k > len(cloud):
+        raise ConfigError(f"k={dparams.k} exceeds cloud size {len(cloud)}")
+    return dparams, _override(cfg, "sharp", sparams)
 
 
 def _outdir(cfg) -> str:

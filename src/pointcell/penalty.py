@@ -38,7 +38,7 @@ from .errors import SharpBoundaryWarning
 from .fcm import StructuredMesh, scatter_cells
 from .geometry import (DistanceParams, PointCloud, _knn_indices_many,
                        fit_planes, pca_distance_many)
-from .quadrature import (DiffuseParams, _split, build_diffuse_tree,
+from .quadrature import (DiffuseParams, _build_tree, _lattice, build_diffuse_tree,
                          gauss_legendre_1d, regularized_delta_raw,
                          tree_quadrature_points)
 from .voronoi import _unique_rows, region_keys_many
@@ -138,17 +138,20 @@ def diffuse_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointClo
     Returns (Ke, fe, n_points) in cell-local dense form.  Every Gauss point
     of the distance-driven tree is placed and counted in n_points, but only
     those with a nonzero weight (distance below epsilon) are integrated;
-    the others would add exact zeros.
+    the others would add exact zeros.  The distance is computed only in the
+    leaves at depth n_sub: the capture guard left every shallower leaf
+    unsplit because none of its points comes within epsilon of the layer.
     """
     bounds = mesh.cell_bounds(ix, iy)
     dist = lambda pts: pca_distance_many(cloud, pts, dparams)
     tree = build_diffuse_tree(bounds, dist, diff)
     rule = gauss_legendre_1d(diff.n_gauss)
-    pts, wts, _ = tree_quadrature_points(tree, rule)
-    d = pca_distance_many(cloud, pts, dparams)
-    w = wts * regularized_delta_raw(d, diff.epsilon)
+    pts, wts, leaf_of = tree_quadrature_points(tree, rule)
+    deep = tree.depths[leaf_of] == diff.n_sub
+    w = wts[deep] * regularized_delta_raw(pca_distance_many(cloud, pts[deep], dparams),
+                                          diff.epsilon)
     weighted = w != 0.0
-    return _accumulate_point_penalty(mesh, ix, iy, pts[weighted], w[weighted], pen,
+    return _accumulate_point_penalty(mesh, ix, iy, pts[deep][weighted], w[weighted], pen,
                                      ncomp) + (pts.shape[0],)
 
 
@@ -168,15 +171,16 @@ def _accumulate_point_penalty(mesh, ix, iy, pts, w, pen, ncomp):
 # sharp route
 
 
-def _subcell_test_points(cells, g):
-    """Cell-centered g x g sample lattice of each cell, (m * g * g, 2)."""
-    x0, y0 = cells[:, 0], cells[:, 1]
-    w = cells[:, 2] - cells[:, 0]
-    h = cells[:, 3] - cells[:, 1]
-    frac = (np.arange(g) + 0.5) / g
-    px = x0[:, None, None] + w[:, None, None] * frac[None, :, None]
-    py = y0[:, None, None] + h[:, None, None] * frac[None, None, :]
-    return np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(-1, 2)
+def _near_cloud(cloud: PointCloud, boxes, reach: float):
+    """(m,) mask of the (m, 4) boxes whose center lies within halfdiag + reach
+    of its nearest cloud point, halfdiag being the box's own half-diagonal:
+    every box holding a point within reach of the cloud is near (triangle
+    inequality).  With reach = inf every box is near, and nothing is queried."""
+    if not np.isfinite(reach):
+        return np.ones(boxes.shape[0], dtype=bool)
+    halfdiag = 0.5 * np.hypot(boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1])
+    dist, _ = cloud.tree.query(0.5 * (boxes[:, :2] + boxes[:, 2:]), k=1)
+    return dist <= halfdiag + reach
 
 
 def identify_contributing_regions(cell_bounds, cloud: PointCloud,
@@ -185,30 +189,27 @@ def identify_contributing_regions(cell_bounds, cloud: PointCloud,
 
     cell_bounds is one cell (x0, y0, x1, y1) as a (4,) array or many cells as
     an (m, 4) array; all cells run through one batched pass.  A query
-    quadtree over each cell keeps, per level, the subcells whose center lies
-    within halfdiag + r of its nearest cloud point, halfdiag being that
-    subcell's own half-diagonal; the surviving deepest subcells are sampled
-    on a cell-centered test grid and the keys at sample points within r of
+    quadtree over the cells (quadrature._build_tree, n_query levels) splits
+    the subcells near the cloud (_near_cloud with reach r) and leaves the
+    others unsplit; its leaves at depth n_query that are near are sampled
+    on a cell-centered test grid, and the keys at sample points within r of
     their nearest cloud point are collected (sample points beyond r lie
     outside the reconstruction zone).  A sample point within r of the cloud
-    puts every subcell holding it within halfdiag + r (triangle inequality),
-    so the pruning drops no key of the full lattice.  With r = inf no
-    pruning or exclusion happens at all.
+    makes every subcell holding it near, so the pruning drops no key of the
+    full lattice.  With r = inf no pruning or exclusion happens at all.
 
     Returns the unique keys over all cells, the union of the one-cell calls,
     in lexicographic order as a list of tuples.
     """
-    active = np.asarray(cell_bounds, dtype=float).reshape(-1, 4)
-    for depth in range(sparams.n_query + 1):
-        if np.isfinite(dparams.r):
-            halfdiag = 0.5 * np.hypot(active[:, 2] - active[:, 0], active[:, 3] - active[:, 1])
-            centers = 0.5 * (active[:, :2] + active[:, 2:])
-            active = active[cloud.tree.query(centers, k=1)[0] <= halfdiag + dparams.r]
-            if active.shape[0] == 0:
-                return []
-        if depth < sparams.n_query:
-            active = _split(active)
-    pts = _subcell_test_points(active, sparams.test_grid)
+    near = lambda boxes: _near_cloud(cloud, boxes, dparams.r)
+    tree = _build_tree(np.asarray(cell_bounds, dtype=float).reshape(-1, 4), near,
+                       sparams.n_query)
+    last = tree.leaves[tree.depths == sparams.n_query]
+    last = last[near(last)]
+    if last.shape[0] == 0:
+        return []
+    g = sparams.test_grid
+    pts = _lattice(last, (np.arange(g) + 0.5) / g).reshape(-1, 2)
     idx, dist = _knn_indices_many(cloud, pts, dparams.k)
     within = dist[:, 0] <= dparams.r
     if not np.any(within):
@@ -311,14 +312,6 @@ def _segment_rows(segments):
     return np.concatenate([s.endpoints() for s in segments] + [np.zeros((0, 4))])
 
 
-def _first_pair(mesh: StructuredMesh, ncomp: int, pairs):
-    """The pair of a one-cell pair iterator, or zeros when the cell has none."""
-    for _, _, pair in pairs:
-        return pair
-    nmodes = (mesh.degree + 1) ** 2 * ncomp
-    return np.zeros((nmodes, nmodes)), np.zeros(nmodes), 0
-
-
 def sharp_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointCloud,
                        dparams: DistanceParams, sparams: SharpParams,
                        pen: PenaltyParams, ncomp: int = 1):
@@ -326,11 +319,14 @@ def sharp_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointCloud
 
     One cell's view of the sharp boundary: collect_sharp_segments over the
     whole mesh, integrated over this cell only, so the cells sum to
-    assemble_sharp_penalty.  Returns (Ke, fe, n_points).
+    assemble_sharp_penalty.  Returns (Ke, fe, n_points), zeros when no
+    segment crosses the cell.
     """
     segs = _segment_rows(collect_sharp_segments(mesh, cloud, dparams, sparams))
-    return _first_pair(mesh, ncomp, _segment_cell_pairs(mesh, segs, pen, sparams.n_gauss,
-                                                        ncomp, [(ix, iy)]))
+    for _, _, pair in _segment_cell_pairs(mesh, segs, pen, sparams.n_gauss, ncomp, [(ix, iy)]):
+        return pair
+    nmodes = (mesh.degree + 1) ** 2 * ncomp
+    return np.zeros((nmodes, nmodes)), np.zeros(nmodes), 0
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +402,6 @@ def _segment_cell_pairs(mesh: StructuredMesh, segs, pen: PenaltyParams, n_gauss:
             yield ix, iy, (Ke, fe, int(b - a))
 
 
-def reference_segment_penalty(mesh: StructuredMesh, ix: int, iy: int,
-                              segments, pen: PenaltyParams, n_gauss: int,
-                              ncomp: int = 1):
-    """Penalty matrix/vector of one cell from explicit polyline segments.
-
-    segments is an (m, 4) array of x0, y0, x1, y1 rows; this cell's view of
-    assemble_reference_penalty (see _segment_cell_pairs).  Returns
-    (Ke, fe, n_points).
-    """
-    return _first_pair(mesh, ncomp, _segment_cell_pairs(mesh, segments, pen, n_gauss, ncomp,
-                                                        [(ix, iy)]))
-
-
 # ---------------------------------------------------------------------------
 # global assemblers
 
@@ -426,13 +409,11 @@ def reference_segment_penalty(mesh: StructuredMesh, ix: int, iy: int,
 def _diffuse_cells(mesh: StructuredMesh, cloud: PointCloud, dparams: DistanceParams,
                    diff: DiffuseParams):
     """Cells the diffuse route integrates: those within reach of the layer
-    and of the plane fit, i.e. whose interior can come within
-    max(r, epsilon) of a cloud point."""
-    reach = max(dparams.r, diff.epsilon) + 0.5 * float(np.hypot(mesh.hx, mesh.hy))
+    and of the plane fit, i.e. near the cloud (_near_cloud) with reach
+    max(r, epsilon)."""
     iy, ix = np.divmod(np.arange(mesh.nx * mesh.ny), mesh.nx)
-    bounds = mesh.cell_bounds(ix, iy)
-    dist, _ = cloud.tree.query(0.5 * (bounds[:, :2] + bounds[:, 2:]), k=1)
-    return [(int(x), int(y)) for x, y, d in zip(ix, iy, dist) if d <= reach]
+    near = _near_cloud(cloud, mesh.cell_bounds(ix, iy), max(dparams.r, diff.epsilon))
+    return [(int(x), int(y)) for x, y in zip(ix[near], iy[near])]
 
 
 def _assemble_cells(mesh, ncomp, beta, cell_iter):

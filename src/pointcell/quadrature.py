@@ -5,6 +5,12 @@ indicator-driven tree that refines wherever an inside/outside classifier
 disagrees across a 3x3 sample stencil, and a distance-driven tree for thin
 regularized-delta layers that refines wherever the layer function is sensed by
 a per-subcell test grid.  Every leaf carries the same tensor Gauss rule.
+
+Each subcell decision has one home here: _lattice samples every box (Gauss
+points, the is_cut stencil, the diffuse probes and the sharp route's query
+samples), _split divides a box into its four children, and _build_tree is the
+only level-by-level refinement loop, which the sharp route's region query
+(penalty.identify_contributing_regions) also runs.
 """
 
 from __future__ import annotations
@@ -95,17 +101,15 @@ class DiffuseParams:
 
 
 class SpaceTree:
-    """Axis-aligned quadtree over a rectangular cell, stored leaf-wise.
+    """Axis-aligned quadtree over rectangular cells, stored leaf-wise.
 
     leaves is an (m, 4) array of (x0, y0, x1, y1) bounds and depths the
-    matching depth per leaf.  Leaves tile the root exactly.
+    matching depth per leaf.  Leaves tile the roots exactly.
     """
 
-    def __init__(self, root, leaves, depths, max_depth):
-        self.root = np.asarray(root, dtype=float)
+    def __init__(self, leaves, depths):
         self.leaves = np.asarray(leaves, dtype=float)
         self.depths = np.asarray(depths, dtype=int)
-        self.max_depth = int(max_depth)
 
     @property
     def n_leaves(self):
@@ -132,26 +136,26 @@ def _split(cells):
     return np.concatenate(quads, axis=0)
 
 
-def _stencil_3x3(cells):
-    """Corners, edge midpoints and center of each cell, shape (m, 9, 2)."""
-    x0, y0, x1, y1 = cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3]
-    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    xs = np.stack([x0, xm, x1], axis=1)
-    ys = np.stack([y0, ym, y1], axis=1)
-    px = np.repeat(xs[:, :, None], 3, axis=2)
-    py = np.repeat(ys[:, None, :], 3, axis=1)
-    return np.stack([px, py], axis=-1).reshape(cells.shape[0], 9, 2)
+def _lattice(boxes, frac):
+    """Points (x0 + w frac_i, y0 + h frac_j) of each (m, 4) box, shape
+    (m, g^2, 2) for g fractions; point (i, j) of a box is at index i g + j."""
+    frac = np.asarray(frac, dtype=float)
+    px = boxes[:, 0, None] + (boxes[:, 2] - boxes[:, 0])[:, None] * frac
+    py = boxes[:, 1, None] + (boxes[:, 3] - boxes[:, 1])[:, None] * frac
+    pts = np.stack(np.broadcast_arrays(px[:, :, None], py[:, None, :]), axis=-1)
+    return pts.reshape(boxes.shape[0], frac.size ** 2, 2)
 
 
-def _build_tree(root, refine, max_depth: int) -> SpaceTree:
-    """Quadtree over root, built level by level.
+def _build_tree(roots, refine, max_depth: int) -> SpaceTree:
+    """Quadtree over the (m, 4) roots, built level by level.
 
     refine maps the (m, 4) active subcells of a level shallower than
     max_depth to an (m,) mask of those to split; the others become leaves.
-    Every subcell still active at max_depth becomes a leaf.
+    Every subcell still active at max_depth becomes a leaf.  Leaves come
+    level by level, each level in the order of its active subcells.
     """
-    leaves, depths = [], []
-    active = root[None, :]
+    leaves, depths = [np.zeros((0, 4))], [np.zeros(0, dtype=int)]
+    active = roots
     for depth in range(max_depth + 1):
         if active.shape[0] == 0:
             break
@@ -159,18 +163,17 @@ def _build_tree(root, refine, max_depth: int) -> SpaceTree:
             keep = np.ones(active.shape[0], dtype=bool)
         else:
             keep = ~refine(active)
-        if np.any(keep):
-            leaves.append(active[keep])
-            depths.append(np.full(int(keep.sum()), depth))
+        leaves.append(active[keep])
+        depths.append(np.full(int(keep.sum()), depth))
         active = _split(active[~keep])
-    return SpaceTree(root, np.concatenate(leaves, axis=0), np.concatenate(depths), max_depth)
+    return SpaceTree(np.concatenate(leaves, axis=0), np.concatenate(depths))
 
 
 def is_cut(cells, inside_test):
     """(m,) mask of the (m, 4) cells whose 3x3 stencil (corners, edge
     midpoints, center) disagrees about being inside, from one inside_test
     call over all their stencils."""
-    pts = _stencil_3x3(cells).reshape(-1, 2)
+    pts = _lattice(cells, (0.0, 0.5, 1.0)).reshape(-1, 2)
     flags = np.asarray(inside_test(pts), dtype=bool).reshape(cells.shape[0], 9)
     return ~(np.all(flags, axis=1) | np.all(~flags, axis=1))
 
@@ -184,7 +187,8 @@ def build_alpha_tree(cell, inside_test, max_depth: int) -> SpaceTree:
     be missed (cheap and adequate for smooth boundaries).  The tree is one
     leaf exactly when max_depth is 0 or the root itself is not cut.
     """
-    return _build_tree(_as_root(cell), lambda active: is_cut(active, inside_test), max_depth)
+    return _build_tree(_as_root(cell)[None, :], lambda active: is_cut(active, inside_test),
+                       max_depth)
 
 
 def build_diffuse_tree(cell, dist, params: DiffuseParams) -> SpaceTree:
@@ -205,19 +209,14 @@ def build_diffuse_tree(cell, dist, params: DiffuseParams) -> SpaceTree:
     frac = np.linspace(0.0, 1.0, g)
 
     def sensed_or_near(active):
-        x0, y0 = active[:, 0], active[:, 1]
-        w = active[:, 2] - active[:, 0]
-        h = active[:, 3] - active[:, 1]
-        px = x0[:, None, None] + w[:, None, None] * frac[None, :, None]
-        py = y0[:, None, None] + h[:, None, None] * frac[None, None, :]
-        pts = np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(-1, 2)
+        pts = _lattice(active, frac).reshape(-1, 2)
         d = np.asarray(dist(pts), dtype=float).reshape(active.shape[0], g * g)
         sensed = np.any(regularized_delta_raw(d, eps) > _EPS_D, axis=1)
-        spacing = np.maximum(w, h) / (g - 1)
+        spacing = np.maximum(active[:, 2] - active[:, 0], active[:, 3] - active[:, 1]) / (g - 1)
         guard = d.min(axis=1) <= eps + spacing * (np.sqrt(2.0) / 2.0)
         return sensed | guard
 
-    return _build_tree(_as_root(cell), sensed_or_near, params.n_sub)
+    return _build_tree(_as_root(cell)[None, :], sensed_or_near, params.n_sub)
 
 
 def regularized_delta_raw(t, epsilon: float):
@@ -237,15 +236,7 @@ def regularized_delta_raw(t, epsilon: float):
 def tensor_points(boxes, rule: QuadratureRule1D):
     """Tensor Gauss points of each (m, 4) box, shape (m n^2, 2), box by box;
     within a box point (i, j) has the i-th x- and the j-th y-abscissa."""
-    n = rule.n
-    x0, y0 = boxes[:, 0], boxes[:, 1]
-    w = boxes[:, 2] - boxes[:, 0]
-    h = boxes[:, 3] - boxes[:, 1]
-    gx = x0[:, None] + 0.5 * w[:, None] * (rule.points[None, :] + 1.0)
-    gy = y0[:, None] + 0.5 * h[:, None] * (rule.points[None, :] + 1.0)
-    px = np.repeat(gx[:, :, None], n, axis=2)
-    py = np.repeat(gy[:, None, :], n, axis=1)
-    return np.stack([px, py], axis=-1).reshape(-1, 2)
+    return _lattice(boxes, 0.5 * (rule.points + 1.0)).reshape(-1, 2)
 
 
 def tree_quadrature_points(tree: SpaceTree, rule: QuadratureRule1D):

@@ -165,6 +165,10 @@ _BAD_NUMBERS = {
     "reference-chords": (_tiny_annular("[study]\n        methods = reference\n"
                                        "        reference_chords = 0"), [], "beta-study",
                          "[study] reference_chords must be >= 1, got 0"),
+    "membrane-k-above-cloud": ("[problem]\n", ["--k", "65"], "reconstruct",
+                               "k=65 exceeds cloud size 64"),
+    "annular-k-above-cloud": (_tiny_annular().replace("n_points = 96", "n_points = 1"),
+                              ["--k", "8"], "solve", "k=8 exceeds cloud size 5"),
 }
 
 
@@ -185,7 +189,9 @@ def test_bad_number_is_config_error(tmp_path, capsys, case):
     ("[problem]\n", ["--beta", "nan"], "solve"),
     (_tiny_annular("[study]\n        betas = -10, 100"), [], "beta-study"),
     (_tiny_annular().replace("field_resolution = 9", "field_resolution = 0"), [], "solve"),
-], ids=["nan-beta-solve", "negative-study-beta", "field-resolution-solve"])
+    (_tiny_annular().replace("n_points = 96", "n_points = 1"), ["--k", "8"], "solve"),
+], ids=["nan-beta-solve", "negative-study-beta", "field-resolution-solve",
+        "annular-k-above-cloud-solve"])
 def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, text, flags, command):
     ini = _write(tmp_path / "run.ini", text)
     made = tmp_path / "made"

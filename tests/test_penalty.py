@@ -14,14 +14,20 @@ from pointcell import (AnnularConfig, DiffuseParams, DistanceParams, PenaltyPara
                        collect_sharp_segments, default_membrane_params,
                        default_sharp_params, diffuse_penalty_cell,
                        gauss_legendre_1d, identify_contributing_regions,
-                       pca_distance_many, reference_segment_penalty, region_keys_many,
+                       pca_distance_many, region_keys_many,
                        regularized_delta_raw, sharp_penalty_cell, tree_quadrature_points)
-from pointcell import penalty
+from pointcell import penalty, quadrature
 from pointcell.geometry import _knn_indices_many
-from pointcell.penalty import _subcell_test_points
 from pointcell.quadrature import _split
 
 _MESH1 = StructuredMesh((0.0, 0.0), (1.0, 1.0), 1, 1, 2)
+
+
+def _reference_pair(segs, pen, n_gauss):
+    """Dense reference (K, f) on _MESH1, whose one cell numbers its modes
+    as the global dofs: the cell's pair, symmetrized."""
+    K, f, _ = assemble_reference_penalty(_MESH1, segs, pen, n_gauss)
+    return K.toarray(), f
 
 
 def _line_cloud(y, spacing, lo=-0.5, hi=1.5):
@@ -189,7 +195,8 @@ def test_identify_pruning_keeps_every_key_of_the_full_lattice():
     lattice = box
     for _ in range(sp.n_query):
         lattice = _split(lattice)
-    pts = _subcell_test_points(lattice, sp.test_grid)
+    g = sp.test_grid
+    pts = quadrature._lattice(lattice, (np.arange(g) + 0.5) / g).reshape(-1, 2)
     rng = np.random.default_rng(20240607)
     mismatched = []
     for i in range(60):
@@ -202,6 +209,24 @@ def test_identify_pruning_keeps_every_key_of_the_full_lattice():
         if got != want:
             mismatched.append((i, len(want - got), len(got - want)))
     assert mismatched == []
+
+
+@pytest.mark.parametrize("r", [0.05, np.inf])
+def test_identify_on_no_cells_returns_no_keys(r):
+    cloud = PointCloud(circle_cloud(0.3, 50, center=(0.5, 0.5)))
+    sp = SharpParams(n_query=3, n_gauss=2, l_max=0.1)
+    assert identify_contributing_regions(np.zeros((0, 4)), cloud,
+                                         DistanceParams(k=4, r=r), sp) == []
+
+
+@pytest.mark.parametrize("n_query", [0, 3])
+def test_identify_on_cells_far_from_the_cloud_returns_no_keys(n_query):
+    """At n_query 3 the roots are left unsplit above the sampled depth; at
+    n_query 0 they are the sampled depth, and the last near test drops them."""
+    cloud = PointCloud(circle_cloud(0.3, 50, center=(0.5, 0.5)))
+    sp = SharpParams(n_query=n_query, n_gauss=2, l_max=0.1)
+    cells = np.array([[5.0, 5.0, 6.0, 6.0], [-3.0, -3.0, -2.0, -2.0]])
+    assert identify_contributing_regions(cells, cloud, DistanceParams(k=4, r=0.05), sp) == []
 
 
 def test_identify_returns_sorted_unique_keys():
@@ -411,7 +436,7 @@ def test_sharp_cell_matches_reference_segment():
     sp = SharpParams(n_query=9, n_gauss=10, l_max=3e-3)
     Ks, _, _ = sharp_penalty_cell(_MESH1, 0, 0, cloud, dp, sp, PenaltyParams(beta=1.0))
     segs = np.array([[-0.5, 0.3, 1.5, 0.3]])
-    Kr, _, _ = reference_segment_penalty(_MESH1, 0, 0, segs, PenaltyParams(beta=1.0), 10)
+    Kr = _reference_pair(segs, PenaltyParams(beta=1.0), 10)[0]
     assert _rel_frobenius(Ks, Kr) <= 1e-12
 
 
@@ -422,7 +447,7 @@ def test_diffuse_cell_matches_reference_segment():
     diff = DiffuseParams(epsilon=5e-4, n_sub=11, n_gauss=8)
     Kd, _, n = diffuse_penalty_cell(_MESH1, 0, 0, cloud, dp, diff, PenaltyParams(beta=1.0))
     segs = np.array([[-0.5, 0.3, 1.5, 0.3]])
-    Kr, _, _ = reference_segment_penalty(_MESH1, 0, 0, segs, PenaltyParams(beta=1.0), 10)
+    Kr = _reference_pair(segs, PenaltyParams(beta=1.0), 10)[0]
     assert _rel_frobenius(Kd, Kr) <= 1e-3
     assert n > 1000
 
@@ -466,8 +491,8 @@ def test_cell_operators_scale_exactly_with_beta():
     np.testing.assert_array_equal(K2, 2.0 * K1)
     np.testing.assert_array_equal(f2, 2.0 * f1)
     segs = np.array([[-0.5, 0.5, 1.5, 0.5]])
-    Kr1, fr1, _ = reference_segment_penalty(_MESH1, 0, 0, segs, pen1, 4)
-    Kr2, fr2, _ = reference_segment_penalty(_MESH1, 0, 0, segs, pen2, 4)
+    Kr1, fr1 = _reference_pair(segs, pen1, 4)
+    Kr2, fr2 = _reference_pair(segs, pen2, 4)
     np.testing.assert_array_equal(Kr2, 2.0 * Kr1)
     np.testing.assert_array_equal(fr2, 2.0 * fr1)
 

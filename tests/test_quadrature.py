@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from pointcell import (DiffuseParams, DistanceParams, PointCloud,
+from pointcell import (AnnularConfig, DiffuseParams, DistanceParams, PointCloud, StructuredMesh,
                        build_alpha_tree, build_diffuse_tree, gauss_legendre_1d,
                        pca_distance_many, regularized_delta_raw,
                        tree_quadrature_points)
+from pointcell.benchmarks import MEMBRANE_CELLS, MEMBRANE_EXTENT
+from pointcell.quadrature import _lattice, _split, tensor_points
 
 _UNIT = ((0.0, 0.0), (1.0, 1.0))
 
@@ -229,3 +231,81 @@ def test_line_delta_mass_matches_length():
     rule = gauss_legendre_1d(10)
     mass = _integrate(tree, lambda pts: regularized_delta_raw(dist(pts), eps), rule)
     assert abs(mass - 1.0) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the box lattice
+
+
+def _random_boxes(rng, m=500):
+    """Boxes with non-dyadic bounds and widths over four decades."""
+    lo = rng.uniform(-3.0, 3.0, (m, 2))
+    return np.hstack([lo, lo + 10.0 ** rng.uniform(-4.0, 0.0, (m, 2))])
+
+
+def _old_tensor_points(boxes, rule):
+    """The former tensor_points body."""
+    n = rule.n
+    x0, y0 = boxes[:, 0], boxes[:, 1]
+    w = boxes[:, 2] - boxes[:, 0]
+    h = boxes[:, 3] - boxes[:, 1]
+    gx = x0[:, None] + 0.5 * w[:, None] * (rule.points[None, :] + 1.0)
+    gy = y0[:, None] + 0.5 * h[:, None] * (rule.points[None, :] + 1.0)
+    px = np.repeat(gx[:, :, None], n, axis=2)
+    py = np.repeat(gy[:, None, :], n, axis=1)
+    return np.stack([px, py], axis=-1).reshape(-1, 2)
+
+
+def _old_grid_points(cells, frac):
+    """The former diffuse-probe and query-sample body (x0 + w frac)."""
+    x0, y0 = cells[:, 0], cells[:, 1]
+    w = cells[:, 2] - cells[:, 0]
+    h = cells[:, 3] - cells[:, 1]
+    px = x0[:, None, None] + w[:, None, None] * frac[None, :, None]
+    py = y0[:, None, None] + h[:, None, None] * frac[None, None, :]
+    return np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(-1, 2)
+
+
+def _old_stencil_3x3(cells):
+    """The former is_cut stencil: corners, edge midpoints and center."""
+    x0, y0, x1, y1 = cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3]
+    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    xs = np.stack([x0, xm, x1], axis=1)
+    ys = np.stack([y0, ym, y1], axis=1)
+    px = np.repeat(xs[:, :, None], 3, axis=2)
+    py = np.repeat(ys[:, None, :], 3, axis=1)
+    return np.stack([px, py], axis=-1).reshape(cells.shape[0], 9, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11])
+def test_tensor_points_match_the_former_formula_bitwise(n):
+    rule = gauss_legendre_1d(n)
+    boxes = _random_boxes(np.random.default_rng(n))
+    np.testing.assert_array_equal(tensor_points(boxes, rule), _old_tensor_points(boxes, rule))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_lattice_matches_the_former_probe_and_query_grids_bitwise(g):
+    boxes = _random_boxes(np.random.default_rng(100 + g))
+    for frac in (np.linspace(0.0, 1.0, g), (np.arange(g) + 0.5) / g):
+        got = _lattice(boxes, frac)
+        assert got.shape == (boxes.shape[0], g * g, 2)
+        np.testing.assert_array_equal(got.reshape(-1, 2), _old_grid_points(boxes, frac))
+
+
+@pytest.mark.parametrize("extent,n_cells", [(AnnularConfig().extent, AnnularConfig().n_cells),
+                                            (MEMBRANE_EXTENT, MEMBRANE_CELLS)],
+                         ids=["annular", "membrane"])
+def test_lattice_stencil_matches_the_former_stencil_on_workload_cells(extent, n_cells):
+    """The annular and membrane meshes' cells, and their subcells down to
+    depth 4, get the same is_cut stencil points as before."""
+    mesh = StructuredMesh((-extent, -extent), (2 * extent, 2 * extent), n_cells, n_cells, 1)
+    iy, ix = np.divmod(np.arange(n_cells * n_cells), n_cells)
+    cells = mesh.cell_bounds(ix, iy)
+    for _ in range(5):
+        np.testing.assert_array_equal(_lattice(cells, (0.0, 0.5, 1.0)), _old_stencil_3x3(cells))
+        cells = _split(cells)
+
+
+def test_lattice_of_no_boxes_is_empty():
+    assert _lattice(np.zeros((0, 4)), (0.0, 0.5, 1.0)).shape == (0, 9, 2)
