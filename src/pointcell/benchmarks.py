@@ -209,47 +209,57 @@ def default_diffuse_params(epsilon: float = 5e-3, extent: float = AnnularConfig.
     return DiffuseParams(epsilon=epsilon, n_sub=n_sub, n_gauss=4)
 
 
-def run_beta_study(problem: AnnularProblem, betas, *, sharp: SharpParams | None = None,
-                   diffuse: DiffuseParams | None = None,
-                   reference_chords: int | None = None) -> dict:
-    """Energy error over a penalty sweep for any subset of the routes.
+def route_pairs(problem: AnnularProblem, *, sharp: SharpParams | None = None,
+                diffuse: DiffuseParams | None = None,
+                reference_chords: int | None = None) -> dict:
+    """Unit-penalty pair of each requested route of the annular problem.
 
-    The volume pair and each route's unit-penalty pair are assembled once;
-    scaling by beta is exact, so the sweep costs one small solve per point.
-    A failed solve leaves nan in that slot.  Returns a dict of columns
-    ("beta", one per route, and "<route>_points" counters).  Raises
-    BoundaryNotFoundError, naming the routes, when a route places no
-    penalty points.
+    Returns {route: (K, f, stats)} for the routes given, in the order sharp,
+    diffuse, reference, as the route's assembler returns them; scale K and f
+    by beta to enforce.  Raises BoundaryNotFoundError, naming every such
+    route, when a route places no penalty points.
     """
-    betas = np.asarray(betas, dtype=float)
-    out: dict = {"beta": betas}
     pairs = {}
     unit = PenaltyParams(beta=1.0, u_hat=problem.u_hat)
     if sharp is not None:
         segments = collect_sharp_segments(problem.mesh, problem.cloud,
                                           problem.dparams, sharp)
-        K, f, st = assemble_sharp_penalty(problem.mesh, problem.cloud, segments,
-                                          unit, sharp.n_gauss)
-        pairs["sharp"] = (K, f)
-        out["sharp_points"] = st["penalty_points"]
+        pairs["sharp"] = assemble_sharp_penalty(problem.mesh, problem.cloud, segments,
+                                                unit, sharp.n_gauss)
     if diffuse is not None:
-        K, f, st = assemble_diffuse_penalty(problem.mesh, problem.cloud,
-                                            problem.dparams, diffuse, unit)
-        pairs["diffuse"] = (K, f)
-        out["diffuse_points"] = st["penalty_points"]
+        pairs["diffuse"] = assemble_diffuse_penalty(problem.mesh, problem.cloud,
+                                                    problem.dparams, diffuse, unit)
     if reference_chords is not None:
         segs = np.vstack([
             circle_polyline(problem.config.r_inner, reference_chords),
             circle_polyline(problem.config.r_outer, 4 * reference_chords),
         ])
-        K, f, st = assemble_reference_penalty(problem.mesh, segs, unit,
-                                              n_gauss=6)
-        pairs["reference"] = (K, f)
-        out["reference_points"] = st["penalty_points"]
-    empty = [name for name in pairs if out[f"{name}_points"] == 0]
+        pairs["reference"] = assemble_reference_penalty(problem.mesh, segs, unit,
+                                                        n_gauss=6)
+    empty = [name for name, (_, _, st) in pairs.items() if st["penalty_points"] == 0]
     if empty:
         raise BoundaryNotFoundError(f"no penalty points from route(s) {', '.join(empty)}")
-    for name, (Kp, fp) in pairs.items():
+    return pairs
+
+
+def run_beta_study(problem: AnnularProblem, betas, *, sharp: SharpParams | None = None,
+                   diffuse: DiffuseParams | None = None,
+                   reference_chords: int | None = None) -> dict:
+    """Energy error over a penalty sweep for any subset of the routes.
+
+    The volume pair and each route's unit-penalty pair (route_pairs) are
+    assembled once; scaling by beta is exact, so the sweep costs one small
+    solve per point.  A failed solve leaves nan in that slot.  Returns a
+    dict of columns ("beta", one per route, and "<route>_points" counters).
+    Raises BoundaryNotFoundError, naming the routes, when a route places no
+    penalty points.
+    """
+    betas = np.asarray(betas, dtype=float)
+    pairs = route_pairs(problem, sharp=sharp, diffuse=diffuse,
+                        reference_chords=reference_chords)
+    out: dict = {"beta": betas}
+    out.update({f"{name}_points": st["penalty_points"] for name, (_, _, st) in pairs.items()})
+    for name, (Kp, fp, _) in pairs.items():
         errs = np.full(betas.size, np.nan)
         for i, b in enumerate(betas):
             try:

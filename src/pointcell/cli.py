@@ -21,9 +21,7 @@ import numpy as np
 from . import benchmarks, export
 from .errors import (BoundaryNotFoundError, CloudLoadError, SolverError)
 from .fcm import StructuredMesh
-from .penalty import (DiffuseParams, PenaltyParams, SharpParams,
-                      assemble_diffuse_penalty, assemble_sharp_penalty,
-                      collect_sharp_segments)
+from .penalty import DiffuseParams, PenaltyParams, SharpParams, collect_sharp_segments
 
 # Every config key and the type its value is read as.
 _KEYS = {
@@ -188,16 +186,8 @@ def _cmd_solve(cfg) -> int:
         params = _route_params(cfg, config, method)
         out = _outdir(cfg)
         problem = benchmarks.build_annular_problem(config)
-        pen = PenaltyParams(beta=beta, u_hat=problem.u_hat)
-        if method == "sharp":
-            segments = collect_sharp_segments(
-                problem.mesh, problem.cloud, problem.dparams, params)
-            Kp, fp, stats = assemble_sharp_penalty(
-                problem.mesh, problem.cloud, segments, pen, params.n_gauss)
-        else:
-            Kp, fp, stats = assemble_diffuse_penalty(
-                problem.mesh, problem.cloud, problem.dparams, params, pen)
-        u, energy, error = benchmarks.solve_annular(problem, Kp, fp)
+        (Kp, fp, stats), = benchmarks.route_pairs(problem, **{method: params}).values()
+        u, energy, error = benchmarks.solve_annular(problem, beta * Kp, beta * fp)
         _write_field(cfg, out, problem.mesh, u)
         print(f"dofs={problem.volume.ndof} penalty_points={stats['penalty_points']} "
               f"energy={energy:.10e} error_percent={error:.6e}")

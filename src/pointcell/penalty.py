@@ -12,9 +12,9 @@ Sharp route: the boundary is rebuilt as bounded plane segments, once per
 problem.  Reconstruct once: every cell's query lattice names the order-k
 Voronoi regions that may meet it; the union of those keys is fitted and
 clipped in one batched pass (the TLS plane of each region's k defining
-points, cut exactly to the region, an intersection of half-planes), giving
-one segment list that the penalty, the segment export and the membrane
-diagnostics all share.  Integrate by clipping: every segment is clipped to
+points, cut exactly to the region, an intersection of half-planes; a region
+whose line misses it has no segment), giving one segment list that the
+penalty, the segment export and the membrane diagnostics all share.  Integrate by clipping: every segment is clipped to
 each cell it crosses and the rule is laid on each clipped piece, exactly as
 for the reference route.  Cells are half-open, so a piece on a shared edge is
 counted once, and a piece reaching into a cell whose own lattice missed its
@@ -41,7 +41,8 @@ from .geometry import (DistanceParams, PointCloud, _knn_indices_many,
 from .quadrature import (DiffuseParams, _build_tree, _lattice, build_diffuse_tree,
                          gauss_legendre_1d, regularized_delta_raw,
                          tree_quadrature_points)
-from .voronoi import _unique_rows, region_keys_many
+# region_keys_many is unused here; perfbench/spans.py binds it in this module.
+from .voronoi import _unique_rows, region_keys_many  # noqa: F401
 
 # Keys of skipped regions quoted in a SharpBoundaryWarning.
 _SHOWN_KEYS = 5
@@ -117,8 +118,6 @@ class BoundedSegment:
 
     @property
     def total_length(self):
-        if self.intervals.size == 0:
-            return 0.0
         return float(np.sum(self.intervals[:, 1] - self.intervals[:, 0]))
 
     def endpoints(self):
@@ -224,14 +223,14 @@ def _clip_to_regions(cloud: PointCloud, keys_arr, supports, tangents, l_max: flo
     An order-k region is the intersection of the half-planes
     (x - m_ij).(p_j - p_i) <= 0 over i in its key and j outside it, m_ij being
     their midpoint (Lee, IEEE Trans. Comput. C-31, 1982); on the line each is
-    a half-line in t.  At an end of the piece some p_j ties with a key point,
-    so p_j lies within the k-th neighbour distance of that end, which is at
-    most reach + l_max/2 (the distance is 1-Lipschitz, reach being its value
-    max |p_i - s| at the support).  One ball of radius reach + l_max around
-    each support (widened by 1e-12 relative against round-off) thus holds
-    every constraint that can bind.  The support lies in its region, so a
-    bisector parallel to the line binds nowhere on it, and lo <= 0 <= hi;
-    the latter is imposed against round-off in t.
+    a half-line in t, or, for a bisector parallel to the line, all of it or
+    none.  Only the p_j in a ball of radius reach + l_max around the support
+    are tested, reach being max |p_i - s| over the key (widened by 1e-12
+    relative against round-off).  That is complete: were a point x of the
+    line with |t| <= l_max/2 to meet every tested constraint yet lie outside
+    the region, some p_j would be closer to x than a key point, so
+    |p_j - s| < reach + l_max and p_j was tested after all.  The piece is
+    empty (hi <= lo) when the line misses its region.
     """
     pts = cloud.points
     key_pts = pts[keys_arr]
@@ -250,7 +249,8 @@ def _clip_to_regions(cloud: PointCloud, keys_arr, supports, tangents, l_max: flo
     up, down = b > 0.0, b < 0.0
     np.minimum.at(hi, rows[up], -a[up] / b[up])
     np.maximum.at(lo, rows[down], -a[down] / b[down])
-    return np.minimum(lo, 0.0), np.maximum(hi, 0.0)
+    hi[rows[(b == 0.0) & (a > 0.0)]] = -np.inf
+    return lo, hi
 
 
 def _reconstruct(cloud: PointCloud, keys, sparams: SharpParams):
@@ -258,9 +258,9 @@ def _reconstruct(cloud: PointCloud, keys, sparams: SharpParams):
 
     Fits the TLS plane of each key's defining points and clips the line
     along its tangent through the support point to the region, within l_max/2
-    of the support (_clip_to_regions).  Regions whose fit is isotropic or
-    whose support fell outside their own region are skipped, with one
-    SharpBoundaryWarning for the whole call.
+    of the support (_clip_to_regions); the clip alone decides whether a
+    region has boundary.  Regions whose fit is isotropic or whose line misses
+    the region are skipped, with one SharpBoundaryWarning for the whole call.
 
     keys is a sorted sequence of key tuples; returns a BoundedSegment per
     kept key, in the same order.
@@ -268,15 +268,13 @@ def _reconstruct(cloud: PointCloud, keys, sparams: SharpParams):
     if len(keys) == 0:
         return []
     keys_arr = np.asarray(keys, dtype=int)
-    k = keys_arr.shape[1]
     supports, normals, iso, _ = fit_planes(cloud.points[keys_arr])
     tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
-    outside = np.zeros_like(iso)
-    outside[~iso] = np.any(region_keys_many(cloud, supports[~iso], k) != keys_arr[~iso],
-                           axis=1)
+    lo, hi = _clip_to_regions(cloud, keys_arr, supports, tangents, sparams.l_max)
+    keep = ~iso & (hi > lo)
     skipped = {"isotropic neighbor set": keys_arr[iso],
-               "support point outside its region": keys_arr[outside]}
-    n_skipped = int(iso.sum() + outside.sum())
+               "line misses its region": keys_arr[~iso & ~keep]}
+    n_skipped = len(keys_arr) - int(keep.sum())
     if n_skipped:
         counts = ", ".join(f"{len(rows)} {reason}" for reason, rows in skipped.items()
                            if len(rows))
@@ -285,14 +283,10 @@ def _reconstruct(cloud: PointCloud, keys, sparams: SharpParams):
         warnings.warn(f"{n_skipped} of {len(keys_arr)} regions skipped ({counts}); "
                       f"first keys: {', '.join(map(str, first))}",
                       SharpBoundaryWarning, stacklevel=3)
-    keep = ~(iso | outside)
-    if not np.any(keep):
-        return []
-    keys_arr, supports, tangents = keys_arr[keep], supports[keep], tangents[keep]
-    lo, hi = _clip_to_regions(cloud, keys_arr, supports, tangents, sparams.l_max)
     return [BoundedSegment(key=tuple(int(i) for i in key), support=s, direction=tau,
                            intervals=np.array([[a, b]]))
-            for key, s, tau, a, b in zip(keys_arr, supports, tangents, lo, hi)]
+            for key, s, tau, a, b in zip(keys_arr[keep], supports[keep], tangents[keep],
+                                         lo[keep], hi[keep])]
 
 
 def bisect_plane_segments(cloud: PointCloud, key, dparams: DistanceParams,

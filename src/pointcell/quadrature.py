@@ -3,8 +3,8 @@
 Cut cells are integrated over a quadtree of subcells.  Two builders exist: an
 indicator-driven tree that refines wherever an inside/outside classifier
 disagrees across a 3x3 sample stencil, and a distance-driven tree for thin
-regularized-delta layers that refines wherever the layer function is sensed by
-a per-subcell test grid.  Every leaf carries the same tensor Gauss rule.
+regularized-delta layers that refines wherever a per-subcell probe grid finds
+the layer within reach.  Every leaf carries the same tensor Gauss rule.
 
 Each subcell decision has one home here: _lattice samples every box (Gauss
 points, the is_cut stencil, the diffuse probes and the sharp route's query
@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Delta value at a probe that makes the diffuse tree split a subcell, and the
-# probes per direction of each subcell (endpoints included).
-_EPS_D = 1e-5
+# Probes per direction of each diffuse-tree subcell (endpoints included).
 _DIFFUSE_TEST_GRID = 5
 
 
@@ -38,10 +36,8 @@ class QuadratureRule1D:
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    """P_n(x) and P_n'(x), n >= 2, by the three-term recurrence."""
     p0 = np.ones_like(x)
-    if n == 0:
-        return p0, np.zeros_like(x)
     p1 = x.copy()
     for j in range(2, n + 1):
         p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
@@ -192,31 +188,28 @@ def build_alpha_tree(cell, inside_test, max_depth: int) -> SpaceTree:
 
 
 def build_diffuse_tree(cell, dist, params: DiffuseParams) -> SpaceTree:
-    """Quadtree refined where a regularized delta of dist(x) is sensed.
+    """Quadtree refined where the regularized-delta layer around dist(x) = 0
+    may reach.
 
     Each subcell is probed on a _DIFFUSE_TEST_GRID-square equidistant lattice
-    (endpoints included); it is subdivided while shallower than n_sub if the
-    delta exceeds _EPS_D at any probe.  A conservative capture guard also
-    subdivides when min(dist) <= epsilon + g where g is the farthest any
-    subcell point lies from a probe: a coarse subcell that intersects the
-    layer cannot sneak past the probes (dist is treated as 1-Lipschitz), and a
-    subcell with 10*epsilon clearance is still left alone.  Leaves that never
-    sensed the layer remain part of the tree and are integrated like any
-    other.
+    (endpoints included); it is subdivided while shallower than n_sub when
+    min(dist) <= epsilon + g, g being the farthest any subcell point lies
+    from a probe.  A coarse subcell that intersects the layer thus cannot
+    sneak past the probes (dist is treated as 1-Lipschitz), and a subcell
+    with 10*epsilon clearance is still left alone.  Leaves that never met
+    the layer remain part of the tree and are integrated like any other.
     """
     eps = params.epsilon
     g = _DIFFUSE_TEST_GRID
     frac = np.linspace(0.0, 1.0, g)
 
-    def sensed_or_near(active):
+    def near_layer(active):
         pts = _lattice(active, frac).reshape(-1, 2)
         d = np.asarray(dist(pts), dtype=float).reshape(active.shape[0], g * g)
-        sensed = np.any(regularized_delta_raw(d, eps) > _EPS_D, axis=1)
         spacing = np.maximum(active[:, 2] - active[:, 0], active[:, 3] - active[:, 1]) / (g - 1)
-        guard = d.min(axis=1) <= eps + spacing * (np.sqrt(2.0) / 2.0)
-        return sensed | guard
+        return d.min(axis=1) <= eps + spacing * (np.sqrt(2.0) / 2.0)
 
-    return _build_tree(_as_root(cell)[None, :], sensed_or_near, params.n_sub)
+    return _build_tree(_as_root(cell)[None, :], near_layer, params.n_sub)
 
 
 def regularized_delta_raw(t, epsilon: float):

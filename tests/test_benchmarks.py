@@ -289,7 +289,7 @@ def test_membrane_square_cloud_warns_once():
     assert caught[0].category is SharpBoundaryWarning
     text = str(caught[0].message)
     assert "np.int64" not in text
-    assert "support point outside its region" in text
+    assert "line misses its region" in text
 
 
 def test_membrane_circle_light_run():

@@ -10,7 +10,7 @@ import pytest
 from pointcell import (AnnularConfig, build_annular_problem, build_membrane_problem,
                        circle_cloud, default_diffuse_params, default_membrane_params,
                        default_sharp_params, load_scaled_cloud, run_beta_study)
-from pointcell import cli
+from pointcell import benchmarks, cli
 from pointcell.cli import main
 from pointcell.export import write_field_vtk, write_segments_csv
 
@@ -256,6 +256,25 @@ def test_solve_annular_sharp(tmp_path, capsys):
     assert "DIMENSIONS 9 9 1" in header
 
 
+@pytest.mark.filterwarnings("ignore")
+def test_solve_annular_without_penalty_points_fails(tmp_path, capsys):
+    """A route that places no penalty points fails as in beta-study, rather
+    than solving a system the boundary never constrains."""
+    ini = _write(tmp_path / "run.ini", """\
+        [problem]
+        kind = annular
+        n_points = 1
+        volume_depth = 2
+        [mesh]
+        n_cells = 2
+        degree = 2
+        """)
+    out = tmp_path / "out"
+    assert main(["--config", ini, "--out-dir", str(out), "solve"]) == 1
+    assert "run failed: no penalty points from route(s) sharp" in capsys.readouterr().err
+    assert not (out / "field.vtk").exists()
+
+
 def test_solve_annular_diffuse_flag_override(tmp_path, capsys):
     ini = _write(tmp_path / "run.ini", _tiny_annular())
     out = tmp_path / "out"
@@ -372,8 +391,8 @@ def test_flag_replaces_its_field_and_derived_values_follow(tmp_path, monkeypatch
 
 def test_diffuse_depth_follows_the_user_epsilon(tmp_path, monkeypatch):
     seen = []
-    real = cli.assemble_diffuse_penalty
-    monkeypatch.setattr(cli, "assemble_diffuse_penalty",
+    real = benchmarks.assemble_diffuse_penalty
+    monkeypatch.setattr(benchmarks, "assemble_diffuse_penalty",
                         lambda *a: seen.append(a[3]) or real(*a))
     ini = _write(tmp_path / "run.ini", _tiny_annular())
     assert main(["--config", ini, "--out-dir", str(tmp_path / "o"), "--method",

@@ -294,13 +294,27 @@ def test_bisect_isotropic_fit_warns_and_skips():
 
 
 def test_bisect_support_outside_region_warns_and_skips():
-    """The centroid of a non-adjacent index pair falls in another region."""
+    """A non-adjacent index pair of a straight cloud has an empty order-2
+    region (its centroid lies in another one), so its line misses it."""
     xs = np.arange(6, dtype=float)
     cloud = PointCloud(np.column_stack([xs, np.zeros(6)]))
     dp = DistanceParams(k=2, r=np.inf)
     sp = SharpParams(n_query=3, n_gauss=2, l_max=1.0)
     with pytest.warns(SharpBoundaryWarning):
         seg = bisect_plane_segments(cloud, (0, 5), dp, sp)
+    assert seg is None
+
+
+@pytest.mark.parametrize("key", [(0, 2, 3), (2, 3, 5)])
+def test_bisect_parallel_bisector_beyond_the_line_skips(key):
+    """On this lattice cloud a bisector parallel to the region's line, with
+    the line on its far side, excludes the whole line: the clip finds no
+    piece.  Without that rule it kept one lying in another region."""
+    cloud = PointCloud(np.array([[0, 2], [1, 0], [2, 0], [2, 4], [3, 4], [4, 2]], dtype=float))
+    dp = DistanceParams(k=3, r=np.inf)
+    sp = SharpParams(n_query=3, n_gauss=2, l_max=1.0)
+    with pytest.warns(SharpBoundaryWarning, match="1 line misses its region"):
+        seg = bisect_plane_segments(cloud, key, dp, sp)
     assert seg is None
 
 
@@ -375,6 +389,18 @@ def test_clipped_piece_is_the_regions_piece_of_the_line(name):
         inside += list(want.astype(bool))
     got = np.all(_scan_keys(cloud.points, np.concatenate(probes), dp.k) == owners, axis=1)
     assert [key for key, g, w in zip(owners, got, inside) if g != w] == []
+
+
+@pytest.mark.filterwarnings("ignore::pointcell.SharpBoundaryWarning")
+def test_near_duplicates_keep_the_length_of_the_plain_circle():
+    """1-ulp copies of 10 of 200 circle points split regions, but the clip
+    keeps the length of the circle without them to 1e-4 relative."""
+    want = sum(s.total_length for s in collect_sharp_segments(
+        *_on_square(PointCloud(circle_cloud(1.0, 200)), 4)))
+    got = sum(s.total_length for s in collect_sharp_segments(
+        *_on_square(_circle_with_ulp_copies(), 4)))
+    assert want == pytest.approx(6.279827, rel=1e-6)
+    assert got == pytest.approx(want, rel=1e-4)
 
 
 def test_collect_segments_covers_embedded_line():
