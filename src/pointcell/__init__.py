@@ -33,13 +33,13 @@ from .penalty import (BoundedSegment, DiffuseParams, PenaltyParams,
                       SharpParams, assemble_diffuse_penalty,
                       assemble_reference_penalty, assemble_sharp_penalty,
                       bisect_plane_segments, collect_sharp_segments,
-                      diffuse_penalty_cell, identify_contributing_regions,
-                      sharp_penalty_cell)
+                      count_diffuse_points, diffuse_penalty_cell,
+                      identify_contributing_regions, sharp_penalty_cell)
 from .benchmarks import (AnnularConfig, AnnularProblem, MembraneResult,
                          beta_grid, build_annular_problem,
                          build_membrane_problem, circle_cloud, circle_polyline,
-                         count_diffuse_points, default_diffuse_params,
-                         default_membrane_params, default_sharp_params,
-                         energy_error, load_scaled_cloud, run_beta_study)
+                         default_diffuse_params, default_membrane_params,
+                         default_sharp_params, energy_error, load_scaled_cloud,
+                         run_beta_study)
 
 __version__ = "0.1.0"

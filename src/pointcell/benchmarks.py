@@ -33,11 +33,10 @@ from .errors import BoundaryNotFoundError, SolverError
 from .fcm import (GlobalSystem, IndicatorField, PoissonCoefficient,
                   StructuredMesh, add_operators, apply_strong_zero, assemble_volume,
                   everywhere, solve, strain_energy)
-from .geometry import DistanceParams, PointCloud, pca_distance_many
-from .penalty import (DiffuseParams, PenaltyParams, SharpParams, _diffuse_cells,
-                      _segment_rows, assemble_diffuse_penalty, assemble_reference_penalty,
+from .geometry import DistanceParams, PointCloud
+from .penalty import (DiffuseParams, PenaltyParams, SharpParams, _segment_rows,
+                      assemble_diffuse_penalty, assemble_reference_penalty,
                       assemble_sharp_penalty, collect_sharp_segments)
-from .quadrature import build_diffuse_tree
 
 
 def energy_error(u_num: float, u_ref: float) -> float:
@@ -224,8 +223,7 @@ def route_pairs(problem: AnnularProblem, *, sharp: SharpParams | None = None,
     if sharp is not None:
         segments = collect_sharp_segments(problem.mesh, problem.cloud,
                                           problem.dparams, sharp)
-        pairs["sharp"] = assemble_sharp_penalty(problem.mesh, problem.cloud, segments,
-                                                unit, sharp.n_gauss)
+        pairs["sharp"] = assemble_sharp_penalty(problem.mesh, segments, unit, sharp.n_gauss)
     if diffuse is not None:
         pairs["diffuse"] = assemble_diffuse_penalty(problem.mesh, problem.cloud,
                                                     problem.dparams, diffuse, unit)
@@ -279,17 +277,6 @@ def solve_annular(problem: AnnularProblem, Kp, fp):
     u = solve(system)
     energy = strain_energy(problem.volume, u)
     return u, energy, energy_error(energy, problem.u_ref)
-
-
-def count_diffuse_points(mesh: StructuredMesh, cloud: PointCloud,
-                         dparams: DistanceParams, diff: DiffuseParams) -> int:
-    """Quadrature points the diffuse route would place, without assembling."""
-    dist = lambda pts: pca_distance_many(cloud, pts, dparams)
-    total = 0
-    for ix, iy in _diffuse_cells(mesh, cloud, dparams, diff):
-        tree = build_diffuse_tree(mesh.cell_bounds(ix, iy), dist, diff)
-        total += tree.n_leaves * diff.n_gauss ** 2
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +357,13 @@ def build_membrane_problem(cloud: PointCloud, *, extent: float = MEMBRANE_EXTENT
                              body=lambda xs: np.full(xs.shape[0], load))
     pen = PenaltyParams(beta=beta, u_hat=rim_value)
     segments = collect_sharp_segments(mesh, cloud, dparams, sparams)
-    Kp, fp, pstats = assemble_sharp_penalty(mesh, cloud, segments, pen, sparams.n_gauss)
+    Kp, fp, pstats = assemble_sharp_penalty(mesh, segments, pen, sparams.n_gauss)
     if pstats["penalty_points"] == 0:
         raise BoundaryNotFoundError(
             "sharp reconstruction found no boundary segments; check r and l_max")
     system = GlobalSystem(K=add_operators(volume.K, Kp), f=volume.f + fp, mesh=mesh)
+    # The summed operator is all the solve needs; the parts would stay alive through it.
+    del volume, Kp, fp
     system = apply_strong_zero(system, mesh.boundary_scalar_dofs())
     u = solve(system)
     # Points entered the penalty, so some segment exists.
@@ -383,9 +372,8 @@ def build_membrane_problem(cloud: PointCloud, *, extent: float = MEMBRANE_EXTENT
     from .fcm import evaluate
 
     mismatch = float(np.mean(np.abs(evaluate(mesh, u, bpts) - rim_value)))
-    stats = {"penalty_points": pstats["penalty_points"],
-             "n_segments": int(sum(s.intervals.shape[0] for s in segments)),
-             "n_regions": len(segments), "dofs": system.ndof}
+    stats = {"penalty_points": pstats["penalty_points"], "n_regions": len(segments),
+             "dofs": system.ndof}
     return MembraneResult(mesh=mesh, cloud=cloud, coeffs=u, segments=segments,
                           boundary_points=bpts, mean_abs_mismatch=mismatch,
                           stats=stats)

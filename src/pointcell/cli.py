@@ -176,7 +176,7 @@ def _cmd_solve(cfg) -> int:
                                   result.segments)
         print(f"dofs={result.stats['dofs']} "
               f"penalty_points={result.stats['penalty_points']} "
-              f"segments={result.stats['n_segments']} "
+              f"segments={result.stats['n_regions']} "
               f"mean_abs_mismatch={result.mean_abs_mismatch:.6e}")
         return 0
     if kind == "annular":
@@ -242,7 +242,7 @@ def _cmd_reconstruct(cfg) -> int:
     export.write_segments_csv(os.path.join(out, "segments.csv"), segments)
     total = sum(seg.total_length for seg in segments)
     print(f"regions={len(segments)} "
-          f"subsegments={sum(seg.intervals.shape[0] for seg in segments)} "
+          f"subsegments={len(segments)} "
           f"total_length={total:.10e}")
     return 0
 

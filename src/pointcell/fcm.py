@@ -154,13 +154,6 @@ class StructuredMesh:
         indices.flags.writeable = False
         return indptr, indices
 
-    def cell_positions(self, ix: int, iy: int, ncomp: int = 1):
-        """Places in pattern(ncomp)'s data array of the cell's local matrix,
-        flat in the order of Ke.reshape(-1) (see local_positions), as intp:
-        a fancy-index add converts int32 places on the read and again on the
-        write."""
-        return self.local_positions([ix], [iy], ncomp).reshape(-1).astype(np.intp)
-
     def local_positions(self, ix, iy, ncomp: int = 1):
         """Places in pattern(ncomp)'s data array of the local matrices of the
         cells (ix[k], iy[k]), shape (m, n, n) with n = (p + 1)^2 ncomp.
@@ -245,9 +238,10 @@ class StructuredMesh:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         rel = xs - self.origin
         tol = 1e-12 * max(self.lengths)
-        if np.any(rel < -tol) or np.any(rel > self.lengths + tol):
-            bad = xs[np.any((rel < -tol) | (rel > self.lengths + tol), axis=1)][0]
-            raise MeshQueryError(f"point {bad} lies outside the mesh")
+        # "not inside", so that a non-finite point is outside too
+        outside = ~np.all((rel >= -tol) & (rel <= self.lengths + tol), axis=1)
+        if np.any(outside):
+            raise MeshQueryError(f"point {xs[outside][0]} lies outside the mesh")
         ix = np.clip((rel[:, 0] // self.hx).astype(int), 0, self.nx - 1)
         iy = np.clip((rel[:, 1] // self.hy).astype(int), 0, self.ny - 1)
         xi = np.clip(2.0 * (rel[:, 0] - ix * self.hx) / self.hx - 1.0, -1.0, 1.0)
@@ -376,8 +370,8 @@ class GlobalSystem:
     """Assembled sparse operator and load vector.
 
     ncomp is 1 for scalar problems and 2 for plane stress; component c of
-    scalar dof s is dof ncomp * s + c (see component_dofs).  stats carries
-    assembly counters.
+    scalar dof s is dof ncomp * s + c (see component_dofs), and K and f hold
+    every dof (ValueError otherwise).  stats carries assembly counters.
     """
 
     K: sp.csr_matrix
@@ -386,6 +380,12 @@ class GlobalSystem:
     ncomp: int = 1
     stats: dict = field(default_factory=dict)
     last_residual: float | None = None
+
+    def __post_init__(self):
+        n = self.mesh.n_scalar_dofs * self.ncomp
+        if self.K.shape != (n, n) or np.shape(self.f) != (n,):
+            raise ValueError(f"K of shape {self.K.shape} and f of shape {np.shape(self.f)} do "
+                             f"not match the mesh's {n} dofs at ncomp={self.ncomp}")
 
     @property
     def ndof(self):
@@ -410,8 +410,8 @@ def scatter_cells(mesh: StructuredMesh, ncomp: int, cell_pairs):
     order, each mode's ncomp components in turn (the layout of
     component_dofs).  Each Ke enters as its symmetric part 0.5 (Ke + Ke^T),
     added straight into the data array of the mesh's pattern at the cell's
-    positions (StructuredMesh.cell_positions).  Returns (K, f) with K a CSR
-    matrix on that pattern, sharing its index arrays.
+    places (StructuredMesh.local_positions of that one cell).  Returns (K, f)
+    with K a CSR matrix on that pattern, sharing its index arrays.
     """
     indptr, indices = mesh.pattern(ncomp)
     data = np.zeros(indices.size)
@@ -421,7 +421,8 @@ def scatter_cells(mesh: StructuredMesh, ncomp: int, cell_pairs):
         # adds accumulate without loss.
         sym = Ke + Ke.T
         sym *= 0.5
-        data[mesh.cell_positions(ix, iy, ncomp)] += sym.reshape(-1)
+        # intp places: a fancy-index add converts int32 ones on both read and write
+        data[mesh.local_positions([ix], [iy], ncomp).reshape(-1).astype(np.intp)] += sym.reshape(-1)
         f[component_dofs(mesh.cell_dofs(ix, iy), ncomp)] += fe
     return sp.csr_matrix((data, indices, indptr), shape=(f.size, f.size)), f
 
@@ -717,16 +718,19 @@ def evaluate(mesh: StructuredMesh, coeffs: np.ndarray, xs, ncomp: int = 1,
              gradients: bool = False):
     """Discrete field (and optionally gradients) at points inside the mesh.
 
-    coeffs is in the layout of component_dofs.  Returns values of shape
-    (m,) for scalar fields or (m, ncomp) for vector fields; with
-    gradients=True a tuple (values, grads) where grads has one xy pair per
-    component.
+    coeffs is in the layout of component_dofs, ncomp values per scalar dof
+    (ValueError otherwise).  Returns values of shape (m,) for scalar fields
+    or (m, ncomp) for vector fields; with gradients=True a tuple (values,
+    grads) where grads has one xy pair per component.
 
     The 1D modes are tabulated once at every point's xi and eta.  The
     points are then grouped by cell and each cell's coefficient block
     C[a, b, c] is contracted as sum_ab N_a(xi) C_abc N_b(eta); a gradient
     puts N' in place of N on one side.
     """
+    if np.size(coeffs) != mesh.n_scalar_dofs * ncomp:
+        raise ValueError(f"coeffs holds {np.size(coeffs)} values, but the mesh has "
+                         f"{mesh.n_scalar_dofs * ncomp} dofs at ncomp={ncomp}")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n1 = mesh.degree + 1
     ix, iy, xi, eta = mesh.locate(xs)

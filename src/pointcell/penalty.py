@@ -14,16 +14,16 @@ Voronoi regions that may meet it; the union of those keys is fitted and
 clipped in one batched pass (the TLS plane of each region's k defining
 points, cut exactly to the region, an intersection of half-planes; a region
 whose line misses it has no segment), giving one segment list that the
-penalty, the segment export and the membrane diagnostics all share.  Integrate by clipping: every segment is clipped to
-each cell it crosses and the rule is laid on each clipped piece, exactly as
-for the reference route.  Cells are half-open, so a piece on a shared edge is
-counted once, and a piece reaching into a cell whose own lattice missed its
-region is still integrated there.  Points sit on the reconstructed boundary
-itself, so nothing constrains the field away from it, and far fewer points
-are needed than in the layer.
+penalty, the segment export and the membrane diagnostics all share.  The
+sharp pair is the reference pair over the segments' rows: each is clipped to
+every cell it crosses and the rule is laid on each piece.  Cells are
+half-open, so a piece on a shared edge is counted once, and a piece reaching
+into a cell whose own lattice missed its region is still integrated there.
+Points sit on the reconstructed boundary itself, so nothing constrains the
+field away from it, and far fewer points are needed than in the layer.
 
 A reference route over explicit polyline segments serves as the ground truth
-for both; it shares the sharp route's segment integrator.
+for both.
 """
 
 from __future__ import annotations
@@ -141,9 +141,7 @@ def diffuse_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointClo
     leaves at depth n_sub: the capture guard left every shallower leaf
     unsplit because none of its points comes within epsilon of the layer.
     """
-    bounds = mesh.cell_bounds(ix, iy)
-    dist = lambda pts: pca_distance_many(cloud, pts, dparams)
-    tree = build_diffuse_tree(bounds, dist, diff)
+    tree = _diffuse_tree(mesh, ix, iy, cloud, dparams, diff)
     rule = gauss_legendre_1d(diff.n_gauss)
     pts, wts, leaf_of = tree_quadrature_points(tree, rule)
     deep = tree.depths[leaf_of] == diff.n_sub
@@ -152,6 +150,19 @@ def diffuse_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointClo
     weighted = w != 0.0
     return _accumulate_point_penalty(mesh, ix, iy, pts[deep][weighted], w[weighted], pen,
                                      ncomp) + (pts.shape[0],)
+
+
+def _diffuse_tree(mesh, ix, iy, cloud, dparams, diff):
+    """The distance-driven tree of cell (ix, iy) (quadrature.build_diffuse_tree)."""
+    return build_diffuse_tree(mesh.cell_bounds(ix, iy),
+                              lambda pts: pca_distance_many(cloud, pts, dparams), diff)
+
+
+def count_diffuse_points(mesh: StructuredMesh, cloud: PointCloud,
+                         dparams: DistanceParams, diff: DiffuseParams) -> int:
+    """Quadrature points the diffuse route would place, without assembling."""
+    return diff.n_gauss ** 2 * sum(_diffuse_tree(mesh, ix, iy, cloud, dparams, diff).n_leaves
+                                   for ix, iy in _diffuse_cells(mesh, cloud, dparams, diff))
 
 
 def _accumulate_point_penalty(mesh, ix, iy, pts, w, pen, ncomp):
@@ -289,8 +300,7 @@ def _reconstruct(cloud: PointCloud, keys, sparams: SharpParams):
                                          lo[keep], hi[keep])]
 
 
-def bisect_plane_segments(cloud: PointCloud, key, dparams: DistanceParams,
-                          sparams: SharpParams) -> BoundedSegment | None:
+def bisect_plane_segments(cloud: PointCloud, key, sparams: SharpParams) -> BoundedSegment | None:
     """Bounded plane segment of a single region (see _reconstruct).
 
     Returns None, with a warning, when the region is skipped.  The segment
@@ -443,20 +453,15 @@ def assemble_diffuse_penalty(mesh: StructuredMesh, cloud: PointCloud,
     return K, f, {"penalty_points": n, "cells": len(cells)}
 
 
-def assemble_sharp_penalty(mesh: StructuredMesh, cloud: PointCloud, segments,
-                           pen: PenaltyParams, n_gauss: int, ncomp: int = 1):
+def assemble_sharp_penalty(mesh: StructuredMesh, segments, pen: PenaltyParams,
+                           n_gauss: int, ncomp: int = 1):
     """Global sharp penalty pair over reconstructed segments.
 
     segments is the output of collect_sharp_segments, and each one lies in
-    its own region, so they are integrated as the reference route's
-    segments are; cloud is not read.  penalty_points counts the Gauss
-    points.
+    its own region, so this is the reference pair over their (m, 4) rows.
+    penalty_points counts the Gauss points.
     """
-    unit = PenaltyParams(beta=1.0, u_hat=pen.u_hat)
-    it = _segment_cell_pairs(mesh, _segment_rows(segments), unit, n_gauss, ncomp,
-                             mesh.cells())
-    K, f, n = _assemble_cells(mesh, ncomp, pen.beta, it)
-    return K, f, {"penalty_points": n}
+    return assemble_reference_penalty(mesh, _segment_rows(segments), pen, n_gauss, ncomp)
 
 
 def assemble_reference_penalty(mesh: StructuredMesh, segments, pen: PenaltyParams,

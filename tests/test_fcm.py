@@ -107,6 +107,44 @@ def test_locate_rejects_outside_points():
         evaluate(mesh, np.zeros(mesh.n_scalar_dofs), np.array([[1.5, 0.5]]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("point", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [0.5, -np.inf]])
+def test_locate_rejects_non_finite_points(point):
+    """NaN fails every comparison, so a point that is not inside the bounds
+    is rejected as outside rather than cast to a cell index."""
+    mesh = StructuredMesh((0, 0), (1, 1), 2, 2, 1)
+    with pytest.raises(MeshQueryError, match="outside the mesh"):
+        evaluate(mesh, np.zeros(mesh.n_scalar_dofs), np.array([point]))
+
+
+def test_evaluate_rejects_a_plane_stress_field_read_as_scalar():
+    """On 2 x 2 cells at p = 3 the default ncomp = 1 used to read the 98
+    interleaved values as 49 scalar ones (0.0 at the centre)."""
+    mesh = StructuredMesh((0, 0), (1, 1), 2, 2, 3)
+    u = np.tile([1.0, 0.0], mesh.n_scalar_dofs)
+    with pytest.raises(ValueError, match="98 values, but the mesh has 49 dofs at ncomp=1"):
+        evaluate(mesh, u, [[0.5, 0.5]])
+    np.testing.assert_allclose(evaluate(mesh, u, [[0.5, 0.5]], ncomp=2), [[1.0, 0.0]])
+
+
+def test_evaluate_rejects_a_short_coefficient_array():
+    mesh = StructuredMesh((0, 0), (1, 1), 2, 2, 3)
+    with pytest.raises(ValueError, match="48 values, but the mesh has 49 dofs at ncomp=1"):
+        evaluate(mesh, np.zeros(48), [[0.9, 0.9]])
+
+
+def test_global_system_checks_the_dof_layout():
+    """A plane-stress pair wrapped without ncomp = 2, or a load of the wrong
+    size, is refused when the system is built, not in the solve."""
+    mesh = StructuredMesh((0, 0), (1, 1), 2, 2, 3)
+    vol = assemble_volume(mesh, PlaneStress(), IndicatorField(inside=everywhere))
+    with pytest.raises(ValueError, match=r"\(98, 98\).*\(98,\).*49 dofs at ncomp=1"):
+        GlobalSystem(K=vol.K, f=vol.f, mesh=mesh)
+    with pytest.raises(ValueError, match="98 dofs at ncomp=2"):
+        GlobalSystem(K=vol.K, f=vol.f[:-1], mesh=mesh, ncomp=2)
+    assert GlobalSystem(K=vol.K, f=vol.f, mesh=mesh, ncomp=2).ndof == 98
+
+
 def test_boundary_scalar_dofs_silence_the_rim():
     """Zeroing the reported boundary dofs kills the trace of any field."""
     mesh = StructuredMesh((0, 0), (1, 1), 3, 2, 4)
@@ -425,7 +463,7 @@ def _rel_frobenius(A, B):
 @given(nx=st.integers(1, 4), ny=st.integers(1, 4), p=st.integers(1, 5),
        ncomp=st.sampled_from([1, 2]), mesh_type=st.sampled_from([StructuredMesh, _AlongLineMesh]))
 def test_mesh_pattern_and_scatter_match_coo_oracle(nx, ny, p, ncomp, mesh_type):
-    """Each cell's positions address its own (row, col) pairs in the shared
+    """Each cell's places address its own (row, col) pairs in the shared
     pattern, the pattern is the union of the cell blocks, and the data
     scatter equals the COO route, in either dof numbering; the shared index
     arrays are read-only."""
@@ -435,7 +473,7 @@ def test_mesh_pattern_and_scatter_match_coo_oracle(nx, ny, p, ncomp, mesh_type):
     pairs, ones = [], []
     for ix, iy in mesh.cells():
         dofs = component_dofs(mesh.cell_dofs(ix, iy), ncomp)
-        pos = mesh.cell_positions(ix, iy, ncomp)
+        pos = mesh.local_positions([ix], [iy], ncomp).reshape(-1)
         np.testing.assert_array_equal(np.searchsorted(indptr, pos, side="right") - 1,
                                       np.repeat(dofs, dofs.size))
         np.testing.assert_array_equal(indices[pos], np.tile(dofs, dofs.size))
@@ -501,7 +539,7 @@ def _light_annulus_routes():
     pen = PenaltyParams(beta=3.0, u_hat=prob.u_hat)
     sharp = default_sharp_params(prob.config)
     return prob, [
-        assemble_sharp_penalty(mesh, cloud, collect_sharp_segments(mesh, cloud, prob.dparams, sharp),
+        assemble_sharp_penalty(mesh, collect_sharp_segments(mesh, cloud, prob.dparams, sharp),
                                pen, sharp.n_gauss),
         assemble_diffuse_penalty(mesh, cloud, prob.dparams,
                                  default_diffuse_params(2e-2, n_cells=2), pen),
@@ -647,7 +685,7 @@ def test_solve_matches_tocsc_route_on_annular():
     prob = build_annular_problem(config)
     sharp = default_sharp_params(config)
     segments = collect_sharp_segments(prob.mesh, prob.cloud, prob.dparams, sharp)
-    Kp, fp, _ = assemble_sharp_penalty(prob.mesh, prob.cloud, segments,
+    Kp, fp, _ = assemble_sharp_penalty(prob.mesh, segments,
                                        PenaltyParams(beta=1e4, u_hat=prob.u_hat), sharp.n_gauss)
     system = GlobalSystem(K=add_operators(prob.volume.K, Kp), f=prob.volume.f + fp,
                           mesh=prob.mesh)

@@ -264,9 +264,8 @@ def test_bisect_consecutive_region_width():
     """For an equispaced straight cloud the order-4 region of 4 consecutive
     points is one spacing wide; the exact clip recovers it to round-off."""
     cloud = _line_cloud(0.5, 0.05)
-    dp = DistanceParams(k=4, r=np.inf)
     sp = SharpParams(n_query=5, n_gauss=2, l_max=0.2, test_grid=4)
-    seg = bisect_plane_segments(cloud, (18, 19, 20, 21), dp, sp)
+    seg = bisect_plane_segments(cloud, (18, 19, 20, 21), sp)
     assert seg is not None
     assert seg.total_length == pytest.approx(0.05, abs=1e-15)
     assert seg.intervals.shape == (1, 2)
@@ -275,9 +274,8 @@ def test_bisect_consecutive_region_width():
 def test_bisect_whole_segment_when_region_never_ends():
     # k = n: the region is the whole plane, nothing is trimmed
     cloud = PointCloud(np.array([[0.0, 0.0], [10.0, 0.0]]))
-    dp = DistanceParams(k=2, r=np.inf)
     sp = SharpParams(n_query=3, n_gauss=2, l_max=3.0)
-    seg = bisect_plane_segments(cloud, (0, 1), dp, sp)
+    seg = bisect_plane_segments(cloud, (0, 1), sp)
     assert seg.total_length == 3.0
     np.testing.assert_array_equal(seg.intervals, [[-1.5, 1.5]])
     ends = np.sort(seg.endpoints()[0].reshape(2, 2), axis=0)
@@ -286,10 +284,9 @@ def test_bisect_whole_segment_when_region_never_ends():
 
 def test_bisect_isotropic_fit_warns_and_skips():
     cloud = PointCloud(np.array([[0.2, 0.2], [0.8, 0.2], [0.2, 0.8], [0.8, 0.8]]))
-    dp = DistanceParams(k=4, r=np.inf)
     sp = SharpParams(n_query=3, n_gauss=2, l_max=1.0)
     with pytest.warns(SharpBoundaryWarning):
-        seg = bisect_plane_segments(cloud, (0, 1, 2, 3), dp, sp)
+        seg = bisect_plane_segments(cloud, (0, 1, 2, 3), sp)
     assert seg is None
 
 
@@ -298,10 +295,9 @@ def test_bisect_support_outside_region_warns_and_skips():
     region (its centroid lies in another one), so its line misses it."""
     xs = np.arange(6, dtype=float)
     cloud = PointCloud(np.column_stack([xs, np.zeros(6)]))
-    dp = DistanceParams(k=2, r=np.inf)
     sp = SharpParams(n_query=3, n_gauss=2, l_max=1.0)
     with pytest.warns(SharpBoundaryWarning):
-        seg = bisect_plane_segments(cloud, (0, 5), dp, sp)
+        seg = bisect_plane_segments(cloud, (0, 5), sp)
     assert seg is None
 
 
@@ -311,10 +307,9 @@ def test_bisect_parallel_bisector_beyond_the_line_skips(key):
     the line on its far side, excludes the whole line: the clip finds no
     piece.  Without that rule it kept one lying in another region."""
     cloud = PointCloud(np.array([[0, 2], [1, 0], [2, 0], [2, 4], [3, 4], [4, 2]], dtype=float))
-    dp = DistanceParams(k=3, r=np.inf)
     sp = SharpParams(n_query=3, n_gauss=2, l_max=1.0)
     with pytest.warns(SharpBoundaryWarning, match="1 line misses its region"):
-        seg = bisect_plane_segments(cloud, key, dp, sp)
+        seg = bisect_plane_segments(cloud, key, sp)
     assert seg is None
 
 
@@ -414,7 +409,7 @@ def test_collect_segments_covers_embedded_line():
     assert abs(total - 1.0) <= 0.1
     # spot-check one region against a direct one-region call
     one = next(s for s in segs if s.key == (18, 19, 20, 21))
-    direct = bisect_plane_segments(cloud, (18, 19, 20, 21), dp, sp)
+    direct = bisect_plane_segments(cloud, (18, 19, 20, 21), sp)
     np.testing.assert_array_equal(one.intervals, direct.intervals)
 
 
@@ -587,7 +582,7 @@ def test_assemblers_scale_exactly_with_beta_power_of_two():
     for assemble in (
         lambda pen: assemble_diffuse_penalty(_MESH1, cloud, dp, diff, pen),
         lambda pen: assemble_sharp_penalty(
-            _MESH1, cloud, collect_sharp_segments(_MESH1, cloud, dp, sp), pen, sp.n_gauss),
+            _MESH1, collect_sharp_segments(_MESH1, cloud, dp, sp), pen, sp.n_gauss),
     ):
         K1, f1, _ = assemble(PenaltyParams(beta=32.0, u_hat=1.0))
         K2, f2, _ = assemble(PenaltyParams(beta=64.0, u_hat=1.0))
@@ -608,7 +603,7 @@ def test_diffuse_assembler_stats_and_cell_consistency():
 
 def _assert_sharp_assembler_matches_cell_sum(mesh, cloud, dp, sp, pen):
     segments = collect_sharp_segments(mesh, cloud, dp, sp)
-    K, f, stats = assemble_sharp_penalty(mesh, cloud, segments, pen, sp.n_gauss)
+    K, f, stats = assemble_sharp_penalty(mesh, segments, pen, sp.n_gauss)
     n_total = 0
     dense = np.zeros((mesh.n_scalar_dofs, mesh.n_scalar_dofs))
     rhs = np.zeros(mesh.n_scalar_dofs)
@@ -646,7 +641,7 @@ def test_sharp_assembler_matches_cell_sum():
     keys = [s.key for s in segments]
     assert keys == sorted(set(keys)) == sorted(set.union(*found))
     for seg in segments:
-        direct = bisect_plane_segments(cloud, seg.key, dp, sp)
+        direct = bisect_plane_segments(cloud, seg.key, sp)
         np.testing.assert_array_equal(seg.support, direct.support)
         np.testing.assert_array_equal(seg.direction, direct.direction)
         np.testing.assert_array_equal(seg.intervals, direct.intervals)
@@ -686,8 +681,8 @@ def test_sharp_assembler_integrates_regions_a_cell_query_missed():
         cell = (int((x + 1.2) // mesh.hx), int((y + 1.2) // mesh.hy))
         missed += tuple(int(i) for i in key) not in found[cell]
     assert missed > 0
-    _, f, stats = assemble_sharp_penalty(mesh, cloud, segments,
-                                         PenaltyParams(beta=1.0, u_hat=1.0), sp.n_gauss)
+    _, f, stats = assemble_sharp_penalty(mesh, segments, PenaltyParams(beta=1.0, u_hat=1.0),
+                                         sp.n_gauss)
     assert np.sum(f) == pytest.approx(float(np.sum(wts)), rel=1e-12)
     assert stats["penalty_points"] == wts.size
 
@@ -708,7 +703,7 @@ def test_sharp_constant_mode_mass_is_the_reconstructed_length(case):
     the total length of the kept segments: every Gauss weight enters, once."""
     mesh, cloud, dp, sp = case()
     segments = collect_sharp_segments(mesh, cloud, dp, sp)
-    K, f, _ = assemble_sharp_penalty(mesh, cloud, segments, PenaltyParams(beta=1.0, u_hat=1.0),
+    K, f, _ = assemble_sharp_penalty(mesh, segments, PenaltyParams(beta=1.0, u_hat=1.0),
                                      sp.n_gauss)
     w = _const_mode_vector(mesh)
     length = sum(s.total_length for s in segments)
@@ -727,7 +722,7 @@ def test_sharp_rule_is_exact_on_pieces_crossing_cell_edges():
     sp = SharpParams(n_query=9, n_gauss=4, l_max=3.0 * h)
     pen = PenaltyParams(beta=1.0, u_hat=lambda q: q[:, 0] ** 2)
     segments = collect_sharp_segments(mesh, cloud, dp, sp)
-    Ks, fs, _ = assemble_sharp_penalty(mesh, cloud, segments, pen, sp.n_gauss)
+    Ks, fs, _ = assemble_sharp_penalty(mesh, segments, pen, sp.n_gauss)
     Kr, fr, _ = assemble_reference_penalty(mesh, np.array([[-0.5, 0.3, 2.5, 0.3]]), pen,
                                            sp.n_gauss)
     assert _rel_frobenius(Ks.toarray(), Kr.toarray()) <= 1e-12
@@ -748,7 +743,7 @@ def test_boundary_on_interior_interface_counted_once():
     dp = DistanceParams(k=4, r=0.1)
     sp = SharpParams(n_query=5, n_gauss=3, l_max=0.15)
     segments = collect_sharp_segments(mesh, cloud, dp, sp)
-    K, f, _ = assemble_sharp_penalty(mesh, cloud, segments, pen, sp.n_gauss)
+    K, f, _ = assemble_sharp_penalty(mesh, segments, pen, sp.n_gauss)
     assert abs(w @ (K @ w) - 1.0) <= 1e-12
     we = np.zeros(9)
     we[[0, 1, 3, 4]] = 1.0
