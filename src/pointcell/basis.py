@@ -46,12 +46,10 @@ def shape_functions_1d(p: int, x):
     return N, dN
 
 
-def eval_basis(p: int, xi, eta):
-    """All (p + 1)^2 tensor modes and their reference gradients at (xi, eta).
-
-    xi, eta are arrays of equal length m inside [-1, 1]; returns
-    (values, d_xi, d_eta), each of shape (m, (p + 1)^2).
-    """
+def _modes(p: int, xi, eta, gradients: bool):
+    """The (m, (p + 1)^2) tensor modes at (xi, eta), with their xi and eta
+    derivatives when gradients is set.  xi and eta must be arrays of one
+    shape inside [-1, 1] (ValueError otherwise)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if xi.shape != eta.shape:
@@ -60,21 +58,21 @@ def eval_basis(p: int, xi, eta):
         raise ValueError("local coordinates outside the reference square [-1, 1]^2")
     Nx, dNx = shape_functions_1d(p, xi)
     Ny, dNy = shape_functions_1d(p, eta)
-    m = xi.size
-    n1 = p + 1
-    vals = (Nx[:, None, :] * Ny[None, :, :]).reshape(n1 * n1, m).T
-    dxi = (dNx[:, None, :] * Ny[None, :, :]).reshape(n1 * n1, m).T
-    deta = (Nx[:, None, :] * dNy[None, :, :]).reshape(n1 * n1, m).T
-    return vals, dxi, deta
+    tensor = lambda X, Y: (X[:, None, :] * Y[None, :, :]).reshape((p + 1) ** 2, xi.size).T
+    if not gradients:
+        return tensor(Nx, Ny)
+    return tensor(Nx, Ny), tensor(dNx, Ny), tensor(Nx, dNy)
+
+
+def eval_basis(p: int, xi, eta):
+    """All (p + 1)^2 tensor modes and their reference gradients at (xi, eta).
+
+    xi, eta are arrays of equal length m inside [-1, 1]; returns
+    (values, d_xi, d_eta), each of shape (m, (p + 1)^2).
+    """
+    return _modes(p, xi, eta, gradients=True)
 
 
 def eval_values(p: int, xi, eta):
-    """Tensor mode values only, shape (m, (p + 1)^2)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if np.any((xi < -1.0) | (xi > 1.0) | (eta < -1.0) | (eta > 1.0)):
-        raise ValueError("local coordinates outside the reference square [-1, 1]^2")
-    Nx, _ = shape_functions_1d(p, xi)
-    Ny, _ = shape_functions_1d(p, eta)
-    n1 = p + 1
-    return (Nx[:, None, :] * Ny[None, :, :]).reshape(n1 * n1, xi.size).T
+    """Tensor mode values only, shape (m, (p + 1)^2); xi, eta as in eval_basis."""
+    return _modes(p, xi, eta, gradients=False)

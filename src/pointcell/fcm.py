@@ -17,6 +17,8 @@ weight array gives the element matrix of every uncut cell that has it.
 StructuredMesh._dof_line alone fixes the dof numbering of each 1D line; the
 line patterns, cell dofs and places, boundary dofs and condensation plan all
 derive from it, so another numbering is a change to that one method.
+Likewise cell_of alone decides which cell holds a point, and cell_index
+alone maps the cell numbers iy * nx + ix to (ix, iy).
 Every operator on a mesh shares one sparsity pattern, the tensor product of
 the two 1D dof lines (StructuredMesh.pattern), and stores the entries it
 never touches as explicit zeros.  Cell matrices are added straight into its
@@ -74,6 +76,8 @@ class StructuredMesh:
         self.degree = int(degree)
         self.hx = self.lengths[0] / self.nx
         self.hy = self.lengths[1] / self.ny
+        self.grid_lines = (self.origin[0] + self.hx * np.arange(self.nx + 1),
+                           self.origin[1] + self.hy * np.arange(self.ny + 1))
         p = self.degree
         self.n1x = self.nx * p + 1
         self.n1y = self.ny * p + 1
@@ -193,7 +197,7 @@ class StructuredMesh:
         a, b, _ = np.unravel_index(np.arange(n1 * n1 * ncomp), (n1, n1, ncomp))
         inner = (a >= 2) & (b >= 2)
         rows_i, rows_s = np.nonzero(inner)[0], np.nonzero(~inner)[0]
-        iy, ix = np.divmod(np.arange(self.nx * self.ny), self.nx)
+        ix, iy = self.cell_index()
         dofs = component_dofs(self.cell_dofs(ix, iy), ncomp).reshape(ix.size, -1)
         is_skeleton = np.ones(self.n_scalar_dofs * ncomp, dtype=bool)
         is_skeleton[dofs[:, rows_i]] = False
@@ -221,9 +225,27 @@ class StructuredMesh:
         return np.stack([x0, y0, x0 + self.hx, y0 + self.hy], axis=-1)
 
     def cells(self):
-        for iy in range(self.ny):
-            for ix in range(self.nx):
-                yield ix, iy
+        """Iterator of every cell's (ix, iy), iy outer, as cell_index numbers them."""
+        return zip(*(a.tolist() for a in self.cell_index()))
+
+    def cell_index(self, cid=None):
+        """(ix, iy) of the cells numbered cid = iy * nx + ix, the order of
+        cells(); every cell's when cid is None."""
+        iy, ix = np.divmod(np.arange(self.nx * self.ny) if cid is None else cid, self.nx)
+        return ix, iy
+
+    def cell_of(self, xs):
+        """Number iy * nx + ix of the cell holding each (m, 2) point xs, -1
+        outside the mesh.  Cells are half-open, [x_i, x_i+1) x [y_j, y_j+1),
+        and closed at the mesh's upper edges: a point on an interior grid
+        line is in the cell above it or to its right."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        # each point's last lower edge at or below it; "inside" fails for nan
+        ix, iy = (np.searchsorted(g[:-1], x, side="right") - 1
+                  for g, x in zip(self.grid_lines, xs.T))
+        lo, hi = np.array([[g[0], g[-1]] for g in self.grid_lines]).T
+        inside = np.all((xs >= lo) & (xs <= hi), axis=1)
+        return np.where(inside, iy * self.nx + ix, -1)
 
     def cell_dofs(self, ix, iy):
         """Global scalar dof ids of cell (ix, iy) in flat tensor mode order;
@@ -234,7 +256,8 @@ class StructuredMesh:
         return (gx[..., :, None] * self.n1y + gy[..., None, :]).reshape(*np.shape(ix), n1 * n1)
 
     def locate(self, xs):
-        """Cell indices and local coordinates for points xs (m, 2)."""
+        """Cell indices (cell_of's) and local coordinates for points xs (m, 2);
+        a point within 1e-12 of the mesh size outside it is on its edge."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         rel = xs - self.origin
         tol = 1e-12 * max(self.lengths)
@@ -242,8 +265,8 @@ class StructuredMesh:
         outside = ~np.all((rel >= -tol) & (rel <= self.lengths + tol), axis=1)
         if np.any(outside):
             raise MeshQueryError(f"point {xs[outside][0]} lies outside the mesh")
-        ix = np.clip((rel[:, 0] // self.hx).astype(int), 0, self.nx - 1)
-        iy = np.clip((rel[:, 1] // self.hy).astype(int), 0, self.ny - 1)
+        xe, ye = self.grid_lines
+        ix, iy = self.cell_index(self.cell_of(np.clip(xs, [xe[0], ye[0]], [xe[-1], ye[-1]])))
         xi = np.clip(2.0 * (rel[:, 0] - ix * self.hx) / self.hx - 1.0, -1.0, 1.0)
         eta = np.clip(2.0 * (rel[:, 1] - iy * self.hy) / self.hy - 1.0, -1.0, 1.0)
         return ix, iy, xi, eta
@@ -502,8 +525,7 @@ def assemble_volume(mesh: StructuredMesh, material, indicator: IndicatorField,
     rule = gauss_legendre_1d(n_gauss)
     n = rule.n
     # every cell's bounds, in mesh.cells() order
-    cell_y, cell_x = np.divmod(np.arange(mesh.nx * mesh.ny), mesh.nx)
-    bounds = mesh.cell_bounds(cell_x, cell_y)
+    bounds = mesh.cell_bounds(*mesh.cell_index())
     uncut = (np.ones(len(bounds), dtype=bool) if tree_depth == 0
              else ~is_cut(bounds, indicator.inside))
     n_uncut = int(uncut.sum())
@@ -734,7 +756,7 @@ def evaluate(mesh: StructuredMesh, coeffs: np.ndarray, xs, ncomp: int = 1,
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n1 = mesh.degree + 1
     ix, iy, xi, eta = mesh.locate(xs)
-    cell_ids = ix * mesh.ny + iy
+    cell_ids = iy * mesh.nx + ix
     order = np.argsort(cell_ids, kind="stable")
     cells, starts = np.unique(cell_ids[order], return_index=True)
     # (m, p + 1) tables in cell order, so each cell reads a contiguous block
@@ -742,8 +764,7 @@ def evaluate(mesh: StructuredMesh, coeffs: np.ndarray, xs, ncomp: int = 1,
     Ny, dNy = (t.T[order] for t in basis_mod.shape_functions_1d(mesh.degree, eta))
     by_dof = np.asarray(coeffs).reshape(-1, ncomp)
     srt = np.empty((3 if gradients else 1, xs.shape[0], ncomp))
-    for cid, lo, hi in zip(cells, starts, np.append(starts[1:], xs.shape[0])):
-        cx, cy = divmod(int(cid), mesh.ny)
+    for cx, cy, lo, hi in zip(*mesh.cell_index(cells), starts, np.append(starts[1:], xs.shape[0])):
         C = by_dof[mesh.cell_dofs(cx, cy)].reshape(n1, n1 * ncomp)
         # T[k, b, c] = sum_a N_a(xi_k) C[a, b, c]
         T = (Nx[lo:hi] @ C).reshape(-1, n1, ncomp)

@@ -15,10 +15,12 @@ clipped in one batched pass (the TLS plane of each region's k defining
 points, cut exactly to the region, an intersection of half-planes; a region
 whose line misses it has no segment), giving one segment list that the
 penalty, the segment export and the membrane diagnostics all share.  The
-sharp pair is the reference pair over the segments' rows: each is clipped to
-every cell it crosses and the rule is laid on each piece.  Cells are
-half-open, so a piece on a shared edge is counted once, and a piece reaching
-into a cell whose own lattice missed its region is still integrated there.
+sharp pair is the reference pair over the segments' rows: each is split
+once at every grid line it crosses, each piece goes to the cell holding its
+midpoint (StructuredMesh.cell_of, the rule locate uses too), and the rule is
+laid on each piece.  Cells are half-open, so a piece on a shared edge is
+counted once, and a piece reaching into a cell whose own lattice missed its
+region is still integrated there.
 Points sit on the reconstructed boundary itself, so nothing constrains the
 field away from it, and far fewer points are needed than in the layer.
 
@@ -322,88 +324,61 @@ def sharp_penalty_cell(mesh: StructuredMesh, ix: int, iy: int, cloud: PointCloud
     """Penalty matrix/vector of one cell via implicit Voronoi plane segments.
 
     One cell's view of the sharp boundary: collect_sharp_segments over the
-    whole mesh, integrated over this cell only, so the cells sum to
-    assemble_sharp_penalty.  Returns (Ke, fe, n_points), zeros when no
-    segment crosses the cell.
+    whole mesh, split at the grid lines, and only this cell's pieces
+    integrated, so the cells sum to assemble_sharp_penalty.  Returns
+    (Ke, fe, n_points), zeros when no segment crosses the cell.
     """
     segs = _segment_rows(collect_sharp_segments(mesh, cloud, dparams, sparams))
-    for _, _, pair in _segment_cell_pairs(mesh, segs, pen, sparams.n_gauss, ncomp, [(ix, iy)]):
-        return pair
-    nmodes = (mesh.degree + 1) ** 2 * ncomp
-    return np.zeros((nmodes, nmodes)), np.zeros(nmodes), 0
+    cell, pts, w = _segment_points(mesh, segs, sparams.n_gauss)
+    mine = cell == iy * mesh.nx + ix
+    return _accumulate_point_penalty(mesh, ix, iy, pts[mine], w[mine], pen,
+                                     ncomp) + (int(mine.sum()),)
 
 
 # ---------------------------------------------------------------------------
 # segment integrator
 
 
-def _clip_segments_to_rect(segs, bounds, closed):
-    """Liang-Barsky clip of (m, 4) segments to a half-open rectangle.
+def _split_segments(mesh: StructuredMesh, segs):
+    """Pieces (cell, row, t0, t1) of (m, 4) segments x0, y0, x1, y1 split at
+    the grid lines, grouped by cell number iy * nx + ix and by row within.
 
-    The rectangle is [x0, x1) x [y0, y1), closed at x1 and y1 where the
-    entries of closed say so.  Returns (rows, t0, t1) for segments with a
-    nonempty clipped parameter interval; adjacent cells share their edge
-    coordinates, so they partition each segment exactly.
+    Segment p0 + t d, 0 <= t <= 1, is cut at t = (edge - p0) / d for every
+    line of mesh.grid_lines, the parameters a per-cell Liang-Barsky clip
+    computes.  Each nonempty piece between neighbouring cuts goes to the
+    cell holding its midpoint (mesh.cell_of: a piece on an interior grid
+    line is counted once, above it or to its right); pieces outside the
+    mesh are dropped.  The cuts are a dense (m, nx + ny + 2) array, small
+    beside the operator of any mesh the solver can factor.
     """
     p0 = segs[:, 0:2]
     d = segs[:, 2:4] - p0
-    t0 = np.zeros(segs.shape[0])
-    t1 = np.ones(segs.shape[0])
-    for axis, (lo, hi) in enumerate([(bounds[0], bounds[2]), (bounds[1], bounds[3])]):
-        dv = d[:, axis]
-        pv = p0[:, axis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ta = (lo - pv) / dv
-            tb = (hi - pv) / dv
-        # A segment parallel to this axis is kept whole inside the slab, else dropped.
-        par = dv == 0.0
-        inside = (pv >= lo) & ((pv <= hi) if closed[axis] else (pv < hi))
-        t0 = np.maximum(t0, np.where(par, np.where(inside, 0.0, 1.0), np.minimum(ta, tb)))
-        t1 = np.minimum(t1, np.where(par, 1.0, np.maximum(ta, tb)))
-    rows = np.nonzero(t1 > t0)[0]
-    return rows, t0[rows], t1[rows]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cuts = np.hstack([(lines - p0[:, axis, None]) / d[:, axis, None]
+                          for axis, lines in enumerate(mesh.grid_lines)])
+    # a cut outside (0, 1), or none (a segment parallel to the line), bounds no piece
+    ends = np.tile([0.0, 1.0], (len(segs), 1))
+    t = np.sort(np.hstack([ends, np.where((cuts > 0.0) & (cuts < 1.0), cuts, 1.0)]), axis=1)
+    row, k = np.nonzero(t[:, 1:] > t[:, :-1])
+    t0, t1 = t[row, k], t[row, k + 1]
+    cell = mesh.cell_of(p0[row] + (0.5 * (t0 + t1))[:, None] * d[row])
+    keep = np.nonzero(cell >= 0)[0]
+    order = keep[np.argsort(cell[keep], kind="stable")]
+    return cell[order], row[order], t0[order], t1[order]
 
 
-def _segment_cell_pairs(mesh: StructuredMesh, segs, pen: PenaltyParams, n_gauss: int,
-                        ncomp: int, cells):
-    """Penalty pairs (ix, iy, (Ke, fe, n_points)) of (m, 4) segments x0, y0, x1, y1.
-
-    Each segment is clipped to every given cell its bounding box meets (cells
-    half-open, closed only at the mesh's upper edges, so a piece on a shared
-    edge or interface is counted once), and the n_gauss rule is laid on each
-    clipped piece.  n_points counts the points placed; cells with none are
-    not yielded.
-    """
-    cells = list(cells)
+def _segment_points(mesh: StructuredMesh, segs, n_gauss: int):
+    """Cell numbers, Gauss points and weights of the n_gauss rule laid on
+    each piece of (m, 4) segments (_split_segments), grouped by cell."""
     segs = np.asarray(segs, dtype=float).reshape(-1, 4)
-    xe = mesh.origin[0] + mesh.hx * np.arange(mesh.nx + 1)
-    ye = mesh.origin[1] + mesh.hy * np.arange(mesh.ny + 1)
-    lo = np.minimum(segs[:, 0:2], segs[:, 2:4])
-    hi = np.maximum(segs[:, 0:2], segs[:, 2:4])
-    pieces = []
-    for c, (ix, iy) in enumerate(cells):
-        box = (xe[ix], ye[iy], xe[ix + 1], ye[iy + 1])
-        near = np.nonzero((hi[:, 0] >= box[0]) & (lo[:, 0] <= box[2])
-                          & (hi[:, 1] >= box[1]) & (lo[:, 1] <= box[3]))[0]
-        rows, t0, t1 = _clip_segments_to_rect(segs[near], box,
-                                              (ix == mesh.nx - 1, iy == mesh.ny - 1))
-        pieces.append((np.full(rows.size, c), near[rows], t0, t1))
-    cell, row, t0, t1 = (np.concatenate(a) for a in zip(*pieces))
-    if row.size == 0:
-        return
+    cell, row, t0, t1 = _split_segments(mesh, segs)
     rule = gauss_legendre_1d(n_gauss)
     p0 = segs[row, 0:2]
     d = segs[row, 2:4] - p0
     t = 0.5 * (t0 + t1)[:, None] + 0.5 * (t1 - t0)[:, None] * rule.points[None, :]
     w = (0.5 * (t1 - t0) * np.hypot(d[:, 0], d[:, 1]))[:, None] * rule.weights[None, :]
     pts = (p0[:, None, :] + t[:, :, None] * d[:, None, :]).reshape(-1, 2)
-    w = w.reshape(-1)
-    cell = np.repeat(cell, rule.n)
-    bounds = np.searchsorted(cell, np.arange(len(cells) + 1))
-    for (ix, iy), a, b in zip(cells, bounds[:-1], bounds[1:]):
-        if b > a:
-            Ke, fe = _accumulate_point_penalty(mesh, ix, iy, pts[a:b], w[a:b], pen, ncomp)
-            yield ix, iy, (Ke, fe, int(b - a))
+    return np.repeat(cell, rule.n), pts, w.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +390,7 @@ def _diffuse_cells(mesh: StructuredMesh, cloud: PointCloud, dparams: DistancePar
     """Cells the diffuse route integrates: those within reach of the layer
     and of the plane fit, i.e. near the cloud (_near_cloud) with reach
     max(r, epsilon)."""
-    iy, ix = np.divmod(np.arange(mesh.nx * mesh.ny), mesh.nx)
+    ix, iy = mesh.cell_index()
     near = _near_cloud(cloud, mesh.cell_bounds(ix, iy), max(dparams.r, diff.epsilon))
     return [(int(x), int(y)) for x, y in zip(ix[near], iy[near])]
 
@@ -466,9 +441,15 @@ def assemble_sharp_penalty(mesh: StructuredMesh, segments, pen: PenaltyParams,
 
 def assemble_reference_penalty(mesh: StructuredMesh, segments, pen: PenaltyParams,
                                n_gauss: int, ncomp: int = 1):
-    """Global reference penalty pair from explicit (m, 4) segments."""
+    """Global reference penalty pair from explicit (m, 4) segments: each is
+    split at the grid lines and the n_gauss rule is laid on each piece
+    (_segment_points); penalty_points counts the points."""
     unit = PenaltyParams(beta=1.0, u_hat=pen.u_hat)
-    it = _segment_cell_pairs(mesh, segments, unit, n_gauss, ncomp, mesh.cells())
+    cell, pts, w = _segment_points(mesh, segments, n_gauss)
+    ids, starts = np.unique(cell, return_index=True)
+    ends = np.append(starts[1:], cell.size)
+    it = ((ix, iy, _accumulate_point_penalty(mesh, ix, iy, pts[a:b], w[a:b], unit, ncomp)
+           + (int(b - a),)) for ix, iy, a, b in zip(*mesh.cell_index(ids), starts, ends))
     K, f, n = _assemble_cells(mesh, ncomp, pen.beta, it)
     return K, f, {"penalty_points": n}
 
@@ -482,6 +463,6 @@ def collect_sharp_segments(mesh: StructuredMesh, cloud: PointCloud,
     _reconstruct).  Returns a list of BoundedSegment in lexicographic key
     order, one per kept region.
     """
-    iy, ix = np.divmod(np.arange(mesh.nx * mesh.ny), mesh.nx)
-    keys = identify_contributing_regions(mesh.cell_bounds(ix, iy), cloud, dparams, sparams)
+    keys = identify_contributing_regions(mesh.cell_bounds(*mesh.cell_index()), cloud, dparams,
+                                         sparams)
     return _reconstruct(cloud, keys, sparams)

@@ -36,7 +36,7 @@ class QuadratureRule1D:
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):
-    """P_n(x) and P_n'(x), n >= 2, by the three-term recurrence."""
+    """P_n(x) and P_n'(x), n >= 1, by the three-term recurrence."""
     p0 = np.ones_like(x)
     p1 = x.copy()
     for j in range(2, n + 1):
@@ -54,8 +54,6 @@ def gauss_legendre_1d(n: int) -> QuadratureRule1D:
     """
     if n < 1:
         raise ValueError(f"rule order must be >= 1, got {n}")
-    if n == 1:
-        return QuadratureRule1D(points=np.zeros(1), weights=np.full(1, 2.0))
     i = np.arange(1, n + 1)
     x = np.cos(np.pi * (i - 0.25) / (n + 0.5))
     for _ in range(100):

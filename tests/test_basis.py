@@ -132,3 +132,16 @@ def test_eval_rejects_points_outside_reference_square():
 def test_eval_basis_shape_mismatch():
     with pytest.raises(ValueError):
         eval_basis(2, np.array([0.0, 0.5]), np.array([0.0]))
+
+
+@pytest.mark.parametrize("n_xi,n_eta", [(2, 3), (1, 3)])
+@pytest.mark.parametrize("tabulate", [eval_basis, eval_values])
+def test_eval_rejects_coordinates_of_different_shapes(tabulate, n_xi, n_eta):
+    """Both tabulations check the shapes before any broadcast or reshape."""
+    with pytest.raises(ValueError, match="xi and eta differ in shape"):
+        tabulate(2, np.zeros(n_xi), np.zeros(n_eta))
+
+
+def test_eval_of_no_points_is_empty():
+    vals, dxi, deta = eval_basis(3, np.zeros(0), np.zeros(0))
+    assert vals.shape == dxi.shape == deta.shape == eval_values(3, [], []).shape == (0, 16)

@@ -101,6 +101,55 @@ def test_cell_bounds_and_local_coords_roundtrip():
     np.testing.assert_allclose(eta, [0.0, -1.0, 1.0])
 
 
+def test_cell_index_numbers_cells_in_cells_order():
+    mesh = StructuredMesh((0.0, 0.0), (1.0, 1.0), 3, 2, 1)
+    ix, iy = mesh.cell_index()
+    assert list(zip(ix.tolist(), iy.tolist())) == list(mesh.cells())
+    ix, iy = mesh.cell_index(np.array([5, 0, 3]))
+    assert (ix.tolist(), iy.tolist()) == ([2, 0, 0], [1, 0, 1])
+
+
+def _membrane_mesh():
+    """The membrane mesh: 16 x 16 cells on [-1.1, 1.1]^2, where x - origin
+    of 6 of the 15 interior grid lines falls below a multiple of hx."""
+    return StructuredMesh((-1.1, -1.1), (2.2, 2.2), 16, 16, 1)
+
+
+def test_cell_of_half_open_cells_closed_at_the_upper_edges():
+    """A point on an interior grid line is in the cell above it or to its
+    right, a point on the upper edge in the last cell, and a point outside
+    the mesh (or nan) in none."""
+    mesh = _membrane_mesh()
+    xe, ye = mesh.grid_lines
+    row = np.full(xe.size, 0.5 * (ye[3] + ye[4]))
+    on_x = np.column_stack([xe, row])
+    last = np.minimum(np.arange(17), 15)
+    np.testing.assert_array_equal(mesh.cell_of(on_x), 3 * 16 + last)
+    np.testing.assert_array_equal(mesh.cell_of(on_x[:, ::-1]), 16 * last + 3)
+    np.testing.assert_array_equal(mesh.cell_of([[xe[-1], ye[-1]], [xe[0], ye[0]]]), [255, 0])
+    out = [[np.nextafter(xe[0], -np.inf), 0.0], [0.0, np.nextafter(ye[-1], np.inf)],
+           [np.nan, 0.0], [0.0, np.inf]]
+    np.testing.assert_array_equal(mesh.cell_of(out), [-1] * 4)
+
+
+def test_locate_uses_the_cell_rule_and_its_tolerance():
+    """locate puts every vertex in the cell whose lower corner it is (the
+    last cell on the upper edges), as cell_of does; a point within 1e-12 of
+    the mesh size outside it counts as on its edge."""
+    mesh = _membrane_mesh()
+    xe, ye = mesh.grid_lines
+    xs = np.array([[x, y] for x in xe for y in ye])
+    ix, iy, xi, eta = mesh.locate(xs)
+    last = np.minimum(np.arange(17), 15)
+    np.testing.assert_array_equal(ix, np.repeat(last, 17))
+    np.testing.assert_array_equal(iy, np.tile(last, 17))
+    np.testing.assert_array_equal(iy * mesh.nx + ix, mesh.cell_of(xs))
+    inner = np.repeat(np.arange(17) < 16, 17)
+    np.testing.assert_allclose(xi[inner], -1.0, atol=1e-14)
+    ix, iy, xi, _ = mesh.locate([[xe[-1] + 1e-13, 0.0], [xe[0] - 1e-13, 0.0]])
+    assert ix.tolist() == [15, 0] and xi.tolist() == [1.0, -1.0]
+
+
 def test_locate_rejects_outside_points():
     mesh = StructuredMesh((0, 0), (1, 1), 2, 2, 1)
     with pytest.raises(MeshQueryError, match="outside the mesh"):

@@ -11,12 +11,13 @@ from pointcell import (AnnularConfig, DiffuseParams, DistanceParams, PenaltyPara
                        assemble_diffuse_penalty, assemble_reference_penalty,
                        assemble_sharp_penalty, bisect_plane_segments,
                        brute_force_regions_in_box, build_diffuse_tree, circle_cloud,
-                       collect_sharp_segments, default_membrane_params,
+                       circle_polyline, collect_sharp_segments, default_membrane_params,
                        default_sharp_params, diffuse_penalty_cell,
                        gauss_legendre_1d, identify_contributing_regions,
                        pca_distance_many, region_keys_many,
                        regularized_delta_raw, sharp_penalty_cell, tree_quadrature_points)
-from pointcell import penalty, quadrature
+from pointcell import eval_values, penalty, quadrature
+from pointcell.fcm import scatter_cells
 from pointcell.geometry import _knn_indices_many
 from pointcell.quadrature import _split
 
@@ -750,3 +751,162 @@ def test_boundary_on_interior_interface_counted_once():
     for iy, want in ((0, 0.0), (1, 1.0)):
         Ke, _, _ = sharp_penalty_cell(mesh, 0, iy, cloud, dp, sp, pen)
         assert abs(we @ Ke @ we - want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the segment splitter against a per-cell Liang-Barsky clip
+
+
+def _liang_barsky(segs, bounds, closed):
+    """Liang-Barsky clip (ACM TOG 3(1), 1984) of (m, 4) segments to the
+    rectangle [x0, x1) x [y0, y1), closed at x1 and y1 where closed says so.
+    Returns (rows, t0, t1) of the nonempty pieces."""
+    p0 = segs[:, 0:2]
+    d = segs[:, 2:4] - p0
+    t0 = np.zeros(len(segs))
+    t1 = np.ones(len(segs))
+    for axis, (lo, hi) in enumerate([(bounds[0], bounds[2]), (bounds[1], bounds[3])]):
+        dv, pv = d[:, axis], p0[:, axis]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ta, tb = (lo - pv) / dv, (hi - pv) / dv
+        par = dv == 0.0
+        inside = (pv >= lo) & ((pv <= hi) if closed[axis] else (pv < hi))
+        t0 = np.maximum(t0, np.where(par, np.where(inside, 0.0, 1.0), np.minimum(ta, tb)))
+        t1 = np.minimum(t1, np.where(par, 1.0, np.maximum(ta, tb)))
+    rows = np.nonzero(t1 > t0)[0]
+    return rows, t0[rows], t1[rows]
+
+
+def _clipped_pieces(mesh, segs):
+    """(cell, row, t0, t1) of every cell's Liang-Barsky clip, in cells()
+    order and by row within a cell."""
+    xe, ye = mesh.grid_lines
+    pieces = [(np.full(rows.size, iy * mesh.nx + ix), rows, t0, t1)
+              for ix, iy in mesh.cells()
+              for rows, t0, t1 in [_liang_barsky(segs, (xe[ix], ye[iy], xe[ix + 1], ye[iy + 1]),
+                                                 (ix == mesh.nx - 1, iy == mesh.ny - 1))]]
+    return tuple(np.concatenate(a) for a in zip(*pieces))
+
+
+def _long(segs, row, t0, t1):
+    """Pieces more than 4 ulps long in t and along each axis the segment
+    moves along: the midpoint of a shorter one may round onto a grid line."""
+    d = segs[row, 2:4] - segs[row, 0:2]
+    mid = segs[row, 0:2] + (0.5 * (t0 + t1))[:, None] * d
+    along = (d == 0.0) | ((t1 - t0)[:, None] * np.abs(d) > 4.0 * np.spacing(np.abs(mid)))
+    return (t1 - t0 > 4.0 * np.spacing(t1)) & np.all(along, axis=1)
+
+
+@st.composite
+def _mesh_and_segments(draw, ulps=0):
+    """A random mesh and up to 12 segments whose ends are random, on grid
+    lines or vertices, or up to a quarter of the mesh outside it, some of
+    zero length and some parallel to an axis; with ulps > 0 each coordinate
+    is also moved by up to that many ulps."""
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    origin = draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+    lengths = draw(st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)))
+    mesh = StructuredMesh(origin, lengths, nx, ny, 2)
+
+    def coord(lines):
+        pad = 0.25 * (lines[-1] - lines[0])
+        c = st.one_of(st.sampled_from(lines.tolist()),
+                      st.floats(lines[0] - pad, lines[-1] + pad))
+        return st.tuples(c, st.integers(-ulps, ulps)).map(lambda v: v[0] + v[1] * np.spacing(v[0]))
+
+    x, y = (coord(lines) for lines in mesh.grid_lines)
+    point = st.tuples(x, y)
+    segment = st.one_of(st.tuples(point, point), point.map(lambda q: (q, q)),
+                        st.tuples(point, x).map(lambda v: (v[0], (v[1], v[0][1]))),
+                        st.tuples(point, y).map(lambda v: (v[0], (v[0][0], v[1]))))
+    segs = draw(st.lists(segment, min_size=1, max_size=12))
+    return mesh, np.array([[*a, *b] for a, b in segs])
+
+
+def _by_piece(pieces):
+    cell, row, t0, t1 = pieces
+    order = np.lexsort((t1, t0, row))
+    return cell[order], row[order], t0[order], t1[order]
+
+
+@given(case=_mesh_and_segments(ulps=3))
+def test_split_gives_the_liang_barsky_pieces(case):
+    """Every piece more than 4 ulps long is a piece of the clip to each
+    cell, (row, t0, t1) to the bit, in the clip's cell, and the clip has no
+    other such piece.  A shorter piece (a segment ending an ulp outside the
+    mesh, or passing through a vertex) may go to a neighbour of the clip's
+    cell, or be kept where the clip drops it."""
+    mesh, segs = case
+    want, got = (_by_piece([a[_long(segs, *p[1:])] for a in p])
+                 for p in (_clipped_pieces(mesh, segs), penalty._split_segments(mesh, segs)))
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_split_gives_the_liang_barsky_pieces_on_the_reference_polylines():
+    """On the annular workload's mesh and reference polylines every piece,
+    and the order of the pieces, is the clip's."""
+    c = AnnularConfig(n_points=500, degree=8, volume_depth=8)
+    mesh = StructuredMesh((-c.extent, -c.extent), (2 * c.extent, 2 * c.extent),
+                          c.n_cells, c.n_cells, 1)
+    segs = np.vstack([circle_polyline(c.r_inner, 2048), circle_polyline(c.r_outer, 8192)])
+    for a, b in zip(penalty._split_segments(mesh, segs), _clipped_pieces(mesh, segs)):
+        np.testing.assert_array_equal(a, b)
+
+
+@given(case=_mesh_and_segments(ulps=3))
+def test_segment_pair_matches_the_liang_barsky_pair(case):
+    """The reference pair over the split pieces equals the pair assembled
+    cell by cell from the clip's pieces to 1e-14 of the segments' length,
+    the scale of every entry, once the pieces the two place differently
+    (a few ulps long, or within ulps of the mesh's edge) are allowed their
+    length: no mode exceeds 1 in magnitude."""
+    mesh, segs = case
+    pen = PenaltyParams(beta=1.0, u_hat=lambda q: 1.0 + q[:, 0] - 2.0 * q[:, 1])
+    rule = gauss_legendre_1d(3)
+    clipped = _clipped_pieces(mesh, segs)
+    cell, row, t0, t1 = clipped
+    pairs = []
+    for c in np.unique(cell):
+        ix, iy = int(c % mesh.nx), int(c // mesh.nx)
+        on = cell == c
+        p0 = segs[row[on], 0:2]
+        d = segs[row[on], 2:4] - p0
+        a, b = t0[on, None], t1[on, None]
+        t = 0.5 * (a + b) + 0.5 * (b - a) * rule.points
+        w = (0.5 * (b - a) * np.hypot(d[:, :1], d[:, 1:])) * rule.weights
+        pts = (p0[:, None] + t[..., None] * d[:, None]).reshape(-1, 2)
+        xi, eta = mesh.local_coords(ix, iy, pts)
+        V = eval_values(mesh.degree, np.clip(xi, -1.0, 1.0), np.clip(eta, -1.0, 1.0))
+        Vw = V * w.reshape(-1, 1)
+        pairs.append((ix, iy, Vw.T @ V, Vw.T @ pen.values(pts)[:, 0]))
+    Kw, fw = scatter_cells(mesh, 1, pairs)
+    K, f, _ = assemble_reference_penalty(mesh, segs, pen, n_gauss=3)
+    seg_length = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
+    placed = [set(zip(*(a.tolist() for a in p)))
+              for p in (clipped, penalty._split_segments(mesh, segs))]
+    moved = sum((t1 - t0) * seg_length[r] for _, r, t0, t1 in placed[0] ^ placed[1])
+    bound = 1e-14 * seg_length.sum() + moved
+    assert np.abs((K - Kw).toarray()).max() <= bound
+    # |u_hat| <= 1 + 3 max |x|
+    assert np.abs(f - fw).max() <= bound * (1.0 + 3.0 * np.abs(segs).max())
+
+
+def test_split_puts_grid_line_pieces_in_the_upper_cell():
+    """A segment along an interior grid line lies in the cell above it or to
+    its right, one along the mesh's upper edge in the last cell, and a
+    zero-length segment at a vertex in the cell whose lower corner it is."""
+    mesh = StructuredMesh((-1.1, -1.1), (2.2, 2.2), 16, 16, 1)
+    xe, ye = mesh.grid_lines
+    segs = np.array([[xe[0], ye[5], xe[-1], ye[5]],     # row 5, every column
+                     [xe[9], ye[0], xe[9], ye[-1]],     # column 9, every row
+                     [xe[0], ye[-1], xe[-1], ye[-1]],   # upper edge: row 15
+                     [xe[-1], ye[0], xe[-1], ye[-1]],   # right edge: column 15
+                     [xe[13], ye[10], xe[13], ye[10]]])
+    cell, row, t0, t1 = penalty._split_segments(mesh, segs)
+    cols = np.arange(16)
+    want = {0: 5 * 16 + cols, 1: 16 * cols + 9, 2: 15 * 16 + cols, 3: 16 * cols + 15,
+            4: np.array([10 * 16 + 13])}
+    for r, cells in want.items():
+        np.testing.assert_array_equal(np.sort(cell[row == r]), np.sort(cells))
+    np.testing.assert_array_equal(cell, np.sort(cell))
