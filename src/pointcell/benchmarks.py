@@ -184,17 +184,19 @@ def build_annular_problem(config: AnnularConfig = AnnularConfig()) -> AnnularPro
 
 
 def default_sharp_params(config: AnnularConfig) -> SharpParams:
-    """Segment length of a few spacings; test lattice finer than the spacing.
+    """Sharp controls of the annulus from its spacing and fit radius (_sharp_params)."""
+    return _sharp_params(2.0 * config.extent / config.n_cells, config.spacing, config.r,
+                         n_gauss=6)
 
-    The query depth is chosen so the per-subcell sample lattice is at most
-    half the cloud spacing, the pitch at which every contributing region
-    holds at least one sample.
-    """
-    h = config.spacing
-    cell = 2.0 * config.extent / config.n_cells
+
+def _sharp_params(cell: float, h: float, r: float, n_gauss: int) -> SharpParams:
+    """Sharp controls on cells `cell` wide for a cloud of spacing h fitted within r:
+    the shallowest query depth at which the sample pitch, cell / (2^n_query *
+    test_grid), is at most min(h, 2r) / 2, fine enough to land in every region
+    (about h wide) and in the band within r of the cloud (2r wide)."""
     test_grid = 3
-    n_query = max(0, math.ceil(math.log2(2.0 * cell / (test_grid * h))))
-    return SharpParams(n_query=n_query, n_gauss=6, l_max=3.0 * h, test_grid=test_grid)
+    n_query = max(0, math.ceil(math.log2(2.0 * cell / (test_grid * min(h, 2.0 * r)))))
+    return SharpParams(n_query=n_query, n_gauss=n_gauss, test_grid=test_grid)
 
 
 def default_diffuse_params(epsilon: float = 5e-3, extent: float = AnnularConfig.extent,
@@ -318,9 +320,8 @@ def default_membrane_params(cloud: PointCloud, extent: float = MEMBRANE_EXTENT,
     """Distance and sharp controls of a membrane run from the cloud spacing.
 
     h is the median nearest-neighbor spacing of the cloud.  The fit radius
-    is r (3h when not given) with k = 4, segments are 3h long, and the query
-    depth makes the deepest query subcells at most r/4 wide.  Returns
-    (DistanceParams, SharpParams).
+    is r (3h when not given) with k = 4; the query depth follows h, and r
+    only below h/2 (_sharp_params).  Returns (DistanceParams, SharpParams).
     """
     if not extent > 0.0:
         raise ValueError(f"extent must be positive, got {extent}")
@@ -328,9 +329,7 @@ def default_membrane_params(cloud: PointCloud, extent: float = MEMBRANE_EXTENT,
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     h = float(np.median(cloud.tree.query(cloud.points, k=2)[0][:, 1]))
     dparams = DistanceParams(k=4, r=3.0 * h if r is None else r)
-    cell = 2.0 * extent / n_cells
-    n_query = max(0, math.ceil(math.log2(cell / (0.25 * dparams.r))))
-    return dparams, SharpParams(n_query=n_query, n_gauss=4, l_max=3.0 * h)
+    return dparams, _sharp_params(2.0 * extent / n_cells, h, dparams.r, n_gauss=4)
 
 
 def build_membrane_problem(cloud: PointCloud, *, extent: float = MEMBRANE_EXTENT,
@@ -344,8 +343,8 @@ def build_membrane_problem(cloud: PointCloud, *, extent: float = MEMBRANE_EXTENT
     The full embedding square carries the operator (no fictitious damping);
     the mesh boundary is clamped at zero strongly, the cloud at rim_value by
     the sharp penalty.  Parameters not given come from
-    default_membrane_params, its query depth from the given fit radius.
-    Raises when the reconstruction finds no boundary.
+    default_membrane_params, with the given fit radius.  Raises when the
+    reconstruction finds no boundary.
     """
     if dparams is None or sparams is None:
         derived = default_membrane_params(cloud, extent, n_cells,
@@ -360,7 +359,7 @@ def build_membrane_problem(cloud: PointCloud, *, extent: float = MEMBRANE_EXTENT
     Kp, fp, pstats = assemble_sharp_penalty(mesh, segments, pen, sparams.n_gauss)
     if pstats["penalty_points"] == 0:
         raise BoundaryNotFoundError(
-            "sharp reconstruction found no boundary segments; check r and l_max")
+            "sharp reconstruction found no boundary segments; check r")
     system = GlobalSystem(K=add_operators(volume.K, Kp), f=volume.f + fp, mesh=mesh)
     # The summed operator is all the solve needs; the parts would stay alive through it.
     del volume, Kp, fp

@@ -31,7 +31,7 @@ _KEYS = {
     "mesh": {"extent": float, "n_cells": int, "degree": int},
     "distance": {"k": int, "r": float},
     "diffuse": {"epsilon": float, "n_sub": int, "n_gauss": int},
-    "sharp": {"n_query": int, "n_gauss": int, "l_max": float, "test_grid": int},
+    "sharp": {"n_query": int, "n_gauss": int, "test_grid": int},
     "study": {"betas": str, "methods": str, "reference_chords": int},
     "output": {"dir": str, "field_resolution": int},
 }
@@ -46,7 +46,6 @@ _FLAGS = {
     "beta": ("problem", "beta"), "epsilon": ("diffuse", "epsilon"),
     "n-sub-eps": ("diffuse", "n_sub"), "n-gauss-eps": ("diffuse", "n_gauss"),
     "n-query-s": ("sharp", "n_query"), "n-gauss-s": ("sharp", "n_gauss"),
-    "l-max-s": ("sharp", "l_max"),
 }
 
 
@@ -120,6 +119,8 @@ def _annular_config(cfg) -> benchmarks.AnnularConfig:
 
 def _route_params(cfg, config, method) -> SharpParams | DiffuseParams:
     """An annular route's controls: the library's for config, the user's in place."""
+    if method in ("sharp", "diffuse") and config.k < 2:
+        raise ConfigError(f"k must be >= 2 for the {method} route's plane fit, got {config.k}")
     if method == "sharp":
         return _override(cfg, "sharp", benchmarks.default_sharp_params(config))
     if method == "diffuse":
@@ -135,6 +136,8 @@ def _membrane_params(cfg, cloud):
                                 **_user(cfg, "mesh", {"extent", "n_cells"}),
                                 **_user(cfg, "distance", {"r"}))
     dparams = _override(cfg, "distance", dparams)
+    if dparams.k < 2:
+        raise ConfigError(f"k must be >= 2 for the sharp route's plane fit, got {dparams.k}")
     if dparams.k > len(cloud):
         raise ConfigError(f"k={dparams.k} exceeds cloud size {len(cloud)}")
     return dparams, _override(cfg, "sharp", sparams)

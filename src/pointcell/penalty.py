@@ -12,7 +12,7 @@ Sharp route: the boundary is rebuilt as bounded plane segments, once per
 problem.  Reconstruct once: every cell's query lattice names the order-k
 Voronoi regions that may meet it; the union of those keys is fitted and
 clipped in one batched pass (the TLS plane of each region's k defining
-points, cut exactly to the region, an intersection of half-planes; a region
+points, cut exactly to the region and to 3 of its key's spacings; a region
 whose line misses it has no segment), giving one segment list that the
 penalty, the segment export and the membrane diagnostics all share.  The
 sharp pair is the reference pair over the segments' rows: each is split
@@ -81,23 +81,20 @@ class SharpParams:
 
     n_query: query-tree depth used to find contributing Voronoi regions.
     test_grid: per-subcell sample points per direction (cell-centered).
-    l_max: longest plane segment, of the order of a few point spacings.
     n_gauss: rule order per segment.
-    n_sub: unused; no result depends on it.  It is kept so that existing
-    callers that pass it still construct.
+    l_max, n_sub: unused; no result depends on them.  They are kept so that
+    existing callers that pass them still construct.
     """
 
     n_query: int
     n_gauss: int
-    l_max: float
+    l_max: float | None = None
     test_grid: int = 3
     n_sub: int = 0
 
     def __post_init__(self):
         if self.n_query < 0:
             raise ValueError(f"n_query must be >= 0, got {self.n_query}")
-        if not self.l_max > 0.0:
-            raise ValueError(f"l_max must be positive, got {self.l_max}")
         if self.test_grid < 1:
             raise ValueError(f"test_grid must be >= 1, got {self.test_grid}")
         if self.n_gauss < 1:
@@ -110,7 +107,7 @@ class BoundedSegment:
 
     intervals holds the (1, 2) parameter range [lo, hi] along the unit
     direction, measured from the support point: the region's piece of the
-    line, cut to within l_max/2 of the support.
+    line, cut to within 3 key spacings of the support (_clip_to_regions).
     """
 
     key: tuple
@@ -230,25 +227,27 @@ def identify_contributing_regions(cell_bounds, cloud: PointCloud,
     return [tuple(int(i) for i in row) for row in _unique_rows(keys)]
 
 
-def _clip_to_regions(cloud: PointCloud, keys_arr, supports, tangents, l_max: float):
-    """Each region's piece [lo, hi] of its line s + t tau, within |t| <= l_max/2.
+def _clip_to_regions(cloud: PointCloud, keys_arr, supports, tangents):
+    """Each region's piece [lo, hi] of its line s + t tau, within |t| <= cap/2.
 
     An order-k region is the intersection of the half-planes
     (x - m_ij).(p_j - p_i) <= 0 over i in its key and j outside it, m_ij being
     their midpoint (Lee, IEEE Trans. Comput. C-31, 1982); on the line each is
     a half-line in t, or, for a bisector parallel to the line, all of it or
-    none.  Only the p_j in a ball of radius reach + l_max around the support
-    are tested, reach being max |p_i - s| over the key (widened by 1e-12
-    relative against round-off).  That is complete: were a point x of the
-    line with |t| <= l_max/2 to meet every tested constraint yet lie outside
-    the region, some p_j would be closer to x than a key point, so
-    |p_j - s| < reach + l_max and p_j was tested after all.  The piece is
-    empty (hi <= lo) when the line misses its region.
+    none.  Each row's cap is 3 of its key's spacings, 2 reach / (k - 1) with
+    reach = max |p_i - s| over the key, so sparse stretches keep their pieces.
+    Only the p_j within reach + cap of the support are tested (reach widened
+    by 1e-12 relative against round-off).  That is complete, row by row: were
+    a point x of the line with |t| <= cap/2 to meet every tested constraint
+    yet lie outside the region, some p_j would be closer to x than a key
+    point, so |p_j - s| < reach + cap and p_j was tested after all.  The
+    piece is empty (hi <= lo) when the line misses its region.
     """
     pts = cloud.points
     key_pts = pts[keys_arr]
     reach = np.sqrt(np.max(np.sum((key_pts - supports[:, None]) ** 2, axis=2), axis=1))
-    balls = cloud.tree.query_ball_point(supports, reach * (1.0 + 1e-12) + l_max)
+    cap = 3.0 * 2.0 * reach / (keys_arr.shape[1] - 1)
+    balls = cloud.tree.query_ball_point(supports, reach * (1.0 + 1e-12) + cap)
     row = np.repeat(np.arange(len(keys_arr)), [len(ball) for ball in balls])
     j = np.concatenate(balls)
     outside = ~np.any(j[:, None] == keys_arr[row], axis=1)
@@ -257,8 +256,7 @@ def _clip_to_regions(cloud: PointCloud, keys_arr, supports, tangents, l_max: flo
     a = np.sum((supports[row, None] - 0.5 * (pj + key_pts[row])) * d, axis=2)
     b = np.sum(tangents[row, None] * d, axis=2)
     rows = np.broadcast_to(row[:, None], b.shape)
-    lo = np.full(len(keys_arr), -0.5 * l_max)
-    hi = -lo
+    lo, hi = -0.5 * cap, 0.5 * cap
     up, down = b > 0.0, b < 0.0
     np.minimum.at(hi, rows[up], -a[up] / b[up])
     np.maximum.at(lo, rows[down], -a[down] / b[down])
@@ -266,13 +264,13 @@ def _clip_to_regions(cloud: PointCloud, keys_arr, supports, tangents, l_max: flo
     return lo, hi
 
 
-def _reconstruct(cloud: PointCloud, keys, sparams: SharpParams):
+def _reconstruct(cloud: PointCloud, keys):
     """Bounded plane segments of many regions in one batched pass.
 
     Fits the TLS plane of each key's defining points and clips the line
-    along its tangent through the support point to the region, within l_max/2
-    of the support (_clip_to_regions); the clip alone decides whether a
-    region has boundary.  Regions whose fit is isotropic or whose line misses
+    along its tangent through the support point to the region, within 3 key
+    spacings of the support (_clip_to_regions); the clip alone decides
+    whether a region has boundary.  Regions whose fit is isotropic or whose line misses
     the region are skipped, with one SharpBoundaryWarning for the whole call.
 
     keys is a sorted sequence of key tuples; returns a BoundedSegment per
@@ -283,7 +281,7 @@ def _reconstruct(cloud: PointCloud, keys, sparams: SharpParams):
     keys_arr = np.asarray(keys, dtype=int)
     supports, normals, iso, _ = fit_planes(cloud.points[keys_arr])
     tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
-    lo, hi = _clip_to_regions(cloud, keys_arr, supports, tangents, sparams.l_max)
+    lo, hi = _clip_to_regions(cloud, keys_arr, supports, tangents)
     keep = ~iso & (hi > lo)
     skipped = {"isotropic neighbor set": keys_arr[iso],
                "line misses its region": keys_arr[~iso & ~keep]}
@@ -303,13 +301,12 @@ def _reconstruct(cloud: PointCloud, keys, sparams: SharpParams):
 
 
 def bisect_plane_segments(cloud: PointCloud, key, sparams: SharpParams) -> BoundedSegment | None:
-    """Bounded plane segment of a single region (see _reconstruct).
-
-    Returns None, with a warning, when the region is skipped.  The segment
-    is clipped exactly, not bisected; the name stays because
-    perfbench/spans.py binds it.
+    """Bounded plane segment of a single region (see _reconstruct); no
+    field of sparams changes it.  Returns None, with a warning, when the
+    region is skipped.  The segment is clipped exactly, not bisected; the
+    name stays because perfbench/spans.py binds it.
     """
-    segments = _reconstruct(cloud, [tuple(key)], sparams)
+    segments = _reconstruct(cloud, [tuple(key)])
     return segments[0] if segments else None
 
 
@@ -465,4 +462,4 @@ def collect_sharp_segments(mesh: StructuredMesh, cloud: PointCloud,
     """
     keys = identify_contributing_regions(mesh.cell_bounds(*mesh.cell_index()), cloud, dparams,
                                          sparams)
-    return _reconstruct(cloud, keys, sparams)
+    return _reconstruct(cloud, keys)

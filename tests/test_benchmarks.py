@@ -185,7 +185,6 @@ def test_default_sharp_params_formulas():
     cfg = AnnularConfig()
     sp = default_sharp_params(cfg)
     cell = 2.0 * cfg.extent / cfg.n_cells
-    assert sp.l_max == pytest.approx(3.0 * cfg.spacing, rel=1e-14)
     assert sp.n_query == int(np.ceil(np.log2(2.0 * cell / (3.0 * cfg.spacing))))
     assert sp.n_gauss == 6
 

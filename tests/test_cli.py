@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +44,6 @@ def _tiny_annular(extra: str = "") -> str:
         [sharp]
         n_query = 5
         n_gauss = 3
-        l_max = 0.05
         [output]
         field_resolution = 9
         {extra}"""
@@ -54,9 +54,9 @@ def _tiny_annular(extra: str = "") -> str:
 
 
 def test_unknown_key_is_rejected(tmp_path, capsys):
-    """A typo and a removed key ([sharp] n_sub, which no result read) are
-    both rejected by name."""
-    for section, key in [("mesh", "extnet"), ("sharp", "n_sub")]:
+    """A typo and the removed keys ([sharp] n_sub, which no result read, and
+    [sharp] l_max, now each region's own cap) are rejected by name."""
+    for section, key in [("mesh", "extnet"), ("sharp", "n_sub"), ("sharp", "l_max")]:
         ini = _write(tmp_path / "run.ini", f"""\
             [{section}]
             {key} = 3
@@ -68,10 +68,20 @@ def test_unknown_key_is_rejected(tmp_path, capsys):
 
 
 def test_removed_sharp_depth_flag_is_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--n-sub-s=5"])
-    assert exc.value.code == 2
-    assert "--n-sub-s" in capsys.readouterr().err
+    """The removed sharp flags, --n-sub-s and --l-max-s, exit 2."""
+    for flag in ("--n-sub-s", "--l-max-s"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", f"{flag}=5"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+def test_readme_lists_every_flag():
+    """The README's flag sentence names exactly the flags the parser takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("Flags override file values:", 1)[1].split(".\n", 1)[0]
+    assert (sorted(re.findall(r"`(--[a-z-]+)`", sentence))
+            == sorted(f"--{flag}" for flag in cli._FLAGS))
 
 
 @pytest.mark.parametrize("key", ["preset = log26", "epsilon = 5e-3"])
@@ -169,6 +179,15 @@ _BAD_NUMBERS = {
                                "k=65 exceeds cloud size 64"),
     "annular-k-above-cloud": (_tiny_annular().replace("n_points = 96", "n_points = 1"),
                               ["--k", "8"], "solve", "k=8 exceeds cloud size 5"),
+    "membrane-k-1": ("[problem]\n", ["--k", "1"], "solve",
+                     "k must be >= 2 for the sharp route's plane fit, got 1"),
+    "membrane-k-1-reconstruct": ("[problem]\n", ["--k", "1"], "reconstruct",
+                                 "k must be >= 2 for the sharp route's plane fit, got 1"),
+    "annular-k-1": (_tiny_annular().replace("k = 4", "k = 1"), [], "solve",
+                    "k must be >= 2 for the sharp route's plane fit, got 1"),
+    "annular-diffuse-k-1": (_tiny_annular().replace("k = 4", "k = 1"),
+                            ["--method", "diffuse"], "solve",
+                            "k must be >= 2 for the diffuse route's plane fit, got 1"),
 }
 
 
@@ -190,8 +209,10 @@ def test_bad_number_is_config_error(tmp_path, capsys, case):
     (_tiny_annular("[study]\n        betas = -10, 100"), [], "beta-study"),
     (_tiny_annular().replace("field_resolution = 9", "field_resolution = 0"), [], "solve"),
     (_tiny_annular().replace("n_points = 96", "n_points = 1"), ["--k", "8"], "solve"),
+    ("[problem]\n", ["--k", "1"], "solve"),
+    (_tiny_annular().replace("k = 4", "k = 1"), [], "solve"),
 ], ids=["nan-beta-solve", "negative-study-beta", "field-resolution-solve",
-        "annular-k-above-cloud-solve"])
+        "annular-k-above-cloud-solve", "membrane-k-1-solve", "annular-k-1-solve"])
 def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, text, flags, command):
     ini = _write(tmp_path / "run.ini", text)
     made = tmp_path / "made"
@@ -259,13 +280,15 @@ def test_solve_annular_sharp(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore")
 def test_solve_annular_without_penalty_points_fails(tmp_path, capsys):
     """A route that places no penalty points fails as in beta-study, rather
-    than solving a system the boundary never constrains."""
+    than solving a system the boundary never constrains: both circles lie
+    outside a mesh of half-width 0.1."""
     ini = _write(tmp_path / "run.ini", """\
         [problem]
         kind = annular
         n_points = 1
         volume_depth = 2
         [mesh]
+        extent = 0.1
         n_cells = 2
         degree = 2
         """)
@@ -375,18 +398,19 @@ def _recorded_params(monkeypatch, argv):
 
 
 def test_flag_replaces_its_field_and_derived_values_follow(tmp_path, monkeypatch):
-    """--n-gauss-s sets n_gauss only; n_query stays derived, from the user's
-    r when --r is given."""
+    """--n-gauss-s sets n_gauss only; n_query stays derived from the spacing
+    (h = 0.065 here), and from the user's r when --r is below h/2."""
     path = _circle_file(tmp_path)
     cloud = load_scaled_cloud(path)
     base = ["--cloud", path, "--out-dir", str(tmp_path), "--n-gauss-s", "5"]
     dparams, sparams = default_membrane_params(cloud)
     got = _recorded_params(monkeypatch, base + ["reconstruct"])
     assert got == (dparams, dataclasses.replace(sparams, n_gauss=5))
-    dparams, sparams = default_membrane_params(cloud, r=0.05)
-    got = _recorded_params(monkeypatch, base + ["--r", "0.05", "reconstruct"])
-    assert got == (dparams, dataclasses.replace(sparams, n_gauss=5))
-    assert got[1].n_query != default_membrane_params(cloud)[1].n_query
+    for r, deeper in (("0.05", False), ("0.01", True)):
+        dparams, sparams = default_membrane_params(cloud, r=float(r))
+        got = _recorded_params(monkeypatch, base + ["--r", r, "reconstruct"])
+        assert got == (dparams, dataclasses.replace(sparams, n_gauss=5))
+        assert (got[1].n_query > default_membrane_params(cloud)[1].n_query) == deeper
 
 
 def test_diffuse_depth_follows_the_user_epsilon(tmp_path, monkeypatch):
@@ -445,6 +469,17 @@ def test_beta_study_selected_methods(tmp_path, capsys):
         assert len(lines) == 3
         assert lines[1].startswith("1000.0,")
     assert not (out / "study_diffuse.csv").exists()
+
+
+def test_reference_route_runs_with_k_1(tmp_path):
+    """k = 1 is rejected only for the routes that fit planes."""
+    ini = _write(tmp_path / "run.ini", _tiny_annular("""
+        [study]
+        betas = 1e3
+        methods = reference
+        reference_chords = 64
+        """).replace("k = 4", "k = 1"))
+    assert main(["--config", ini, "--out-dir", str(tmp_path / "o"), "beta-study"]) == 0
 
 
 def test_beta_study_bad_beta_list(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Diffuse and sharp penalty routes against each other and explicit geometry."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -123,8 +126,6 @@ def test_diffuse_params_validation():
 def test_sharp_params_validation():
     with pytest.raises(ValueError):
         SharpParams(n_query=-1, n_gauss=2, l_max=0.1)
-    with pytest.raises(ValueError):
-        SharpParams(n_query=2, n_gauss=2, l_max=0.0)
     with pytest.raises(ValueError):
         SharpParams(n_query=2, n_gauss=2, l_max=0.1, test_grid=0)
     with pytest.raises(ValueError):
@@ -273,14 +274,15 @@ def test_bisect_consecutive_region_width():
 
 
 def test_bisect_whole_segment_when_region_never_ends():
-    # k = n: the region is the whole plane, nothing is trimmed
+    # k = n: the region is the whole plane, only the cap of 3 key spacings
+    # (here 3 x 10) trims the piece
     cloud = PointCloud(np.array([[0.0, 0.0], [10.0, 0.0]]))
-    sp = SharpParams(n_query=3, n_gauss=2, l_max=3.0)
+    sp = SharpParams(n_query=3, n_gauss=2)
     seg = bisect_plane_segments(cloud, (0, 1), sp)
-    assert seg.total_length == 3.0
-    np.testing.assert_array_equal(seg.intervals, [[-1.5, 1.5]])
+    assert seg.total_length == 30.0
+    np.testing.assert_array_equal(seg.intervals, [[-15.0, 15.0]])
     ends = np.sort(seg.endpoints()[0].reshape(2, 2), axis=0)
-    np.testing.assert_allclose(ends, [[3.5, 0.0], [6.5, 0.0]], atol=1e-15)
+    np.testing.assert_allclose(ends, [[-10.0, 0.0], [20.0, 0.0]], atol=1e-15)
 
 
 def test_bisect_isotropic_fit_warns_and_skips():
@@ -365,14 +367,16 @@ def test_clipped_piece_is_the_regions_piece_of_the_line(name):
     """A linear scan with the index tie rule puts both ends of every kept
     piece (moved 1e-7 of its length inward) and its midpoint in the piece's
     region, and a point 1e-7 of its length beyond each end outside it,
-    unless the l_max/2 clamp set that end."""
+    unless the clamp at half the region's cap set that end."""
     mesh, cloud, dp, sp = _CERTIFIED[name]()
     segments = collect_sharp_segments(mesh, cloud, dp, sp)
     assert segments
-    half = 0.5 * sp.l_max
     probes, owners, inside = [], [], []
     for seg in segments:
         (lo, hi), = seg.intervals
+        reach = np.sqrt(np.max(np.sum((cloud.points[list(seg.key)] - seg.support) ** 2,
+                                      axis=1)))
+        half = 0.5 * (3.0 * 2.0 * reach / (dp.k - 1))
         eps = 1e-7 * (hi - lo)
         ts = [(lo + eps, True), (0.5 * (lo + hi), True), (hi - eps, True)]
         if lo > -half:
@@ -397,6 +401,58 @@ def test_near_duplicates_keep_the_length_of_the_plain_circle():
         *_on_square(_circle_with_ulp_copies(), 4)))
     assert want == pytest.approx(6.279827, rel=1e-6)
     assert got == pytest.approx(want, rel=1e-4)
+
+
+def _density_step(n_dense, n_sparse=256):
+    """A unit circle with n_dense equispaced points on its upper half and
+    n_sparse on its lower half."""
+    th = np.pi * np.concatenate([np.arange(n_dense) / n_dense,
+                                 1.0 + np.arange(n_sparse) / n_sparse])
+    return PointCloud(np.column_stack([np.cos(th), np.sin(th)]))
+
+
+@pytest.mark.parametrize("n_dense", [512, 1024, 2048])
+def test_density_step_keeps_the_circle_length(n_dense):
+    """Each region caps its piece at 3 of its own key's spacings, so both
+    halves of a circle with a 2:1, 4:1 or 8:1 density step keep their
+    length, to 2e-3 of 2 pi on 16 x 16 cells, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SharpBoundaryWarning)
+        segments = collect_sharp_segments(*_on_square(_density_step(n_dense), 16))
+    assert sum(s.total_length for s in segments) == pytest.approx(2.0 * np.pi, rel=2e-3)
+
+
+@pytest.mark.parametrize("cloud,r_over_h", [
+    (lambda: PointCloud(circle_cloud(1.0, 512)), 0.25),
+    (lambda: PointCloud(circle_cloud(1.0, 512)), 24.0),
+    (lambda: PointCloud(circle_cloud(1.0, 512, phase=0.0071)), 3.0),
+    (lambda: _density_step(1024), 0.25),
+    (lambda: _density_step(1024), 3.0),
+], ids=["membrane-512-quarter-h", "membrane-512-24h", "membrane-512-phase-3h",
+        "step-4-quarter-h", "step-4-3h"])
+def test_derived_query_depth_finds_the_keys_of_a_finer_lattice(cloud, r_over_h):
+    """At the derived depth (sample pitch at most min(h, 2r)/2) identification
+    finds exactly the keys of a lattice two levels finer, for a fit radius
+    below, at and far above the spacing h."""
+    cloud = cloud()
+    h = float(np.median(cloud.tree.query(cloud.points, k=2)[0][:, 1]))
+    dp, sp = default_membrane_params(cloud, r=r_over_h * h)
+    mesh = StructuredMesh((-1.1, -1.1), (2.2, 2.2), 16, 16, 1)
+    cells = mesh.cell_bounds(*mesh.cell_index())
+    finer = dataclasses.replace(sp, n_query=sp.n_query + 2)
+    assert (identify_contributing_regions(cells, cloud, dp, sp)
+            == identify_contributing_regions(cells, cloud, dp, finer))
+
+
+def test_unused_sharp_fields_change_no_segment():
+    """l_max and n_sub still construct, for callers that pass them, and no
+    segment depends on them."""
+    mesh, cloud, dp, sp = _membrane_512()
+    want = penalty._segment_rows(collect_sharp_segments(mesh, cloud, dp, sp))
+    for l_max, n_sub in [(1e-3, 1), (10.0, 6)]:
+        unused = SharpParams(n_query=sp.n_query, n_gauss=sp.n_gauss, l_max=l_max, n_sub=n_sub)
+        got = penalty._segment_rows(collect_sharp_segments(mesh, cloud, dp, unused))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_collect_segments_covers_embedded_line():
