@@ -30,22 +30,22 @@ _KEYS = {
                 "method": str, "load": float, "rim_value": float, "volume_depth": int},
     "mesh": {"extent": float, "n_cells": int, "degree": int},
     "distance": {"k": int, "r": float},
-    "diffuse": {"epsilon": float, "n_sub": int, "n_gauss": int},
-    "sharp": {"n_query": int, "n_gauss": int, "test_grid": int},
+    "diffuse": {"epsilon": float, "n_gauss": int},
+    "sharp": {"n_gauss": int},
     "study": {"betas": str, "methods": str, "reference_chords": int},
     "output": {"dir": str, "field_resolution": int},
 }
 
 # The integer keys whose values have a lower bound, and the bound.
-_AT_LEAST = {("output", "field_resolution"): 2, ("study", "reference_chords"): 1}
+_AT_LEAST = {("output", "field_resolution"): 2, ("study", "reference_chords"): 1,
+             ("mesh", "degree"): 1, ("problem", "volume_depth"): 0}
 
 # Every flag and the config key it overrides.
 _FLAGS = {
     "out-dir": ("output", "dir"), "cloud": ("problem", "cloud"),
     "method": ("problem", "method"), "k": ("distance", "k"), "r": ("distance", "r"),
     "beta": ("problem", "beta"), "epsilon": ("diffuse", "epsilon"),
-    "n-sub-eps": ("diffuse", "n_sub"), "n-gauss-eps": ("diffuse", "n_gauss"),
-    "n-query-s": ("sharp", "n_query"), "n-gauss-s": ("sharp", "n_gauss"),
+    "n-gauss-eps": ("diffuse", "n_gauss"), "n-gauss-s": ("sharp", "n_gauss"),
 }
 
 

@@ -267,16 +267,14 @@ class StructuredMesh:
             raise MeshQueryError(f"point {xs[outside][0]} lies outside the mesh")
         xe, ye = self.grid_lines
         ix, iy = self.cell_index(self.cell_of(np.clip(xs, [xe[0], ye[0]], [xe[-1], ye[-1]])))
-        xi = np.clip(2.0 * (rel[:, 0] - ix * self.hx) / self.hx - 1.0, -1.0, 1.0)
-        eta = np.clip(2.0 * (rel[:, 1] - iy * self.hy) / self.hy - 1.0, -1.0, 1.0)
+        xi, eta = np.clip(self.local_coords(ix, iy, xs), -1.0, 1.0)
         return ix, iy, xi, eta
 
     def local_coords(self, ix, iy, xs):
         """Local coordinates of xs within a known cell, computed exactly at
-        the center (no clipping)."""
+        the center (no clipping); for arrays of cells, one per point."""
         b = self.cell_bounds(ix, iy)
-        xc = 0.5 * (b[0] + b[2])
-        yc = 0.5 * (b[1] + b[3])
+        xc, yc = (0.5 * (b[..., i] + b[..., i + 2]) for i in (0, 1))
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return (xs[:, 0] - xc) * (2.0 / self.hx), (xs[:, 1] - yc) * (2.0 / self.hy)
 

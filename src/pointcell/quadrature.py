@@ -148,6 +148,8 @@ def _build_tree(roots, refine, max_depth: int) -> SpaceTree:
     Every subcell still active at max_depth becomes a leaf.  Leaves come
     level by level, each level in the order of its active subcells.
     """
+    if max_depth < 0:
+        raise ValueError(f"tree depth must be >= 0, got {max_depth}")
     leaves, depths = [np.zeros((0, 4))], [np.zeros(0, dtype=int)]
     active = roots
     for depth in range(max_depth + 1):

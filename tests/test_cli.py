@@ -42,7 +42,6 @@ def _tiny_annular(extra: str = "") -> str:
         k = 4
         r = 0.02
         [sharp]
-        n_query = 5
         n_gauss = 3
         [output]
         field_resolution = 9
@@ -54,26 +53,35 @@ def _tiny_annular(extra: str = "") -> str:
 
 
 def test_unknown_key_is_rejected(tmp_path, capsys):
-    """A typo and the removed keys ([sharp] n_sub, which no result read, and
-    [sharp] l_max, now each region's own cap) are rejected by name."""
-    for section, key in [("mesh", "extnet"), ("sharp", "n_sub"), ("sharp", "l_max")]:
+    """A typo and the removed keys are rejected by name, before the output
+    directory is made: [sharp] n_sub, which no result read, [sharp] l_max,
+    now each region's own cap, and the tree depths, which the library
+    derives from the lengths they must resolve."""
+    made = tmp_path / "made"
+    for section, key in [("mesh", "extnet"), ("sharp", "n_sub"), ("sharp", "l_max"),
+                         ("sharp", "n_query"), ("sharp", "test_grid"), ("diffuse", "n_sub")]:
         ini = _write(tmp_path / "run.ini", f"""\
             [{section}]
             {key} = 3
             """)
-        assert main(["--config", ini, "solve"]) == 2
+        assert main(["--config", ini, "--out-dir", str(made), "solve"]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err
         assert f"unknown config key [{section}] {key}" in err
+        assert not made.exists()
+    assert cli._KEYS["sharp"] == {"n_gauss": int}
 
 
-def test_removed_sharp_depth_flag_is_rejected(capsys):
-    """The removed sharp flags, --n-sub-s and --l-max-s, exit 2."""
-    for flag in ("--n-sub-s", "--l-max-s"):
+def test_removed_sharp_depth_flag_is_rejected(tmp_path, capsys):
+    """The removed depth flags, --n-sub-s, --l-max-s, --n-query-s and
+    --n-sub-eps, exit 2 before the output directory is made."""
+    made = tmp_path / "made"
+    for flag in ("--n-sub-s", "--l-max-s", "--n-query-s", "--n-sub-eps"):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", f"{flag}=5"])
+            main(["--out-dir", str(made), "solve", f"{flag}=5"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+        assert not made.exists()
 
 
 def test_readme_lists_every_flag():
@@ -82,6 +90,18 @@ def test_readme_lists_every_flag():
     sentence = readme.split("Flags override file values:", 1)[1].split(".\n", 1)[0]
     assert (sorted(re.findall(r"`(--[a-z-]+)`", sentence))
             == sorted(f"--{flag}" for flag in cli._FLAGS))
+
+
+def test_readme_lists_every_config_key():
+    """The README's table of config keys names exactly the keys the parser
+    reads, section by section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| section | keys |", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines()[2:]:
+        section, keys = re.fullmatch(r"\| `\[(\w+)\]` \| (.*) \|", row).groups()
+        listed[section] = sorted(re.findall(r"`(\w+)`", keys))
+    assert listed == {section: sorted(keys) for section, keys in cli._KEYS.items()}
 
 
 @pytest.mark.parametrize("key", ["preset = log26", "epsilon = 5e-3"])
@@ -183,6 +203,12 @@ _BAD_NUMBERS = {
                      "k must be >= 2 for the sharp route's plane fit, got 1"),
     "membrane-k-1-reconstruct": ("[problem]\n", ["--k", "1"], "reconstruct",
                                  "k must be >= 2 for the sharp route's plane fit, got 1"),
+    "membrane-degree-0": ("[mesh]\ndegree = 0\n", [], "solve",
+                          "[mesh] degree must be >= 1, got 0"),
+    "annular-degree-0": (_tiny_annular().replace("degree = 4", "degree = 0"), [], "solve",
+                         "[mesh] degree must be >= 1, got 0"),
+    "annular-volume-depth": (_tiny_annular().replace("volume_depth = 4", "volume_depth = -1"),
+                             [], "solve", "[problem] volume_depth must be >= 0, got -1"),
     "annular-k-1": (_tiny_annular().replace("k = 4", "k = 1"), [], "solve",
                     "k must be >= 2 for the sharp route's plane fit, got 1"),
     "annular-diffuse-k-1": (_tiny_annular().replace("k = 4", "k = 1"),
@@ -211,8 +237,12 @@ def test_bad_number_is_config_error(tmp_path, capsys, case):
     (_tiny_annular().replace("n_points = 96", "n_points = 1"), ["--k", "8"], "solve"),
     ("[problem]\n", ["--k", "1"], "solve"),
     (_tiny_annular().replace("k = 4", "k = 1"), [], "solve"),
+    ("[mesh]\ndegree = 0\n", [], "solve"),
+    (_tiny_annular().replace("degree = 4", "degree = 0"), [], "solve"),
+    (_tiny_annular().replace("volume_depth = 4", "volume_depth = -1"), [], "solve"),
 ], ids=["nan-beta-solve", "negative-study-beta", "field-resolution-solve",
-        "annular-k-above-cloud-solve", "membrane-k-1-solve", "annular-k-1-solve"])
+        "annular-k-above-cloud-solve", "membrane-k-1-solve", "annular-k-1-solve",
+        "membrane-degree-0-solve", "annular-degree-0-solve", "annular-volume-depth-solve"])
 def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, text, flags, command):
     ini = _write(tmp_path / "run.ini", text)
     made = tmp_path / "made"
@@ -302,7 +332,7 @@ def test_solve_annular_diffuse_flag_override(tmp_path, capsys):
     ini = _write(tmp_path / "run.ini", _tiny_annular())
     out = tmp_path / "out"
     rc = main(["--config", ini, "--out-dir", str(out), "--method", "diffuse",
-               "--epsilon", "0.02", "--n-sub-eps", "5", "--n-gauss-eps", "3",
+               "--epsilon", "0.02", "--n-gauss-eps", "3",
                "solve"])
     assert rc == 0
     assert "error_percent=" in capsys.readouterr().out
@@ -422,6 +452,37 @@ def test_diffuse_depth_follows_the_user_epsilon(tmp_path, monkeypatch):
     assert main(["--config", ini, "--out-dir", str(tmp_path / "o"), "--method",
                  "diffuse", "--epsilon", "0.02", "solve"]) == 0
     assert seen == [default_diffuse_params(0.02, n_cells=2)]
+
+
+_MEMBRANE_NO_DEPTH = """\
+    [mesh]
+    n_cells = 6
+    degree = 5
+    [output]
+    field_resolution = 11
+    """
+
+
+@pytest.mark.parametrize("text,command,line", [
+    (_MEMBRANE_NO_DEPTH, "solve",
+     "dofs=961 penalty_points=464 segments=96 mean_abs_mismatch=1.427630e-03"),
+    (_MEMBRANE_NO_DEPTH, "reconstruct",
+     "regions=96 subsegments=96 total_length=6.2686135207e+00"),
+    (_tiny_annular(), "solve",
+     "dofs=81 penalty_points=1464 energy=8.9371559731e+00 error_percent=8.732995e+00"),
+    (_tiny_annular("[study]\n        betas = 1e3,1e5"), "beta-study",
+     "dofs=81 penalty_points={'sharp': 1464, 'diffuse': 189568} rows=2 "
+     "best_error_percent=4.367981e+00"),
+], ids=["membrane-solve", "membrane-reconstruct", "annular-solve", "annular-beta-study"])
+def test_run_without_depth_settings_prints_the_derived_depths_summary(
+        tmp_path, capsys, text, command, line):
+    """With no depth option left, a run's summary is that of the depths the
+    library derives, digit for digit as the command line printed it when
+    the depths could still be set."""
+    ini = _write(tmp_path / "run.ini", text)
+    assert main(["--config", ini, "--cloud", _circle_file(tmp_path), "--out-dir",
+                 str(tmp_path / "o"), command]) == 0
+    assert capsys.readouterr().out.strip() == line
 
 
 def test_beta_study_without_route_sections_counts_the_library_points(tmp_path, capsys):

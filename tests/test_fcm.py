@@ -150,6 +150,20 @@ def test_locate_uses_the_cell_rule_and_its_tolerance():
     assert ix.tolist() == [15, 0] and xi.tolist() == [1.0, -1.0]
 
 
+def test_locate_computes_local_coordinates_as_local_coords():
+    """locate's local coordinates are local_coords' in the cell it picks, bit
+    for bit: evaluate and the assemblers map a point by one formula."""
+    mesh = _membrane_mesh()
+    xs = np.random.default_rng(0).uniform(-1.1, 1.1, size=(200_000, 2))
+    ix, iy, xi, eta = mesh.locate(xs)
+    want_xi, want_eta = mesh.local_coords(ix, iy, xs)
+    np.testing.assert_array_equal(xi, want_xi)
+    np.testing.assert_array_equal(eta, want_eta)
+    for k in (0, 1234, 199_999):
+        one = mesh.local_coords(ix[k], iy[k], xs[k])
+        assert (one[0][0], one[1][0]) == (xi[k], eta[k])
+
+
 def test_locate_rejects_outside_points():
     mesh = StructuredMesh((0, 0), (1, 1), 2, 2, 1)
     with pytest.raises(MeshQueryError, match="outside the mesh"):

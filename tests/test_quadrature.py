@@ -180,6 +180,13 @@ def test_alpha_tree_uniform_cell_single_leaf():
     assert tree.n_leaves == 1
 
 
+def test_alpha_tree_rejects_a_negative_depth():
+    """A negative depth would return no leaves, so a cut cell's volume
+    would silently vanish; leaves must tile the root."""
+    with pytest.raises(ValueError, match="tree depth must be >= 0, got -1"):
+        build_alpha_tree(_UNIT, lambda pts: pts[:, 0] < 0.3, -1)
+
+
 # ---------------------------------------------------------------------------
 # integration over trees
 
