@@ -183,10 +183,10 @@ def build_annular_problem(config: AnnularConfig = AnnularConfig()) -> AnnularPro
                           volume=volume)
 
 
-def default_sharp_params(config: AnnularConfig) -> SharpParams:
+def default_sharp_params(config: AnnularConfig, n_gauss: int = 6) -> SharpParams:
     """Sharp controls of the annulus from its spacing and fit radius (_sharp_params)."""
     return _sharp_params(2.0 * config.extent / config.n_cells, config.spacing, config.r,
-                         n_gauss=6)
+                         n_gauss)
 
 
 def _sharp_params(cell: float, h: float, r: float, n_gauss: int) -> SharpParams:
@@ -200,14 +200,15 @@ def _sharp_params(cell: float, h: float, r: float, n_gauss: int) -> SharpParams:
 
 
 def default_diffuse_params(epsilon: float = 5e-3, extent: float = AnnularConfig.extent,
-                           n_cells: int = AnnularConfig.n_cells) -> DiffuseParams:
+                           n_cells: int = AnnularConfig.n_cells,
+                           n_gauss: int = 4) -> DiffuseParams:
     """Tree depth resolving the layer: leaves no wider than epsilon.
 
     A non-positive epsilon is passed on for DiffuseParams to reject.
     """
     cell = 2.0 * extent / n_cells
     n_sub = max(1, math.ceil(math.log2(cell / epsilon))) if epsilon > 0.0 else 0
-    return DiffuseParams(epsilon=epsilon, n_sub=n_sub, n_gauss=4)
+    return DiffuseParams(epsilon=epsilon, n_sub=n_sub, n_gauss=n_gauss)
 
 
 def route_pairs(problem: AnnularProblem, *, sharp: SharpParams | None = None,
@@ -316,40 +317,45 @@ def load_scaled_cloud(path) -> PointCloud:
 
 
 def default_membrane_params(cloud: PointCloud, extent: float = MEMBRANE_EXTENT,
-                            n_cells: int = MEMBRANE_CELLS, r: float | None = None):
+                            n_cells: int = MEMBRANE_CELLS, r: float | None = None,
+                            k: int = 4, n_gauss: int = 4):
     """Distance and sharp controls of a membrane run from the cloud spacing.
 
     h is the median nearest-neighbor spacing of the cloud.  The fit radius
-    is r (3h when not given) with k = 4; the query depth follows h, and r
-    only below h/2 (_sharp_params).  Returns (DistanceParams, SharpParams).
+    is r (3h when not given); the query depth follows h, and r only below
+    h/2 (_sharp_params).  Raises ValueError unless extent > 0, n_cells >= 1,
+    2 <= k <= len(cloud), n_gauss >= 1 and the cloud lies in the mesh
+    [-extent, extent]^2.  Returns (DistanceParams, SharpParams).
     """
     if not extent > 0.0:
         raise ValueError(f"extent must be positive, got {extent}")
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
+    if k < 2:
+        raise ValueError(f"k must be >= 2 for the sharp route's plane fit, got {k}")
+    if k > len(cloud):
+        raise ValueError(f"k={k} exceeds cloud size {len(cloud)}")
+    if np.max(np.abs(cloud.points)) > extent:
+        raise ValueError(f"the cloud leaves the mesh [{-extent}, {extent}]^2")
     h = float(np.median(cloud.tree.query(cloud.points, k=2)[0][:, 1]))
-    dparams = DistanceParams(k=4, r=3.0 * h if r is None else r)
-    return dparams, _sharp_params(2.0 * extent / n_cells, h, dparams.r, n_gauss=4)
+    dparams = DistanceParams(k=k, r=3.0 * h if r is None else r)
+    return dparams, _sharp_params(2.0 * extent / n_cells, h, dparams.r, n_gauss)
 
 
 def build_membrane_problem(cloud: PointCloud, *, extent: float = MEMBRANE_EXTENT,
                            n_cells: int = MEMBRANE_CELLS, degree: int = 10,
                            beta: float = 1e6, load: float = 10.0,
-                           rim_value: float = 1.0,
-                           dparams: DistanceParams | None = None,
-                           sparams: SharpParams | None = None) -> MembraneResult:
+                           rim_value: float = 1.0, k: int = 4, r: float | None = None,
+                           n_gauss: int = 4) -> MembraneResult:
     """Membrane held at the cloud with a uniform load, sharp enforcement.
 
     The full embedding square carries the operator (no fictitious damping);
     the mesh boundary is clamped at zero strongly, the cloud at rim_value by
-    the sharp penalty.  Parameters not given come from
-    default_membrane_params, with the given fit radius.  Raises when the
-    reconstruction finds no boundary.
+    the sharp penalty.  The controls are default_membrane_params' for k, r
+    and n_gauss, which checks the run.  Raises when the reconstruction finds
+    no boundary.
     """
-    if dparams is None or sparams is None:
-        derived = default_membrane_params(cloud, extent, n_cells,
-                                          None if dparams is None else dparams.r)
-        dparams, sparams = dparams or derived[0], sparams or derived[1]
+    dparams, sparams = default_membrane_params(cloud, extent, n_cells, r, k, n_gauss)
     mesh = StructuredMesh((-extent, -extent), (2 * extent, 2 * extent),
                           n_cells, n_cells, degree)
     volume = assemble_volume(mesh, PoissonCoefficient(), IndicatorField(everywhere),

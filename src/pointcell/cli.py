@@ -3,9 +3,10 @@
 Runs are driven by an INI-style config file; a handful of flags override the
 file so parameter sweeps don't need one file per run.  Unknown sections or
 keys are rejected by name rather than ignored, since a typo that silently
-falls back to a default is the most expensive way to lose an afternoon.
-Only the values the user set are passed on; the library's defaults and
-derivations (default_*_params) supply the rest, from the user's values.
+falls back to a default is the most expensive way to lose an afternoon, and
+so is a flag the run never reads.  Only the values the user set are passed
+on; the library's derivations (default_*_params) take them, derive the
+rest and check the run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import benchmarks, export
 from .errors import (BoundaryNotFoundError, CloudLoadError, SolverError)
 from .fcm import StructuredMesh
-from .penalty import DiffuseParams, PenaltyParams, SharpParams, collect_sharp_segments
+from .penalty import PenaltyParams, collect_sharp_segments
 
 # Every config key and the type its value is read as.
 _KEYS = {
@@ -53,10 +54,23 @@ class ConfigError(Exception):
     pass
 
 
-def _settings(args) -> dict:
-    """The values the user set, {(section, key): value}; a flag replaces the
-    file's value of its key."""
-    out = {}
+class _Settings(dict):
+    """The values the user set, {(section, key): value}.  Every get is
+    recorded in read, and flags maps the key of each flag given to the
+    flag, so that _outdir can reject a flag the run never read."""
+
+    def __init__(self, values, flags):
+        super().__init__(values)
+        self.flags, self.read = flags, set()
+
+    def get(self, where, default=None):
+        self.read.add(where)
+        return super().get(where, default)
+
+
+def _settings(args) -> _Settings:
+    """The values the user set; a flag replaces the file's value of its key."""
+    out, flags = {}, {}
     if args.config is not None:
         parser = configparser.ConfigParser()
         if not parser.read(args.config):
@@ -74,18 +88,19 @@ def _settings(args) -> dict:
     for flag, where in _FLAGS.items():
         if vars(args)[flag] is not None:
             out[where] = vars(args)[flag]
+            flags[where] = f"--{flag}"
     for (section, key), low in _AT_LEAST.items():
         if out.get((section, key), low) < low:
             raise ConfigError(f"[{section}] {key} must be >= {low}, got {out[section, key]}")
     if ("problem", "beta") in out:
         _checked_beta(out["problem", "beta"],
                       "--beta" if args.beta is not None else "[problem] beta")
-    return out
+    return _Settings(out, flags)
 
 
 def _user(cfg, section, keys=None) -> dict:
     """The user's values of one section, restricted to keys when given."""
-    return {key: v for (sec, key), v in cfg.items()
+    return {key: cfg.get((sec, key)) for sec, key in cfg
             if sec == section and (keys is None or key in keys)}
 
 
@@ -105,48 +120,56 @@ def _checked(make, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _override(cfg, section, base):
-    """base with the user's values of one section in place."""
-    return _checked(dataclasses.replace, base, **_user(cfg, section))
+def _kind(cfg, command, *kinds) -> str:
+    """[problem] kind: one of the kinds command runs, the first by default."""
+    kind = cfg.get(("problem", "kind"), kinds[0])
+    if kind not in kinds:
+        raise ConfigError(f"unknown problem kind {kind!r} for {command}, "
+                          f"which runs {' or '.join(kinds)}")
+    return kind
 
 
 def _annular_config(cfg) -> benchmarks.AnnularConfig:
     names = {f.name for f in dataclasses.fields(benchmarks.AnnularConfig)}
-    values = {key: v for (sec, key), v in cfg.items()
+    values = {key: cfg.get((sec, key)) for sec, key in cfg
               if sec in ("problem", "mesh", "distance") and key in names}
     return _checked(benchmarks.AnnularConfig, **values)
 
 
-def _route_params(cfg, config, method) -> SharpParams | DiffuseParams:
-    """An annular route's controls: the library's for config, the user's in place."""
+def _route_params(cfg, config, method) -> dict:
+    """The keyword route_pairs takes for one annular route, with its controls."""
     if method in ("sharp", "diffuse") and config.k < 2:
         raise ConfigError(f"k must be >= 2 for the {method} route's plane fit, got {config.k}")
     if method == "sharp":
-        return _override(cfg, "sharp", benchmarks.default_sharp_params(config))
+        return {"sharp": _checked(benchmarks.default_sharp_params, config, **_user(cfg, "sharp"))}
     if method == "diffuse":
-        return _override(cfg, "diffuse", _checked(
-            benchmarks.default_diffuse_params, **_user(cfg, "diffuse", {"epsilon"}),
-            extent=config.extent, n_cells=config.n_cells))
+        return {"diffuse": _checked(benchmarks.default_diffuse_params, **_user(cfg, "diffuse"),
+                                    extent=config.extent, n_cells=config.n_cells)}
+    if method == "reference":
+        return {"reference_chords": cfg.get(("study", "reference_chords"), 2048)}
     raise ConfigError(f"unknown method {method!r}")
 
 
 def _membrane_params(cfg, cloud):
     """(DistanceParams, SharpParams) of a membrane run on cloud."""
-    dparams, sparams = _checked(benchmarks.default_membrane_params, cloud,
-                                **_user(cfg, "mesh", {"extent", "n_cells"}),
-                                **_user(cfg, "distance", {"r"}))
-    dparams = _override(cfg, "distance", dparams)
-    if dparams.k < 2:
-        raise ConfigError(f"k must be >= 2 for the sharp route's plane fit, got {dparams.k}")
-    if dparams.k > len(cloud):
-        raise ConfigError(f"k={dparams.k} exceeds cloud size {len(cloud)}")
-    return dparams, _override(cfg, "sharp", sparams)
+    return _checked(benchmarks.default_membrane_params, cloud, **_user(cfg, "distance"),
+                    **_user(cfg, "mesh", {"extent", "n_cells"}), **_user(cfg, "sharp"))
+
+
+def _membrane_keywords(cfg) -> dict:
+    """The user's keywords of build_membrane_problem."""
+    return {**_user(cfg, "mesh"), **_user(cfg, "distance"), **_user(cfg, "sharp"),
+            **_user(cfg, "problem", {"beta", "load", "rim_value"})}
 
 
 def _outdir(cfg) -> str:
     """Output directory, created on the spot: call it once every other config
-    value has been read and checked, so a rejected run leaves nothing behind."""
+    value has been read and checked, so a rejected run (also one given a flag
+    it has not read) leaves nothing behind."""
     out = cfg.get(("output", "dir"), ".")
+    unread = [flag for where, flag in cfg.flags.items() if where not in cfg.read]
+    if unread:
+        raise ConfigError(f"this run does not read {', '.join(unread)}")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -158,23 +181,23 @@ def _load_cloud(cfg):
     return benchmarks.load_scaled_cloud(path)
 
 
-def _write_field(cfg, out, mesh, coeffs) -> None:
-    """field.vtk at the user's resolution, else at write_field_vtk's."""
-    kwargs = ({"resolution": cfg["output", "field_resolution"]}
-              if ("output", "field_resolution") in cfg else {})
-    export.write_field_vtk(os.path.join(out, "field.vtk"), mesh, coeffs, **kwargs)
+def _field_keywords(cfg) -> dict:
+    """write_field_vtk's keywords: the user's resolution, if set."""
+    resolution = cfg.get(("output", "field_resolution"))
+    return {} if resolution is None else {"resolution": resolution}
 
 
 def _cmd_solve(cfg) -> int:
-    kind = cfg.get(("problem", "kind"), "membrane")
+    kind = _kind(cfg, "solve", "membrane", "annular")
+    field = _field_keywords(cfg)
     if kind == "membrane":
         cloud = _load_cloud(cfg)
-        dparams, sparams = _membrane_params(cfg, cloud)
+        _membrane_params(cfg, cloud)  # rejects the run before the output directory is made
+        keywords = _membrane_keywords(cfg)
         out = _outdir(cfg)
-        result = benchmarks.build_membrane_problem(
-            cloud, **_user(cfg, "mesh"), **_user(cfg, "problem", {"beta", "load", "rim_value"}),
-            dparams=dparams, sparams=sparams)
-        _write_field(cfg, out, result.mesh, result.coeffs)
+        result = benchmarks.build_membrane_problem(cloud, **keywords)
+        export.write_field_vtk(os.path.join(out, "field.vtk"), result.mesh, result.coeffs,
+                               **field)
         export.write_segments_csv(os.path.join(out, "segments.csv"),
                                   result.segments)
         print(f"dofs={result.stats['dofs']} "
@@ -182,23 +205,21 @@ def _cmd_solve(cfg) -> int:
               f"segments={result.stats['n_regions']} "
               f"mean_abs_mismatch={result.mean_abs_mismatch:.6e}")
         return 0
-    if kind == "annular":
-        config = _annular_config(cfg)
-        beta = cfg.get(("problem", "beta"), 1e5)
-        method = cfg.get(("problem", "method"), "sharp")
-        params = _route_params(cfg, config, method)
-        out = _outdir(cfg)
-        problem = benchmarks.build_annular_problem(config)
-        (Kp, fp, stats), = benchmarks.route_pairs(problem, **{method: params}).values()
-        u, energy, error = benchmarks.solve_annular(problem, beta * Kp, beta * fp)
-        _write_field(cfg, out, problem.mesh, u)
-        print(f"dofs={problem.volume.ndof} penalty_points={stats['penalty_points']} "
-              f"energy={energy:.10e} error_percent={error:.6e}")
-        return 0
-    raise ConfigError(f"unknown problem kind {kind!r}")
+    config = _annular_config(cfg)
+    beta = cfg.get(("problem", "beta"), 1e5)
+    params = _route_params(cfg, config, cfg.get(("problem", "method"), "sharp"))
+    out = _outdir(cfg)
+    problem = benchmarks.build_annular_problem(config)
+    (Kp, fp, stats), = benchmarks.route_pairs(problem, **params).values()
+    u, energy, error = benchmarks.solve_annular(problem, beta * Kp, beta * fp)
+    export.write_field_vtk(os.path.join(out, "field.vtk"), problem.mesh, u, **field)
+    print(f"dofs={problem.volume.ndof} penalty_points={stats['penalty_points']} "
+          f"energy={energy:.10e} error_percent={error:.6e}")
+    return 0
 
 
 def _cmd_beta_study(cfg) -> int:
+    _kind(cfg, "beta-study", "annular")
     config = _annular_config(cfg)
     raw = cfg.get(("study", "betas"))
     if raw is not None:
@@ -212,11 +233,7 @@ def _cmd_beta_study(cfg) -> int:
         betas = benchmarks.beta_grid()
     kwargs = {}
     for method in cfg.get(("study", "methods"), "sharp,diffuse").split(","):
-        method = method.strip()
-        if method == "reference":
-            kwargs["reference_chords"] = cfg.get(("study", "reference_chords"), 2048)
-        else:
-            kwargs[method] = _route_params(cfg, config, method)
+        kwargs.update(_route_params(cfg, config, method.strip()))
     out = _outdir(cfg)
     problem = benchmarks.build_annular_problem(config)
     table = benchmarks.run_beta_study(problem, betas, **kwargs)
@@ -232,6 +249,7 @@ def _cmd_beta_study(cfg) -> int:
 
 
 def _cmd_reconstruct(cfg) -> int:
+    _kind(cfg, "reconstruct", "membrane")
     cloud = _load_cloud(cfg)
     dparams, sparams = _membrane_params(cfg, cloud)
     extent = cfg.get(("mesh", "extent"), benchmarks.MEMBRANE_EXTENT)

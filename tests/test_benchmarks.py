@@ -16,6 +16,7 @@ from pointcell import (AnnularConfig, BoundaryNotFoundError, DiffuseParams,
                        default_membrane_params, default_sharp_params,
                        energy_error, gauss_legendre_1d,
                        StructuredMesh, load_scaled_cloud, run_beta_study)
+from pointcell import benchmarks
 
 
 def _light_config(**kw):
@@ -196,6 +197,16 @@ def test_default_diffuse_params_formulas():
     assert dp.n_gauss == 4
 
 
+def test_default_params_take_the_rule_order():
+    """A rule order given to the derivation is the one a replace used to put
+    in its result; the depths stay derived."""
+    cfg = AnnularConfig()
+    assert default_sharp_params(cfg, n_gauss=5) == dataclasses.replace(
+        default_sharp_params(cfg), n_gauss=5)
+    assert default_diffuse_params(2e-2, n_cells=2, n_gauss=3) == dataclasses.replace(
+        default_diffuse_params(2e-2, n_cells=2), n_gauss=3)
+
+
 def test_run_beta_study_light_sweep():
     prob = build_annular_problem(_light_config())
     volume = prob.volume.K.data.tobytes(), prob.volume.f.tobytes()
@@ -261,11 +272,45 @@ def test_load_scaled_cloud_normalizes_extent(tmp_path):
     ({"extent": 0.0}, "extent must be positive"),
     ({"extent": -1.0}, "extent must be positive"),
     ({"n_cells": 0}, "n_cells must be >= 1"),
+    ({"k": 1}, "k must be >= 2 for the sharp route's plane fit, got 1"),
+    ({"k": 65}, "k=65 exceeds cloud size 64"),
+    ({"n_gauss": 0}, "n_gauss must be >= 1"),
+    ({"extent": 0.9}, r"the cloud leaves the mesh \[-0.9, 0.9\]\^2"),
 ])
 def test_default_membrane_params_reject_bad_sizes(kwargs, message):
     cloud = PointCloud(circle_cloud(1.0, 64))
     with pytest.raises(ValueError, match=message):
         default_membrane_params(cloud, **kwargs)
+
+
+def test_membrane_takes_no_derived_controls():
+    cloud = PointCloud(circle_cloud(1.0, 64))
+    dparams, sparams = default_membrane_params(cloud)
+    with pytest.raises(TypeError):
+        build_membrane_problem(cloud, dparams=dparams)
+    with pytest.raises(TypeError):
+        build_membrane_problem(cloud, sparams=sparams)
+
+
+def test_membrane_derives_its_controls_from_k_r_and_n_gauss(monkeypatch):
+    """The pair build_membrane_problem hands the reconstruction is the one the
+    command line used to build: the derivation's, with the user's k and rule
+    order in place."""
+    cloud = PointCloud(circle_cloud(1.0, 512))
+    seen = []
+
+    class Seen(Exception):
+        pass
+
+    def record(mesh, cloud, dparams, sparams):
+        seen.append((dparams, sparams))
+        raise Seen
+
+    monkeypatch.setattr(benchmarks, "collect_sharp_segments", record)
+    with pytest.raises(Seen):
+        build_membrane_problem(cloud, k=5, r=0.1, n_gauss=6)
+    assert seen == [(DistanceParams(5, 0.1), dataclasses.replace(
+        default_membrane_params(cloud, r=0.1)[1], n_gauss=6))]
 
 
 def test_membrane_raises_when_no_boundary_found():

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end."""
 
 import dataclasses
+import inspect
 import re
 import textwrap
 from pathlib import Path
@@ -92,6 +93,17 @@ def test_readme_lists_every_flag():
             == sorted(f"--{flag}" for flag in cli._FLAGS))
 
 
+def test_membrane_solve_keys_are_build_membrane_problem_keywords():
+    """The keys a membrane solve passes on, [mesh], [distance], [sharp] and
+    [problem] beta, load and rim_value, are exactly the keyword-only
+    parameters of build_membrane_problem."""
+    every = cli._Settings({(section, key): None for section, keys in cli._KEYS.items()
+                           for key in keys}, {})
+    params = inspect.signature(build_membrane_problem).parameters.values()
+    assert (sorted(cli._membrane_keywords(every))
+            == sorted(p.name for p in params if p.kind is p.KEYWORD_ONLY))
+
+
 def test_readme_lists_every_config_key():
     """The README's table of config keys names exactly the keys the parser
     reads, section by section."""
@@ -176,6 +188,9 @@ def test_zero_sharp_rule_order_is_config_error(tmp_path, capsys):
     assert "config error: n_gauss must be >= 1" in capsys.readouterr().err
 
 
+# A membrane mesh that the unit circle leaves.
+_MEMBRANE_IN_09 = "[mesh]\nextent = 0.9\nn_cells = 4\ndegree = 3\n"
+
 _BAD_NUMBERS = {
     "annular-k": (_tiny_annular(), ["--k", "0"], "solve", "k must be >= 1"),
     "annular-r": (_tiny_annular(), ["--r", "-1"], "beta-study", "r must be positive"),
@@ -214,6 +229,10 @@ _BAD_NUMBERS = {
     "annular-diffuse-k-1": (_tiny_annular().replace("k = 4", "k = 1"),
                             ["--method", "diffuse"], "solve",
                             "k must be >= 2 for the diffuse route's plane fit, got 1"),
+    "membrane-cloud-outside-mesh": (_MEMBRANE_IN_09, [], "solve",
+                                    "the cloud leaves the mesh [-0.9, 0.9]^2"),
+    "membrane-cloud-outside-mesh-reconstruct": (_MEMBRANE_IN_09, [], "reconstruct",
+                                                "the cloud leaves the mesh [-0.9, 0.9]^2"),
 }
 
 
@@ -240,14 +259,53 @@ def test_bad_number_is_config_error(tmp_path, capsys, case):
     ("[mesh]\ndegree = 0\n", [], "solve"),
     (_tiny_annular().replace("degree = 4", "degree = 0"), [], "solve"),
     (_tiny_annular().replace("volume_depth = 4", "volume_depth = -1"), [], "solve"),
+    (_MEMBRANE_IN_09, [], "solve"),
+    (_MEMBRANE_IN_09, [], "reconstruct"),
 ], ids=["nan-beta-solve", "negative-study-beta", "field-resolution-solve",
         "annular-k-above-cloud-solve", "membrane-k-1-solve", "annular-k-1-solve",
-        "membrane-degree-0-solve", "annular-degree-0-solve", "annular-volume-depth-solve"])
+        "membrane-degree-0-solve", "annular-degree-0-solve", "annular-volume-depth-solve",
+        "membrane-cloud-outside-mesh-solve", "membrane-cloud-outside-mesh-reconstruct"])
 def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, text, flags, command):
+    """A membrane run gets a cloud, so that its own bound rejects it."""
     ini = _write(tmp_path / "run.ini", text)
     made = tmp_path / "made"
+    cloud = [] if "kind = annular" in text else ["--cloud", _circle_file(tmp_path)]
+    assert main(["--config", ini, *cloud, "--out-dir", str(made), *flags, command]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "cloud file" not in err
+    assert not made.exists()
+
+
+@pytest.mark.parametrize("text,flags,command,message", [
+    ("[problem]\n", ["--cloud", "{cloud}", "--method", "diffuse", "--epsilon", "0.3"], "solve",
+     "this run does not read --method, --epsilon"),
+    ("[problem]\n", ["--cloud", "{cloud}", "--method", "nonsense"], "solve",
+     "this run does not read --method"),
+    ("[problem]\n", ["--cloud", "{cloud}", "--beta", "1e3"], "reconstruct",
+     "this run does not read --beta"),
+    (_tiny_annular(), ["--beta", "7e2"], "beta-study", "this run does not read --beta"),
+    (_tiny_annular("[study]\n        methods = sharp"),
+     ["--cloud", "{cloud}", "--method", "diffuse", "--epsilon", "0.3"], "beta-study",
+     "this run does not read --cloud, --method, --epsilon"),
+    (_tiny_annular(), ["--epsilon", "0.3", "--n-gauss-eps", "9"], "solve",
+     "this run does not read --epsilon, --n-gauss-eps"),
+    ("[problem]\nkind = membrane\n", ["--cloud", "{cloud}"], "beta-study",
+     "unknown problem kind 'membrane' for beta-study, which runs annular"),
+    (_tiny_annular(), [], "reconstruct",
+     "unknown problem kind 'annular' for reconstruct, which runs membrane"),
+], ids=["membrane-solve-method-epsilon", "membrane-solve-method", "reconstruct-beta",
+        "beta-study-beta", "beta-study-cloud-method-epsilon", "annular-sharp-solve-diffuse",
+        "beta-study-membrane-kind", "reconstruct-annular-kind"])
+def test_flag_the_run_does_not_read_is_rejected(tmp_path, capsys, text, flags, command,
+                                                message):
+    """A flag whose key the run never reads, and a [problem] kind the command
+    does not run, exit 2 before the output directory is made."""
+    ini = _write(tmp_path / "run.ini", text)
+    made = tmp_path / "made"
+    flags = [flag.format(cloud=_circle_file(tmp_path)) for flag in flags]
     assert main(["--config", ini, "--out-dir", str(made), *flags, command]) == 2
-    assert "config error:" in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not made.exists()
 
 
@@ -480,8 +538,8 @@ def test_run_without_depth_settings_prints_the_derived_depths_summary(
     library derives, digit for digit as the command line printed it when
     the depths could still be set."""
     ini = _write(tmp_path / "run.ini", text)
-    assert main(["--config", ini, "--cloud", _circle_file(tmp_path), "--out-dir",
-                 str(tmp_path / "o"), command]) == 0
+    cloud = ["--cloud", _circle_file(tmp_path)] if text == _MEMBRANE_NO_DEPTH else []
+    assert main(["--config", ini, *cloud, "--out-dir", str(tmp_path / "o"), command]) == 0
     assert capsys.readouterr().out.strip() == line
 
 
@@ -530,6 +588,21 @@ def test_beta_study_selected_methods(tmp_path, capsys):
         assert len(lines) == 3
         assert lines[1].startswith("1000.0,")
     assert not (out / "study_diffuse.csv").exists()
+
+
+def test_solve_runs_the_reference_route_of_beta_study(tmp_path, capsys):
+    """method = reference: solve prints the error beta-study reports for the
+    same beta."""
+    ini = _write(tmp_path / "run.ini", _tiny_annular("""
+        [study]
+        betas = 1e4
+        methods = reference
+        reference_chords = 64
+        """).replace("kind = annular", "kind = annular\n        method = reference"))
+    assert main(["--config", ini, "--out-dir", str(tmp_path / "s"), "solve"]) == 0
+    error = re.search(r"error_percent=(\S+)", capsys.readouterr().out).group(1)
+    assert main(["--config", ini, "--out-dir", str(tmp_path / "b"), "beta-study"]) == 0
+    assert f"best_error_percent={error}" in capsys.readouterr().out
 
 
 def test_reference_route_runs_with_k_1(tmp_path):
