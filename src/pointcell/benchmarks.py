@@ -183,8 +183,16 @@ def build_annular_problem(config: AnnularConfig = AnnularConfig()) -> AnnularPro
                           volume=volume)
 
 
+def _plane_fit_k(k: int, route: str) -> None:
+    """Raise ValueError unless k admits the route's plane fit (k >= 2); every
+    derivation of a route that fits planes calls it first."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2 for the {route} route's plane fit, got {k}")
+
+
 def default_sharp_params(config: AnnularConfig, n_gauss: int = 6) -> SharpParams:
     """Sharp controls of the annulus from its spacing and fit radius (_sharp_params)."""
+    _plane_fit_k(config.k, "sharp")
     return _sharp_params(2.0 * config.extent / config.n_cells, config.spacing, config.r,
                          n_gauss)
 
@@ -199,14 +207,13 @@ def _sharp_params(cell: float, h: float, r: float, n_gauss: int) -> SharpParams:
     return SharpParams(n_query=n_query, n_gauss=n_gauss, test_grid=test_grid)
 
 
-def default_diffuse_params(epsilon: float = 5e-3, extent: float = AnnularConfig.extent,
-                           n_cells: int = AnnularConfig.n_cells,
+def default_diffuse_params(epsilon: float = 5e-3, config: AnnularConfig = AnnularConfig(),
                            n_gauss: int = 4) -> DiffuseParams:
-    """Tree depth resolving the layer: leaves no wider than epsilon.
-
-    A non-positive epsilon is passed on for DiffuseParams to reject.
-    """
-    cell = 2.0 * extent / n_cells
+    """Tree depth resolving the layer on the config's cells: leaves no wider
+    than epsilon.  A non-positive epsilon is passed on for DiffuseParams to
+    reject."""
+    _plane_fit_k(config.k, "diffuse")
+    cell = 2.0 * config.extent / config.n_cells
     n_sub = max(1, math.ceil(math.log2(cell / epsilon))) if epsilon > 0.0 else 0
     return DiffuseParams(epsilon=epsilon, n_sub=n_sub, n_gauss=n_gauss)
 
@@ -331,8 +338,7 @@ def default_membrane_params(cloud: PointCloud, extent: float = MEMBRANE_EXTENT,
         raise ValueError(f"extent must be positive, got {extent}")
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2 for the sharp route's plane fit, got {k}")
+    _plane_fit_k(k, "sharp")
     if k > len(cloud):
         raise ValueError(f"k={k} exceeds cloud size {len(cloud)}")
     if np.max(np.abs(cloud.points)) > extent:

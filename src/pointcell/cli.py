@@ -138,22 +138,21 @@ def _annular_config(cfg) -> benchmarks.AnnularConfig:
 
 def _route_params(cfg, config, method) -> dict:
     """The keyword route_pairs takes for one annular route, with its controls."""
-    if method in ("sharp", "diffuse") and config.k < 2:
-        raise ConfigError(f"k must be >= 2 for the {method} route's plane fit, got {config.k}")
     if method == "sharp":
         return {"sharp": _checked(benchmarks.default_sharp_params, config, **_user(cfg, "sharp"))}
     if method == "diffuse":
-        return {"diffuse": _checked(benchmarks.default_diffuse_params, **_user(cfg, "diffuse"),
-                                    extent=config.extent, n_cells=config.n_cells)}
+        return {"diffuse": _checked(benchmarks.default_diffuse_params, config=config,
+                                    **_user(cfg, "diffuse"))}
     if method == "reference":
         return {"reference_chords": cfg.get(("study", "reference_chords"), 2048)}
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _membrane_params(cfg, cloud):
-    """(DistanceParams, SharpParams) of a membrane run on cloud."""
+def _membrane_params(cfg, cloud, **sharp):
+    """(DistanceParams, SharpParams) of a membrane run on cloud; sharp holds
+    the [sharp] values of a run whose output depends on them."""
     return _checked(benchmarks.default_membrane_params, cloud, **_user(cfg, "distance"),
-                    **_user(cfg, "mesh", {"extent", "n_cells"}), **_user(cfg, "sharp"))
+                    **_user(cfg, "mesh", {"extent", "n_cells"}), **sharp)
 
 
 def _membrane_keywords(cfg) -> dict:
@@ -192,7 +191,7 @@ def _cmd_solve(cfg) -> int:
     field = _field_keywords(cfg)
     if kind == "membrane":
         cloud = _load_cloud(cfg)
-        _membrane_params(cfg, cloud)  # rejects the run before the output directory is made
+        _membrane_params(cfg, cloud, **_user(cfg, "sharp"))  # checks the run before _outdir
         keywords = _membrane_keywords(cfg)
         out = _outdir(cfg)
         result = benchmarks.build_membrane_problem(cloud, **keywords)

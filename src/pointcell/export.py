@@ -37,7 +37,10 @@ def _fmt(value: float) -> str:
 
 
 def write_study_csv(path, betas, errors) -> None:
-    """Two-column table "beta,e_percent"; nan rows record solver failures."""
+    """Two-column table "beta,e_percent"; nan rows record solver failures.
+    Raises ValueError, writing nothing, when the columns differ in length."""
+    if len(betas) != len(errors):
+        raise ValueError(f"{len(betas)} betas but {len(errors)} errors")
     lines = ["beta,e_percent"]
     for b, e in zip(np.asarray(betas), np.asarray(errors)):
         lines.append(f"{_fmt(b)},{_fmt(e)}")

@@ -35,12 +35,12 @@ vertex and edge modes is factored as a sparse matrix.  This needs K
 symmetric positive definite, interior blocks included, and exactly
 symmetric entry for entry; every operator the package assembles is.  The
 solve records the skeleton's size and the fill of its factor in the
-system's stats (skeleton_dofs, factor_nnz).
+system's stats (skeleton_dofs, factor_nnz).  A relative residual above
+1e-10, typically of a system no Dirichlet constraint holds, is a SolverError.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -645,14 +645,15 @@ def solve(system: GlobalSystem) -> np.ndarray:
     an operator stored on another pattern (such as scipy's A + B) is
     re-stored on it first, and an entry outside it raises ValueError.
 
-    The relative residual of the full K is stored on system.last_residual
-    (a RuntimeWarning is issued above 1e-10), the number of nonzeros in the
-    skeleton factor's L + U on system.stats["factor_nnz"] and the number
-    of skeleton dofs on system.stats["skeleton_dofs"].  A SolverError is
-    raised when an interior block is not positive definite (typically
-    modes supported only in a fictitious region with alpha_fic = 0), when
-    the skeleton factor is exactly singular, or when the solution is not
-    finite (typically a system with no Dirichlet constraints at all).
+    The relative residual of the full K is stored on system.last_residual,
+    the number of nonzeros in the skeleton factor's L + U on
+    system.stats["factor_nnz"] and the number of skeleton dofs on
+    system.stats["skeleton_dofs"].  A SolverError is raised when an
+    interior block is not positive definite (typically modes supported
+    only in a fictitious region with alpha_fic = 0), when the skeleton
+    factor is exactly singular, when the solution is not finite, or when
+    the relative residual exceeds 1e-10; the last three typically mean a
+    system with no Dirichlet constraints at all.
     """
     plan = system.mesh.condensation(system.ncomp)
     data = _mesh_pattern_data(system.K, system.mesh, system.ncomp)
@@ -700,8 +701,8 @@ def solve(system: GlobalSystem) -> np.ndarray:
     scale = max(float(np.linalg.norm(f)), np.finfo(float).tiny)
     system.last_residual = float(np.linalg.norm(system.K @ u - f) / scale)
     if system.last_residual > 1e-10:
-        warnings.warn(f"solver residual {system.last_residual:.3e} exceeds 1.0e-10",
-                      RuntimeWarning, stacklevel=2)
+        raise SolverError(f"solver residual {system.last_residual:.3e} exceeds 1.0e-10; "
+                          "system is singular or lacks Dirichlet constraints")
     return u
 
 
@@ -734,19 +735,16 @@ def apply_strong_zero(system: GlobalSystem, scalar_dofs) -> GlobalSystem:
                         ncomp=system.ncomp, stats=dict(system.stats))
 
 
-def evaluate(mesh: StructuredMesh, coeffs: np.ndarray, xs, ncomp: int = 1,
-             gradients: bool = False):
-    """Discrete field (and optionally gradients) at points inside the mesh.
+def evaluate(mesh: StructuredMesh, coeffs: np.ndarray, xs, ncomp: int = 1):
+    """Discrete field at points inside the mesh.
 
     coeffs is in the layout of component_dofs, ncomp values per scalar dof
     (ValueError otherwise).  Returns values of shape (m,) for scalar fields
-    or (m, ncomp) for vector fields; with gradients=True a tuple (values,
-    grads) where grads has one xy pair per component.
+    or (m, ncomp) for vector fields.
 
     The 1D modes are tabulated once at every point's xi and eta.  The
     points are then grouped by cell and each cell's coefficient block
-    C[a, b, c] is contracted as sum_ab N_a(xi) C_abc N_b(eta); a gradient
-    puts N' in place of N on one side.
+    C[a, b, c] is contracted as sum_ab N_a(xi) C_abc N_b(eta).
     """
     if np.size(coeffs) != mesh.n_scalar_dofs * ncomp:
         raise ValueError(f"coeffs holds {np.size(coeffs)} values, but the mesh has "
@@ -758,26 +756,17 @@ def evaluate(mesh: StructuredMesh, coeffs: np.ndarray, xs, ncomp: int = 1,
     order = np.argsort(cell_ids, kind="stable")
     cells, starts = np.unique(cell_ids[order], return_index=True)
     # (m, p + 1) tables in cell order, so each cell reads a contiguous block
-    Nx, dNx = (t.T[order] for t in basis_mod.shape_functions_1d(mesh.degree, xi))
-    Ny, dNy = (t.T[order] for t in basis_mod.shape_functions_1d(mesh.degree, eta))
+    Nx, Ny = (basis_mod.shape_functions_1d(mesh.degree, t)[0].T[order] for t in (xi, eta))
     by_dof = np.asarray(coeffs).reshape(-1, ncomp)
-    srt = np.empty((3 if gradients else 1, xs.shape[0], ncomp))
+    srt = np.empty((xs.shape[0], ncomp))
     for cx, cy, lo, hi in zip(*mesh.cell_index(cells), starts, np.append(starts[1:], xs.shape[0])):
         C = by_dof[mesh.cell_dofs(cx, cy)].reshape(n1, n1 * ncomp)
         # T[k, b, c] = sum_a N_a(xi_k) C[a, b, c]
         T = (Nx[lo:hi] @ C).reshape(-1, n1, ncomp)
-        srt[0, lo:hi] = np.einsum("kbc,kb->kc", T, Ny[lo:hi])
-        if gradients:
-            Tx = (dNx[lo:hi] @ C).reshape(-1, n1, ncomp)
-            srt[1, lo:hi] = np.einsum("kbc,kb->kc", Tx, Ny[lo:hi]) * (2.0 / mesh.hx)
-            srt[2, lo:hi] = np.einsum("kbc,kb->kc", T, dNy[lo:hi]) * (2.0 / mesh.hy)
+        srt[lo:hi] = np.einsum("kbc,kb->kc", T, Ny[lo:hi])
     out = np.empty_like(srt)
-    out[:, order] = srt
-    vals = out[0, :, 0] if ncomp == 1 else out[0]
-    if not gradients:
-        return vals
-    grads = np.stack([out[1], out[2]], axis=-1)
-    return vals, (grads[:, 0, :] if ncomp == 1 else grads)
+    out[order] = srt
+    return out[:, 0] if ncomp == 1 else out
 
 
 def strain_energy(volume_system: GlobalSystem, coeffs: np.ndarray) -> float:

@@ -203,8 +203,34 @@ def test_default_params_take_the_rule_order():
     cfg = AnnularConfig()
     assert default_sharp_params(cfg, n_gauss=5) == dataclasses.replace(
         default_sharp_params(cfg), n_gauss=5)
-    assert default_diffuse_params(2e-2, n_cells=2, n_gauss=3) == dataclasses.replace(
-        default_diffuse_params(2e-2, n_cells=2), n_gauss=3)
+    light = _light_config()
+    assert default_diffuse_params(2e-2, light, n_gauss=3) == dataclasses.replace(
+        default_diffuse_params(2e-2, light), n_gauss=3)
+
+
+@pytest.mark.parametrize("config,n_sub", [
+    (AnnularConfig(), (7, 5)),
+    (AnnularConfig(n_cells=2), (8, 6)),
+    (AnnularConfig(n_points=500, degree=8, volume_depth=8), (7, 5)),  # perfbench annular
+], ids=["default", "n_cells-2", "bench"])
+def test_default_diffuse_params_read_the_cells_of_the_config(config, n_sub):
+    """The diffuse depth follows the config's own cells: at n_cells = 2 a
+    depth taken from the default 4 cells (5 at epsilon = 2e-2) placed 18,112
+    penalty points on the light annulus instead of 46,528."""
+    for epsilon, depth in zip((5e-3, 2e-2), n_sub):
+        assert default_diffuse_params(epsilon, config) == DiffuseParams(epsilon, depth, 4)
+
+
+@pytest.mark.parametrize("route,derive", [
+    ("sharp", default_sharp_params),
+    ("diffuse", lambda config: default_diffuse_params(5e-3, config)),
+], ids=["sharp", "diffuse"])
+def test_annular_derivations_reject_k_below_2(route, derive):
+    """k = 1 admits no plane fit; the derivation says so before any assembly
+    rather than the geometry layer failing inside route_pairs."""
+    with pytest.raises(ValueError,
+                       match=f"^k must be >= 2 for the {route} route's plane fit, got 1$"):
+        derive(AnnularConfig(k=1))
 
 
 def test_run_beta_study_light_sweep():
@@ -213,7 +239,7 @@ def test_run_beta_study_light_sweep():
     betas = np.array([1e3, 1e4, 1e5])
     out = run_beta_study(prob, betas,
                          sharp=default_sharp_params(prob.config),
-                         diffuse=default_diffuse_params(2e-2, n_cells=2),
+                         diffuse=default_diffuse_params(2e-2, prob.config),
                          reference_chords=256)
     # every sum with a penalty pair is a new data array
     assert (prob.volume.K.data.tobytes(), prob.volume.f.tobytes()) == volume
@@ -236,7 +262,7 @@ def test_run_beta_study_rejects_a_route_without_penalty_points():
     far = dataclasses.replace(prob, cloud=PointCloud(circle_cloud(0.1, 24, center=(9.0, 9.0))))
     with pytest.raises(BoundaryNotFoundError, match=r"route\(s\) sharp, diffuse"):
         run_beta_study(far, [1e3], sharp=default_sharp_params(prob.config),
-                       diffuse=default_diffuse_params(2e-2, n_cells=2))
+                       diffuse=default_diffuse_params(2e-2, prob.config))
 
 
 def test_count_diffuse_points_matches_assembler():

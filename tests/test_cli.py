@@ -294,9 +294,11 @@ def test_rejected_run_leaves_no_output_dir(tmp_path, capsys, text, flags, comman
      "unknown problem kind 'membrane' for beta-study, which runs annular"),
     (_tiny_annular(), [], "reconstruct",
      "unknown problem kind 'annular' for reconstruct, which runs membrane"),
+    ("[problem]\n", ["--cloud", "{cloud}", "--n-gauss-s", "9"], "reconstruct",
+     "this run does not read --n-gauss-s"),
 ], ids=["membrane-solve-method-epsilon", "membrane-solve-method", "reconstruct-beta",
         "beta-study-beta", "beta-study-cloud-method-epsilon", "annular-sharp-solve-diffuse",
-        "beta-study-membrane-kind", "reconstruct-annular-kind"])
+        "beta-study-membrane-kind", "reconstruct-annular-kind", "reconstruct-n-gauss-s"])
 def test_flag_the_run_does_not_read_is_rejected(tmp_path, capsys, text, flags, command,
                                                 message):
     """A flag whose key the run never reads, and a [problem] kind the command
@@ -471,33 +473,36 @@ def test_reconstruct_writes_the_segments_of_solve(tmp_path):
             == (tmp_path / "reconstruct" / "segments.csv").read_bytes())
 
 
-def _recorded_params(monkeypatch, argv):
-    """The (DistanceParams, SharpParams) a CLI run hands to collect_sharp_segments."""
+def _recorded_params(monkeypatch, argv, module=cli):
+    """The (DistanceParams, SharpParams) a CLI run hands to collect_sharp_segments
+    in module: cli for reconstruct, benchmarks for the membrane solve."""
     seen = []
 
     def record(mesh, cloud, dparams, sparams):
         seen.append((dparams, sparams))
         return real(mesh, cloud, dparams, sparams)
 
-    real = cli.collect_sharp_segments
-    monkeypatch.setattr(cli, "collect_sharp_segments", record)
+    real = module.collect_sharp_segments
+    monkeypatch.setattr(module, "collect_sharp_segments", record)
     assert main(argv) == 0
     return seen[0]
 
 
 def test_flag_replaces_its_field_and_derived_values_follow(tmp_path, monkeypatch):
-    """--n-gauss-s sets n_gauss only; n_query stays derived from the spacing
-    (h = 0.065 here), and from the user's r when --r is below h/2."""
+    """--n-gauss-s sets n_gauss only (read by solve, whose penalty uses it);
+    n_query stays derived from the spacing (h = 0.065 here), and from the
+    user's r when --r is below h/2."""
     path = _circle_file(tmp_path)
     cloud = load_scaled_cloud(path)
-    base = ["--cloud", path, "--out-dir", str(tmp_path), "--n-gauss-s", "5"]
+    base = ["--cloud", path, "--out-dir", str(tmp_path)]
     dparams, sparams = default_membrane_params(cloud)
-    got = _recorded_params(monkeypatch, base + ["reconstruct"])
+    got = _recorded_params(monkeypatch, base + ["--n-gauss-s", "5", "solve"], benchmarks)
     assert got == (dparams, dataclasses.replace(sparams, n_gauss=5))
+    assert _recorded_params(monkeypatch, base + ["reconstruct"]) == (dparams, sparams)
     for r, deeper in (("0.05", False), ("0.01", True)):
         dparams, sparams = default_membrane_params(cloud, r=float(r))
         got = _recorded_params(monkeypatch, base + ["--r", r, "reconstruct"])
-        assert got == (dparams, dataclasses.replace(sparams, n_gauss=5))
+        assert got == (dparams, sparams)
         assert (got[1].n_query > default_membrane_params(cloud)[1].n_query) == deeper
 
 
@@ -509,7 +514,8 @@ def test_diffuse_depth_follows_the_user_epsilon(tmp_path, monkeypatch):
     ini = _write(tmp_path / "run.ini", _tiny_annular())
     assert main(["--config", ini, "--out-dir", str(tmp_path / "o"), "--method",
                  "diffuse", "--epsilon", "0.02", "solve"]) == 0
-    assert seen == [default_diffuse_params(0.02, n_cells=2)]
+    config = AnnularConfig(n_points=96, volume_depth=4, n_cells=2, degree=4, r=0.02)
+    assert seen == [default_diffuse_params(0.02, config)]
 
 
 _MEMBRANE_NO_DEPTH = """\
@@ -561,7 +567,7 @@ def test_beta_study_without_route_sections_counts_the_library_points(tmp_path, c
     config = AnnularConfig(n_points=96, volume_depth=4, n_cells=2, degree=4)
     table = run_beta_study(build_annular_problem(config), [1e3],
                            sharp=default_sharp_params(config),
-                           diffuse=default_diffuse_params(n_cells=2))
+                           diffuse=default_diffuse_params(config=config))
     counts = {"sharp": table["sharp_points"], "diffuse": table["diffuse_points"]}
     assert f"penalty_points={counts} " in capsys.readouterr().out
 

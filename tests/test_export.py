@@ -43,6 +43,14 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_study_csv_rejects_columns_of_different_lengths(tmp_path):
+    """zip would keep the first row only and drop the other two betas."""
+    path = tmp_path / "study.csv"
+    with pytest.raises(ValueError, match="3 betas but 1 errors"):
+        write_study_csv(path, [1.0, 2.0, 3.0], [1.0])
+    assert not path.exists()
+
+
 def test_study_csv_roundtrip(tmp_path):
     path = tmp_path / "study.csv"
     betas = [10.0, 0.1, 5e6]
