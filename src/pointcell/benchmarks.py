@@ -1,11 +1,13 @@
 """Benchmark problems with known energies for comparing the two penalty routes.
 
-The annular problem is manufactured so that every error source is controlled.
-On the annulus r_i <= |x| <= r_o the field is radial, u = P(|x|^2) with P a
-cubic, so u is a degree-6 bivariate polynomial that the tensor basis contains
-exactly from p = 6 on; what remains in the energy error is purely the
-boundary enforcement and the cut-cell quadrature.  P is built from its
-derivative q(rho) = amp * (rho - r_i^2)(r_o^2 - rho) + slope, so the radial
+The annular problem is one fixed problem, manufactured so that every error
+source is controlled; a run sets only its discretization (AnnularConfig).
+On the annulus r_i = 0.25 <= |x| <= r_o = 1, embedded in [-1.2, 1.2]^2, the
+field is radial, u = P(|x|^2) with P a cubic, so u is a degree-6 bivariate
+polynomial that the tensor basis contains exactly from p = 6 on; what remains
+in the energy error is purely the boundary enforcement and the cut-cell
+quadrature.  P is built from its derivative q(rho) = amp * (rho - r_i^2)
+(r_o^2 - rho) + slope, with amp = 10 and slope = 0.1, so the radial
 gradient is large mid-annulus (the energy is O(10)) but only 2*slope*r at the
 two circles, keeping the error contribution of small geometric offsets in the
 reconstructed boundary proportionally small.  The source term and the exact
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,35 +74,34 @@ def circle_polyline(radius: float, n: int, center=(0.0, 0.0)) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnnularConfig:
-    """Discretization of the annular benchmark.
+    """Discretization of the annular benchmark, which is one fixed problem.
 
+    The problem's shape is class constants: the circles r_inner and r_outer,
+    the embedding square [-extent, extent]^2 that holds them, and amp and
+    slope, which shape the manufactured field (see the module docstring).
     n_points sits on the inner circle and 4 * n_points on the outer; with
-    r_outer = 4 * r_inner the arc spacing is identical on both, and k may
-    not exceed the 5 * n_points points of the cloud.  amp and slope shape
-    the manufactured field (see the module docstring).
+    r_outer = 4 * r_inner both have the arc spacing `spacing`.  k may not
+    exceed the 5 * n_points points of the cloud.
     """
 
+    r_inner: ClassVar[float] = 0.25
+    r_outer: ClassVar[float] = 1.0
+    extent: ClassVar[float] = 1.2
+    amp: ClassVar[float] = 10.0
+    slope: ClassVar[float] = 0.1
+
     n_points: int = 2000
-    r_inner: float = 0.25
-    r_outer: float = 1.0
-    extent: float = 1.2
     n_cells: int = 4
     degree: int = 10
     volume_depth: int = 10
     k: int = 4
     r: float = 0.01
-    amp: float = 10.0
-    slope: float = 0.1
 
     def __post_init__(self):
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
         if self.n_cells < 1:
             raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
-        if not self.extent > 0.0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
-        if not 0.0 < self.r_inner < self.r_outer:
-            raise ValueError("radii must satisfy 0 < r_inner < r_outer")
         DistanceParams(k=self.k, r=self.r)  # checks k and r
         if self.k > 5 * self.n_points:
             raise ValueError(f"k={self.k} exceeds cloud size {5 * self.n_points}")
@@ -225,9 +227,14 @@ def route_pairs(problem: AnnularProblem, *, sharp: SharpParams | None = None,
 
     Returns {route: (K, f, stats)} for the routes given, in the order sharp,
     diffuse, reference, as the route's assembler returns them; scale K and f
-    by beta to enforce.  Raises BoundaryNotFoundError, naming every such
-    route, when a route places no penalty points.
+    by beta to enforce.  Raises ValueError before any penalty work when a
+    route that fits planes is requested with the problem's k < 2, and
+    BoundaryNotFoundError, naming every such route, when a route places no
+    penalty points.
     """
+    for route, params in (("sharp", sharp), ("diffuse", diffuse)):
+        if params is not None:
+            _plane_fit_k(problem.dparams.k, route)
     pairs = {}
     unit = PenaltyParams(beta=1.0, u_hat=problem.u_hat)
     if sharp is not None:

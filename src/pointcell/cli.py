@@ -26,8 +26,7 @@ from .penalty import PenaltyParams, collect_sharp_segments
 
 # Every config key and the type its value is read as.
 _KEYS = {
-    "problem": {"kind": str, "cloud": str, "n_points": int, "r_inner": float,
-                "r_outer": float, "amp": float, "slope": float, "beta": float,
+    "problem": {"kind": str, "cloud": str, "n_points": int, "beta": float,
                 "method": str, "load": float, "rim_value": float, "volume_depth": int},
     "mesh": {"extent": float, "n_cells": int, "degree": int},
     "distance": {"k": int, "r": float},
@@ -130,6 +129,7 @@ def _kind(cfg, command, *kinds) -> str:
 
 
 def _annular_config(cfg) -> benchmarks.AnnularConfig:
+    """The user's values of AnnularConfig's fields; [mesh] extent is membrane's."""
     names = {f.name for f in dataclasses.fields(benchmarks.AnnularConfig)}
     values = {key: cfg.get((sec, key)) for sec, key in cfg
               if sec in ("problem", "mesh", "distance") and key in names}
@@ -261,9 +261,7 @@ def _cmd_reconstruct(cfg) -> int:
         raise BoundaryNotFoundError("no contributing regions found")
     export.write_segments_csv(os.path.join(out, "segments.csv"), segments)
     total = sum(seg.total_length for seg in segments)
-    print(f"regions={len(segments)} "
-          f"subsegments={len(segments)} "
-          f"total_length={total:.10e}")
+    print(f"regions={len(segments)} total_length={total:.10e}")
     return 0
 
 

@@ -65,7 +65,6 @@ class PointCloud:
         pts.setflags(write=False)
         self.points = pts
         self.tree = cKDTree(pts)
-        self.ignored_rows = 0
 
     def __len__(self):
         return self.points.shape[0]
@@ -86,16 +85,13 @@ def load_point_cloud(path) -> PointCloud:
     """Read a whitespace-separated text file of boundary points.
 
     Each data row holds at least x and y; further columns (e.g. normals) are
-    ignored.  Blank lines and lines starting with '#' are skipped; the count
-    of skipped rows is available as ``cloud.ignored_rows``.
+    ignored.  Blank lines and lines starting with '#' are skipped.
     """
     rows = []
-    ignored = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
-                ignored += 1
                 continue
             fields = line.split()
             if len(fields) < 2:
@@ -106,9 +102,7 @@ def load_point_cloud(path) -> PointCloud:
                 raise CloudLoadError(f"line {lineno}: malformed numeric field ({exc})") from None
     if len(rows) < 2:
         raise CloudLoadError(f"degenerate cloud: file holds {len(rows)} data rows, need at least 2")
-    cloud = PointCloud(np.asarray(rows, dtype=float))
-    cloud.ignored_rows = ignored
-    return cloud
+    return PointCloud(np.asarray(rows, dtype=float))
 
 
 def _knn_indices_many(cloud: PointCloud, xs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

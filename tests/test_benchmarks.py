@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pointcell import (AnnularConfig, BoundaryNotFoundError, DiffuseParams,
-                       DistanceParams, PointCloud, SharpBoundaryWarning,
+                       DistanceParams, PointCloud, SharpBoundaryWarning, SharpParams,
                        assemble_diffuse_penalty,
                        PenaltyParams, beta_grid, build_annular_problem,
                        build_membrane_problem, circle_cloud, circle_polyline,
@@ -94,10 +94,6 @@ def test_circle_polyline_needs_a_chord(n):
 
 
 def test_annular_config_validation():
-    with pytest.raises(ValueError):
-        AnnularConfig(r_inner=1.0, r_outer=0.5)
-    with pytest.raises(ValueError):
-        AnnularConfig(r_inner=0.0)
     with pytest.raises(ValueError, match="k must be >= 1"):
         AnnularConfig(k=0)
     with pytest.raises(ValueError, match="r must be positive"):
@@ -106,10 +102,30 @@ def test_annular_config_validation():
         AnnularConfig(n_points=0)
     with pytest.raises(ValueError, match="n_cells must be >= 1"):
         AnnularConfig(n_cells=0)
-    with pytest.raises(ValueError, match="extent must be positive"):
-        AnnularConfig(extent=0.0)
     cfg = AnnularConfig(n_points=100)
     assert cfg.spacing == pytest.approx(2.0 * np.pi * cfg.r_inner / 100.0, rel=1e-14)
+
+
+_ANNULUS = {"r_inner": 0.25, "r_outer": 1.0, "extent": 1.2, "amp": 10.0, "slope": 0.1}
+
+
+def test_annular_config_sets_only_the_discretization():
+    """The annulus is one problem: its radii, embedding square and field
+    shape are constants, and the config's fields are its discretization."""
+    assert [f.name for f in dataclasses.fields(AnnularConfig)] == [
+        "n_points", "n_cells", "degree", "volume_depth", "k", "r"]
+    for name, value in _ANNULUS.items():
+        assert getattr(AnnularConfig, name) == value
+        assert getattr(AnnularConfig(n_points=50), name) == value
+
+
+@pytest.mark.parametrize("name", sorted(_ANNULUS))
+def test_annular_config_rejects_a_shape_value(name):
+    """r_outer = 2.0 kept 11.1 % of the two circles' length, without a
+    warning, in a mesh of half-width 1.2; no shape value is an argument."""
+    with pytest.raises(TypeError):
+        AnnularConfig(**{name: 2.0})
+
 
 
 def test_annular_cloud_has_both_circles():
@@ -231,6 +247,23 @@ def test_annular_derivations_reject_k_below_2(route, derive):
     with pytest.raises(ValueError,
                        match=f"^k must be >= 2 for the {route} route's plane fit, got 1$"):
         derive(AnnularConfig(k=1))
+
+
+@pytest.mark.parametrize("route,params", [
+    ("sharp", {"sharp": SharpParams(n_query=3, n_gauss=4)}),
+    ("diffuse", {"diffuse": DiffuseParams(5e-3, 7, 4)}),
+], ids=["sharp", "diffuse"])
+def test_route_pairs_rejects_k_below_2(route, params, monkeypatch):
+    """Hand-made controls on a k = 1 problem are rejected with the
+    derivations' message before any penalty work, rather than failing in
+    the geometry layer."""
+    prob = build_annular_problem(AnnularConfig(n_points=96, k=1, n_cells=2, degree=3,
+                                               volume_depth=2))
+    monkeypatch.setattr(benchmarks, "collect_sharp_segments", None)
+    monkeypatch.setattr(benchmarks, "assemble_diffuse_penalty", None)
+    with pytest.raises(ValueError,
+                       match=f"^k must be >= 2 for the {route} route's plane fit, got 1$"):
+        benchmarks.route_pairs(prob, **params)
 
 
 def test_run_beta_study_light_sweep():

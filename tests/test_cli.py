@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointcell import (AnnularConfig, build_annular_problem, build_membrane_problem,
+from pointcell import (AnnularConfig, PointCloud, build_annular_problem, build_membrane_problem,
                        circle_cloud, default_diffuse_params, default_membrane_params,
                        default_sharp_params, load_scaled_cloud, run_beta_study)
 from pointcell import benchmarks, cli
@@ -56,11 +56,14 @@ def _tiny_annular(extra: str = "") -> str:
 def test_unknown_key_is_rejected(tmp_path, capsys):
     """A typo and the removed keys are rejected by name, before the output
     directory is made: [sharp] n_sub, which no result read, [sharp] l_max,
-    now each region's own cap, and the tree depths, which the library
-    derives from the lengths they must resolve."""
+    now each region's own cap, the tree depths, which the library derives
+    from the lengths they must resolve, and the annulus's shape, which is
+    one fixed problem."""
     made = tmp_path / "made"
     for section, key in [("mesh", "extnet"), ("sharp", "n_sub"), ("sharp", "l_max"),
-                         ("sharp", "n_query"), ("sharp", "test_grid"), ("diffuse", "n_sub")]:
+                         ("sharp", "n_query"), ("sharp", "test_grid"), ("diffuse", "n_sub"),
+                         ("problem", "r_inner"), ("problem", "r_outer"),
+                         ("problem", "amp"), ("problem", "slope")]:
         ini = _write(tmp_path / "run.ini", f"""\
             [{section}]
             {key} = 3
@@ -327,15 +330,13 @@ def test_reconstruct_line(tmp_path, capsys):
                "reconstruct"])
     assert rc == 0
     stdout = capsys.readouterr().out
-    m = re.search(r"regions=(\d+) subsegments=(\d+) total_length=([\d.e+-]+)",
-                  stdout)
+    m = re.fullmatch(r"regions=(\d+) total_length=([\d.e+-]+)", stdout.strip())
     assert m, stdout
     assert int(m.group(1)) > 5
-    assert int(m.group(2)) >= int(m.group(1))
-    assert 1.8 <= float(m.group(3)) <= 2.5
+    assert 1.8 <= float(m.group(2)) <= 2.5
     lines = (out / "segments.csv").read_text().splitlines()
     assert lines[0] == "x0,y0,x1,y1,key"
-    assert len(lines) == 1 + int(m.group(2))
+    assert len(lines) == 1 + int(m.group(1))
 
 
 @pytest.mark.filterwarnings("ignore")
@@ -368,17 +369,20 @@ def test_solve_annular_sharp(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore")
-def test_solve_annular_without_penalty_points_fails(tmp_path, capsys):
+def test_solve_annular_without_penalty_points_fails(tmp_path, capsys, monkeypatch):
     """A route that places no penalty points fails as in beta-study, rather
-    than solving a system the boundary never constrains: both circles lie
-    outside a mesh of half-width 0.1."""
+    than solving a system the boundary never constrains: here the cloud lies
+    far outside the mesh."""
+    real = benchmarks.build_annular_problem
+    far = circle_cloud(0.1, 24, center=(9.0, 9.0))
+    monkeypatch.setattr(benchmarks, "build_annular_problem", lambda config: dataclasses.replace(
+        real(config), cloud=PointCloud(far)))
     ini = _write(tmp_path / "run.ini", """\
         [problem]
         kind = annular
         n_points = 1
         volume_depth = 2
         [mesh]
-        extent = 0.1
         n_cells = 2
         degree = 2
         """)
@@ -386,6 +390,19 @@ def test_solve_annular_without_penalty_points_fails(tmp_path, capsys):
     assert main(["--config", ini, "--out-dir", str(out), "solve"]) == 1
     assert "run failed: no penalty points from route(s) sharp" in capsys.readouterr().err
     assert not (out / "field.vtk").exists()
+
+
+def test_annular_solve_does_not_read_the_mesh_extent(tmp_path, capsys):
+    """The annulus has its own square; [mesh] extent is the membrane's key.
+    Read by the annular run, 0.9 left the outer circle outside the mesh and
+    dropped its penalty points without a word."""
+    lines = []
+    with_extent = _tiny_annular().replace("[mesh]", "[mesh]\n        extent = 0.9")
+    for text in (_tiny_annular(), with_extent):
+        ini = _write(tmp_path / "run.ini", text)
+        assert main(["--config", ini, "--out-dir", str(tmp_path / "o"), "solve"]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
 
 
 def test_solve_annular_diffuse_flag_override(tmp_path, capsys):
@@ -531,7 +548,7 @@ _MEMBRANE_NO_DEPTH = """\
     (_MEMBRANE_NO_DEPTH, "solve",
      "dofs=961 penalty_points=464 segments=96 mean_abs_mismatch=1.427630e-03"),
     (_MEMBRANE_NO_DEPTH, "reconstruct",
-     "regions=96 subsegments=96 total_length=6.2686135207e+00"),
+     "regions=96 total_length=6.2686135207e+00"),
     (_tiny_annular(), "solve",
      "dofs=81 penalty_points=1464 energy=8.9371559731e+00 error_percent=8.732995e+00"),
     (_tiny_annular("[study]\n        betas = 1e3,1e5"), "beta-study",

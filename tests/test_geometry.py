@@ -52,14 +52,12 @@ def test_load_basic_two_columns(tmp_path):
     cloud = load_point_cloud(path)
     assert len(cloud) == 3
     np.testing.assert_array_equal(cloud.points, [[0, 0], [1, 0.5], [2, 1]])
-    assert cloud.ignored_rows == 0
 
 
 def test_load_skips_comments_and_blanks(tmp_path):
     path = _write(tmp_path, "# header\n\n0 0\n  # indented comment\n1 1\n\n")
     cloud = load_point_cloud(path)
-    assert len(cloud) == 2
-    assert cloud.ignored_rows == 4
+    np.testing.assert_array_equal(cloud.points, [[0, 0], [1, 1]])
 
 
 def test_load_ignores_extra_columns(tmp_path):
