@@ -17,8 +17,12 @@ weight array gives the element matrix of every uncut cell that has it.
 StructuredMesh._dof_line alone fixes the dof numbering of each 1D line; the
 line patterns, cell dofs and places, boundary dofs and condensation plan all
 derive from it, so another numbering is a change to that one method.
-Likewise cell_of alone decides which cell holds a point, and cell_index
-alone maps the cell numbers iy * nx + ix to (ix, iy).
+Likewise cell_of alone decides which cell holds a point, cell_index alone
+maps the cell numbers iy * nx + ix to (ix, iy), and StructuredMesh.places
+alone maps a (row, col) pair to its place in the data array, in closed form
+from the two 1D line patterns: the cells' places, the condensation plan, the
+strong pins and the lookup of an operator stored on another pattern all
+use its rule, and none scans the stored entries.
 Every operator on a mesh shares one sparsity pattern, the tensor product of
 the two 1D dof lines (StructuredMesh.pattern), and stores the entries it
 never touches as explicit zeros.  Cell matrices are added straight into its
@@ -41,6 +45,8 @@ system's stats (skeleton_dofs, factor_nnz).  A relative residual above
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,8 +90,8 @@ class StructuredMesh:
         self.n_scalar_dofs = self.n1x * self.n1y
         self._dof_1d_x = self._dof_line(self.nx)
         self._dof_1d_y = self._dof_line(self.ny)
-        self._line_x = self._line_pattern(self.nx)
-        self._line_y = self._line_pattern(self.ny)
+        self._line_x = self._line_pattern(self._dof_1d_x)
+        self._line_y = self._line_pattern(self._dof_1d_y)
         self._patterns = {}
         self._condensations = {}
 
@@ -96,21 +102,28 @@ class StructuredMesh:
         e = np.arange(ne)[:, None]
         return np.hstack([e, e + 1, (ne + 1) + e * (self.degree - 1) + np.arange(self.degree - 1)])
 
-    def _line_pattern(self, ne):
-        """Sparsity of a dof line with ne elements: two dofs couple when they
-        share an element.
-
-        Returns (indptr, indices, rank) of the 1D CSR pattern, with
-        rank[e, a, a'] the place of the element's dof a' within the row of
-        its dof a.
-        """
-        dofs = self._dof_line(ne)
-        n = ne * self.degree + 1
-        pairs = dofs[:, :, None] * n + dofs[:, None, :]
-        keys = np.unique(pairs)
+    def _line_pattern(self, dofs):
+        """The _Line of the dof line whose elements have the global dofs
+        dofs, (ne, p + 1) from _dof_line: two dofs couple when they share an
+        element."""
+        n = dofs.size - dofs.shape[0] + 1
+        keys = np.unique(dofs[:, :, None] * n + dofs[:, None, :])
         rows, indices = np.divmod(keys, n)
         indptr = np.searchsorted(rows, np.arange(n + 1))
-        return indptr, indices, np.searchsorted(keys, pairs) - indptr[dofs][:, :, None]
+        at, rank = _line_entry(indptr, keys, dofs[:, :, None], dofs[:, None, :])
+        # Local modes 0 and 1 are the vertices; an entry's vertex rank counts
+        # the vertex columns before it in its row.
+        vertex = np.zeros(n, dtype=bool)
+        vertex[dofs[:, :2]] = True
+        before = np.concatenate([[0], np.cumsum(vertex[indices])])
+        vrank = before[at] - before[indptr[dofs]][:, :, None]
+        length, nvertex = np.diff(indptr), np.diff(before[indptr])
+        kinds = {}
+        kind = np.array([kinds.setdefault(row.tobytes(), len(kinds)) for row in np.hstack(
+            [rank.reshape(len(dofs), -1), vrank.reshape(len(dofs), -1), length[dofs],
+             nvertex[dofs]])])
+        return _Line(indptr, indices, keys, rank, vertex, vrank, length, nvertex, kind,
+                     np.unique(kind, return_index=True)[1])
 
     def pattern(self, ncomp: int = 1):
         """CSR index arrays (indptr, indices) shared by every operator on the
@@ -121,19 +134,19 @@ class StructuredMesh:
         component c of scalar dof (gx, gy) holds, in ascending order, every
         (gx', gy', c') with gx' in row gx of the x line and gy' in row gy of
         the y line, so entry (kx, ky, c') of the row lies at offset
-        (kx * len_y(gy) + ky) * ncomp + c'.  Entries that a particular
-        operator never touches are stored as explicit zeros.  Built once per
-        ncomp; both arrays are read-only, so an in-place scipy call on one
-        operator (sort_indices, eliminate_zeros) raises instead of changing
-        the pattern of all the others.
+        (kx * len_y(gy) + ky) * ncomp + c' (see places).  Entries that a
+        particular operator never touches are stored as explicit zeros.
+        Built once per ncomp; both arrays are read-only, so an in-place scipy
+        call on one operator (sort_indices, eliminate_zeros) raises instead
+        of changing the pattern of all the others.
         """
         if ncomp not in self._patterns:
             self._patterns[ncomp] = self._build_pattern(ncomp)
         return self._patterns[ncomp]
 
     def _build_pattern(self, ncomp):
-        xp, xi, _ = self._line_x
-        yp, yi, _ = self._line_y
+        xp, xi = self._line_x.indptr, self._line_x.indices
+        yp, yi = self._line_y.indptr, self._line_y.indices
         lx = np.diff(xp)
         nnz = int(xi.size * yi.size * ncomp * ncomp)
         dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
@@ -158,30 +171,85 @@ class StructuredMesh:
         indices.flags.writeable = False
         return indptr, indices
 
+    def places(self, rows, cols, ncomp: int = 1):
+        """Place in pattern(ncomp)'s data array of each (row, col) pair of
+        global dofs, rows and cols broadcast against each other; the result
+        has the pattern's index dtype.
+
+        The one place rule of the package.  With row = component c of scalar
+        dof (gx, gy) and col = component c' of (gx', gy') (component_dofs),
+        the place is indptr[row] + (rank_x * len_y(gy) + rank_y) * ncomp + c',
+        where rank_x is the place of gx' in row gx of the x line pattern,
+        rank_y that of gy' in row gy of the y line and len_y(gy) the length
+        of that y row; nothing else is read.  Raises ValueError for a pair
+        outside the pattern.
+        """
+        n = self.n_scalar_dofs * ncomp
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if any(ids.size and (ids.min() < 0 or ids.max() >= n) for ids in (rows, cols)):
+            raise ValueError(f"dof ids must lie in [0, {n}), the mesh's sparsity pattern")
+        (gx, gy), (gx2, gy2) = (np.divmod(ids // ncomp, self.n1y) for ids in (rows, cols))
+        lx, ly = self._line_x, self._line_y
+        indptr = self.pattern(ncomp)[0]
+        offset = ((_line_entry(lx.indptr, lx.keys, gx, gx2)[1] * ly.length[gy]
+                   + _line_entry(ly.indptr, ly.keys, gy, gy2)[1]) * ncomp + cols % ncomp)
+        return (indptr[rows] + offset).astype(indptr.dtype)
+
     def local_positions(self, ix, iy, ncomp: int = 1):
         """Places in pattern(ncomp)'s data array of the local matrices of the
         cells (ix[k], iy[k]), shape (m, n, n) with n = (p + 1)^2 ncomp.
 
-        Rows and columns are local dofs in the layout of component_dofs:
-        entry (a, b, c) x (a', b', c') of mode (a, b) = N_a(x) N_b(y) lies
-        at indptr[row] + (rank_x(a, a') * len_y(b) + rank_y(b, b')) * ncomp
-        + c', with the ranks read from the 1D line patterns.  The result
-        has the pattern's index dtype.
+        The cell view of places: rows and columns are local dofs in the
+        layout of component_dofs, mode (a, b) = N_a(x) N_b(y).  A row's
+        start is indptr[row]; the offsets within the rows depend on the cell
+        only through the ranks and row lengths of its x and y elements, so
+        they are formed once per kind of element pair (_Line.kind) and added
+        to the starts.
         """
-        indptr, _ = self.pattern(ncomp)
-        dt = indptr.dtype
+        every = (slice(None), slice(None))
         n1 = self.degree + 1
-        n = n1 * n1 * ncomp
-        comps = np.arange(ncomp, dtype=dt)
-        rows = component_dofs(self.cell_dofs(ix, iy), ncomp).reshape(-1, n1, n1, ncomp)
-        len_y = (ncomp * np.diff(self._line_y[0])[self._dof_1d_y[iy]]).astype(dt)
-        rank_x = self._line_x[2][ix].astype(dt)
-        rank_y = self._line_y[2][iy].astype(dt)
-        # x part over (m, a, b, c, a'), y part over (m, b, (b', c'))
-        xpart = (indptr[rows][..., None]
-                 + (rank_x[:, :, None, :] * len_y[:, None, :, None])[:, :, :, None, :])
-        ypart = (ncomp * rank_y[..., None] + comps).reshape(len(iy), n1, n1 * ncomp)
-        return (xpart[..., None] + ypart[:, None, :, None, None]).reshape(-1, n, n)
+        return self._cell_places(ix, iy, ncomp, self.pattern(ncomp)[0], every,
+                                 np.ix_(range(n1), range(n1), range(ncomp)))
+
+    def _cell_places(self, ix, iy, ncomp, starts, rows, cols, vertex_cols=None):
+        """Places of each cell's local rows (a, b, c) against its local
+        columns, (m, rows, columns): rows is a pair of slices of a and b
+        (every c), cols three broadcastable arrays of a', b' and c'.  The row
+        of global dof r starts at starts[r].  With vertex_cols, a boolean
+        array over the columns telling which have a vertex a', the offsets
+        within the rows are those of the skeleton operator (see
+        _build_condensation)."""
+        ix, iy = np.asarray(ix, dtype=int), np.asarray(iy, dtype=int)
+        lx, ly = self._line_x, self._line_y
+        (ra, rb), (a2, b2, c2) = rows, cols
+        # The offsets within the rows, once per kind of (x, y) element pair
+        # among the cells, on axes (pair, a, b) + the columns' shape.
+        kinds, pair = np.unique(lx.kind[ix] * ly.first.size + ly.kind[iy], return_inverse=True)
+        ex, ey = lx.first[kinds // ly.first.size], ly.first[kinds % ly.first.size]
+        y_rows = self._dof_1d_y[ey][:, None, rb]
+        y_rows = y_rows.reshape(y_rows.shape + (1,) * np.ndim(a2))
+
+        def block(table, e, r, s):
+            # rows r and columns s of each element e's (p + 1, p + 1) table
+            return table[e][:, r][:, :, s]
+
+        kx, ky = block(lx.rank, ex, ra, a2)[:, :, None], block(ly.rank, ey, rb, b2)[:, None]
+        if vertex_cols is None:
+            offsets = kx * ly.length[y_rows] + ky
+        else:
+            nv = ly.nvertex[y_rows]
+            offsets = (block(lx.vrank, ex, ra, a2)[:, :, None] * (ly.length[y_rows] - nv)
+                       + kx * nv + np.where(vertex_cols, ky, block(ly.vrank, ey, rb, b2)[:, None]))
+        # the same offsets for every row component c: axes (pair, a, b, c) + columns
+        offsets = np.expand_dims(offsets * ncomp + c2, 3)
+        shape = offsets.shape[:3] + (ncomp,) + offsets.shape[4:]
+        offsets = np.broadcast_to(offsets, shape).reshape(
+            kinds.size, math.prod(shape[1:4]), math.prod(shape[4:]))
+        gx, gy = self._dof_1d_x[ix], self._dof_1d_y[iy]
+        out = np.take(offsets.astype(starts.dtype), pair.reshape(-1), axis=0)
+        out += starts[component_dofs(gx[:, ra, None] * self.n1y + gy[:, None, rb], ncomp)].reshape(
+            ix.size, offsets.shape[1], 1)
+        return out
 
     def condensation(self, ncomp: int = 1):
         """Index plan of the static condensation in solve, built once per
@@ -191,31 +259,56 @@ class StructuredMesh:
         return self._condensations[ncomp]
 
     def _build_condensation(self, ncomp):
-        indptr, indices = self.pattern(ncomp)
-        dt = indptr.dtype
+        mesh_starts = self.pattern(ncomp)[0]
+        dt = mesh_starts.dtype
         n1 = self.degree + 1
-        a, b, _ = np.unravel_index(np.arange(n1 * n1 * ncomp), (n1, n1, ncomp))
-        inner = (a >= 2) & (b >= 2)
-        rows_i, rows_s = np.nonzero(inner)[0], np.nonzero(~inner)[0]
+        lx, ly = self._line_x, self._line_y
         ix, iy = self.cell_index()
+        # A cell's interior modes are N_a(x) N_b(y) with a, b >= 2; its
+        # skeleton modes, in local order, the blocks (a < 2, every b) and
+        # (a >= 2, b < 2).  A scalar dof is a skeleton dof unless both its x
+        # and its y dof are internal, not vertices.
+        a, b, c = np.unravel_index(np.arange(n1 * n1 * ncomp), (n1, n1, ncomp))
+        inner = (a >= 2) & (b >= 2)
+        skel_cols = (a[~inner], b[~inner], c[~inner])
+        low, high = slice(0, 2), slice(2, None)
+        skel_rows = [(low, slice(None)), (high, low)]
         dofs = component_dofs(self.cell_dofs(ix, iy), ncomp).reshape(ix.size, -1)
-        is_skeleton = np.ones(self.n_scalar_dofs * ncomp, dtype=bool)
-        is_skeleton[dofs[:, rows_i]] = False
+        is_skeleton = np.repeat((lx.vertex[:, None] | ly.vertex).reshape(-1), ncomp)
         skeleton = np.nonzero(is_skeleton)[0]
-        # The skeleton rows and columns of a matrix whose data are the places
-        # in the mesh data array: their data is keep, their pattern the
-        # skeleton operator's.
-        n = indptr.size - 1
-        places = sp.csr_matrix((np.arange(indices.size, dtype=dt), indices, indptr), shape=(n, n))
-        skel = places[skeleton][:, skeleton]
-        skel_place = np.empty(indices.size, dtype=dt)
-        skel_place[skel.data] = np.arange(skel.nnz, dtype=dt)
-        pos = self.local_positions(ix, iy, ncomp)
+        number = np.cumsum(is_skeleton) - 1
+        cell_skeleton = number[dofs[:, ~inner]]
+        # The skeleton operator keeps, in order, the entries of a skeleton row
+        # (gx, gy, c) whose column (gx', gy', c') has a vertex gx' or gy': with
+        # nv the vertex count of a line row, ncomp (nv_x len_y + (len_x -
+        # nv_x) nv_y) of them.  Before its entry (kx, ky, c'), with vr the
+        # vertex ranks, it keeps (vr_x (len_y - nv_y) + kx nv_y + (ky if gx'
+        # is a vertex, else vr_y)) ncomp + c' entries, which is places' rule
+        # when every dof is a vertex.  Each of its entries lies in some
+        # cell's skeleton block, so the blocks fill keep and indices.
+        gx, gy = np.divmod(skeleton // ncomp, self.n1y)
+        indptr = np.zeros(skeleton.size + 1, dtype=dt)
+        np.cumsum(ncomp * (lx.nvertex[gx] * ly.length[gy]
+                           + (lx.length[gx] - lx.nvertex[gx]) * ly.nvertex[gy]), out=indptr[1:])
+
+        def cell_places(starts, rows, cols, vertex_cols=None):
+            return self._cell_places(ix, iy, ncomp, starts, rows, cols, vertex_cols)
+
+        ss = np.concatenate([cell_places(indptr[number], rows, skel_cols, skel_cols[0] < 2)
+                             for rows in skel_rows], axis=1)
+        at = ss.astype(np.intp)
+        keep = np.empty(indptr[-1], dtype=dt)
+        keep[at] = np.concatenate([cell_places(mesh_starts, rows, skel_cols)
+                                   for rows in skel_rows], axis=1)
+        indices = np.empty(indptr[-1], dtype=dt)
+        indices[at] = cell_skeleton[:, None, :]
+        inner_rows = (high, high)
         return Condensation(
-            interior=dofs[:, rows_i], cell_skeleton=(np.cumsum(is_skeleton) - 1)[dofs[:, rows_s]],
-            skeleton=skeleton, ii=pos[:, rows_i[:, None], rows_i],
-            i_s=pos[:, rows_i[:, None], rows_s], ss=skel_place[pos[:, rows_s[:, None], rows_s]],
-            keep=skel.data, indptr=skel.indptr.astype(dt), indices=skel.indices.astype(dt))
+            interior=dofs[:, inner], cell_skeleton=cell_skeleton, skeleton=skeleton,
+            ii=cell_places(mesh_starts, inner_rows,
+                           np.ix_(range(2, n1), range(2, n1), range(ncomp))),
+            i_s=cell_places(mesh_starts, inner_rows, skel_cols), keep=keep, indptr=indptr,
+            indices=indices, ss=ss)
 
     def cell_bounds(self, ix, iy):
         """(x0, y0, x1, y1) of cell (ix, iy); for arrays of cells, one row
@@ -285,6 +378,42 @@ class StructuredMesh:
         on_y = np.isin(np.arange(self.n1y), self._dof_1d_y[[0, -1], [0, 1]])
         grid = on_x[:, None] | on_y[None, :]
         return np.nonzero(grid.reshape(-1))[0]
+
+
+def _line_entry(indptr, keys, g, g2):
+    """Entry number in a 1D line pattern (indptr and its ascending keys row
+    * n + col) of each pair (g, g2), and g2's rank within row g, at the
+    pairs' broadcast shape; ValueError when the two dofs share no element."""
+    key = g * (indptr.size - 1) + g2
+    at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+    if not np.array_equal(keys[at], key):
+        raise ValueError("a (row, col) pair lies outside the mesh's sparsity pattern")
+    return at, at - indptr[g]
+
+
+@dataclass(frozen=True)
+class _Line:
+    """A 1D dof line as the place rules read it (StructuredMesh._line_pattern).
+
+    indptr and indices are its CSR pattern and keys its entries' row * n +
+    col in ascending order.  Per element e: rank[e, a, a'] is the place of
+    its dof a' within the row of its dof a, and vrank[e, a, a'] the number of
+    vertex columns before that entry.  Per dof: vertex flags the vertices,
+    length is the row's length and nvertex its vertex columns.  kind numbers
+    the elements alike in all of these, and first holds one element of each
+    kind.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    keys: np.ndarray
+    rank: np.ndarray
+    vertex: np.ndarray
+    vrank: np.ndarray
+    length: np.ndarray
+    nvertex: np.ndarray
+    kind: np.ndarray
+    first: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -424,6 +553,11 @@ def component_dofs(scalar_dofs, ncomp: int):
     return (ncomp * scalar_dofs[..., None] + np.arange(ncomp)).reshape(-1)
 
 
+# Cells per block of scatter_cells: one local_positions call, one
+# symmetrization and one dof lookup per block.
+_SCATTER_BLOCK = 16
+
+
 def scatter_cells(mesh: StructuredMesh, ncomp: int, cell_pairs):
     """Sum cell-local pairs into a global symmetric operator and load.
 
@@ -431,21 +565,51 @@ def scatter_cells(mesh: StructuredMesh, ncomp: int, cell_pairs):
     order, each mode's ncomp components in turn (the layout of
     component_dofs).  Each Ke enters as its symmetric part 0.5 (Ke + Ke^T),
     added straight into the data array of the mesh's pattern at the cell's
-    places (StructuredMesh.local_positions of that one cell).  Returns (K, f)
-    with K a CSR matrix on that pattern, sharing its index arrays.
+    places (StructuredMesh.local_positions).  The pairs are taken in blocks
+    of _SCATTER_BLOCK cells, whose places, symmetric parts and dofs are
+    found together, and the cells are added one by one in the order given.
+    Returns (K, f) with K a CSR matrix on that pattern, sharing its index
+    arrays.
     """
     indptr, indices = mesh.pattern(ncomp)
     data = np.zeros(indices.size)
     f = np.zeros(mesh.n_scalar_dofs * ncomp)
-    for ix, iy, Ke, fe in cell_pairs:
-        # A cell touches each of its positions and dofs once, so fancy-index
-        # adds accumulate without loss.
-        sym = Ke + Ke.T
+    n = (mesh.degree + 1) ** 2 * ncomp
+    # Each pair is copied into the block buffers as it comes, so that the
+    # caller's arrays are not held while the next cells are computed (held,
+    # they raised the annular workload's peak RSS by 2-5 MB).
+    Ke, fe = np.empty((_SCATTER_BLOCK, n, n)), np.empty((_SCATTER_BLOCK, n))
+    pairs = iter(cell_pairs)
+    while True:
+        cells = []
+        for ix, iy, cell_K, cell_f in itertools.islice(pairs, _SCATTER_BLOCK):
+            Ke[len(cells)], fe[len(cells)] = cell_K, cell_f
+            cells.append((ix, iy))
+        if not cells:
+            break
+        m = len(cells)
+        ix, iy = np.array(cells).T
+        sym = Ke[:m] + Ke[:m].transpose(0, 2, 1)
         sym *= 0.5
-        # intp places: a fancy-index add converts int32 ones on both read and write
-        data[mesh.local_positions([ix], [iy], ncomp).reshape(-1).astype(np.intp)] += sym.reshape(-1)
-        f[component_dofs(mesh.cell_dofs(ix, iy), ncomp)] += fe
+        # add.at adds entry after entry, so cell after cell
+        np.add.at(data, mesh.local_positions(ix, iy, ncomp).reshape(-1), sym.reshape(-1))
+        np.add.at(f, component_dofs(mesh.cell_dofs(ix, iy), ncomp), fe[:m].reshape(-1))
     return sp.csr_matrix((data, indices, indptr), shape=(f.size, f.size)), f
+
+
+def _same_buffer(a, b):
+    """Whether arrays a and b view the same memory the same way, and so are
+    equal without comparing them."""
+    return (a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+            and a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides)
+
+
+def _on_pattern(K, indptr, indices):
+    """Whether the CSR operator K is stored on the pattern (indptr, indices):
+    at once when it views the same index buffers, as every operator on one
+    mesh pattern does, else by comparing them."""
+    return all(_same_buffer(a, b) or np.array_equal(a, b)
+               for a, b in ((K.indptr, indptr), (K.indices, indices)))
 
 
 def add_operators(A, B) -> sp.csr_matrix:
@@ -455,8 +619,7 @@ def add_operators(A, B) -> sp.csr_matrix:
     index arrays; scipy's A + B would build a new pattern without the
     zeros.  Raises ValueError when the patterns differ.
     """
-    if A.shape != B.shape or not (np.array_equal(A.indptr, B.indptr)
-                                  and np.array_equal(A.indices, B.indices)):
+    if A.shape != B.shape or not _on_pattern(A, B.indptr, B.indices):
         raise ValueError("operators are not stored on one sparsity pattern")
     return sp.csr_matrix((A.data + B.data, A.indices, A.indptr), shape=A.shape)
 
@@ -589,23 +752,16 @@ def _mesh_pattern_data(K, mesh: StructuredMesh, ncomp: int):
     """K's entries as a data array on mesh.pattern(ncomp).
 
     An operator already stored on the pattern gives its own data.  Any other
-    CSR operator is re-stored with one sorted-key lookup of its (row, col)
-    pairs in the pattern's, which lists them in ascending order; its
-    unstored entries become zeros.  Raises ValueError for a stored entry
-    outside the pattern.
+    CSR operator is re-stored at the places (StructuredMesh.places) of its
+    (row, col) pairs; its unstored entries become zeros.  Raises ValueError
+    for a stored entry outside the pattern.
     """
     indptr, indices = mesh.pattern(ncomp)
-    if (K.indices is indices and K.indptr is indptr) or (
-            np.array_equal(K.indptr, indptr) and np.array_equal(K.indices, indices)):
+    if _on_pattern(K, indptr, indices):
         return K.data
-    n = K.shape[0]
-    rows = np.arange(n, dtype=np.int64)
-    keys = np.repeat(rows, np.diff(K.indptr)) * n + K.indices
-    mesh_keys = np.repeat(rows, np.diff(indptr)) * n + indices
-    at = np.minimum(np.searchsorted(mesh_keys, keys), mesh_keys.size - 1)
-    if not np.array_equal(mesh_keys[at], keys):
-        raise ValueError("the operator stores an entry outside the mesh's sparsity pattern")
-    return np.bincount(at, weights=K.data, minlength=indices.size)
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    return np.bincount(mesh.places(rows, K.indices, ncomp), weights=K.data,
+                       minlength=indices.size)
 
 
 def solve(system: GlobalSystem) -> np.ndarray:
@@ -709,30 +865,43 @@ def solve(system: GlobalSystem) -> np.ndarray:
 def apply_strong_zero(system: GlobalSystem, scalar_dofs) -> GlobalSystem:
     """Homogeneous strong constraints by row/column elimination.
 
-    scalar_dofs index scalar basis functions; every component of each is
-    fixed (component_dofs).  Eliminated rows and columns are zeroed
-    with a unit diagonal and zero load.  This is D K D + P with D the free
-    and P the fixed indicator on the diagonal, computed as a mask on a copy
-    of K's data, so the result keeps K's pattern and K is left unchanged;
-    every fixed row must store its diagonal.
+    scalar_dofs index scalar basis functions, each in [0, n_scalar_dofs)
+    (ValueError otherwise); every component of each is fixed
+    (component_dofs).  Eliminated rows and columns are zeroed with a unit
+    diagonal and zero load.  This is D K D + P with D the free and P the
+    fixed indicator on the diagonal, computed on a copy of K's data, so the
+    result keeps K's pattern and K is left unchanged.  Every fixed row must
+    store its diagonal, and K must be stored on the mesh's pattern
+    (ValueError otherwise): the pattern is symmetric, so the fixed columns'
+    entries are the transposes of the fixed rows' entries, at their places
+    (StructuredMesh.places).
     """
-    K = system.K
+    K, mesh, ncomp = system.K, system.mesh, system.ncomp
+    scalar_dofs = np.asarray(scalar_dofs, dtype=int)
+    outside = (scalar_dofs < 0) | (scalar_dofs >= mesh.n_scalar_dofs)
+    if np.any(outside):
+        raise ValueError(f"scalar dof {scalar_dofs[outside][0]} lies outside "
+                         f"[0, {mesh.n_scalar_dofs})")
     fixed = np.zeros(system.ndof, dtype=bool)
-    fixed[component_dofs(scalar_dofs, system.ncomp)] = True
-    data = np.where(np.take(fixed, K.indices), 0.0, K.data)
+    fixed[component_dofs(scalar_dofs, ncomp)] = True
     rows = np.nonzero(fixed)[0]
     starts = K.indptr[rows]
     counts = K.indptr[rows + 1] - starts
     # the stored entries of the fixed rows, row after row
     entries = np.arange(counts.sum()) + np.repeat(starts + counts - np.cumsum(counts), counts)
-    data[entries] = 0.0
-    diagonal = entries[K.indices[entries] == np.repeat(rows, counts)]
+    row_of, cols = np.repeat(rows, counts), K.indices[entries]
+    diagonal = entries[cols == row_of]
     if diagonal.size != rows.size:
         raise ValueError("a fixed dof has no stored diagonal entry")
+    if not _on_pattern(K, *mesh.pattern(ncomp)):
+        raise ValueError("the operator is not stored on the mesh's sparsity pattern")
+    data = K.data.copy()
+    data[entries] = 0.0
+    data[mesh.places(cols, row_of, ncomp)] = 0.0
     data[diagonal] = 1.0
     return GlobalSystem(K=sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape),
-                        f=np.where(fixed, 0.0, system.f), mesh=system.mesh,
-                        ncomp=system.ncomp, stats=dict(system.stats))
+                        f=np.where(fixed, 0.0, system.f), mesh=mesh, ncomp=ncomp,
+                        stats=dict(system.stats))
 
 
 def evaluate(mesh: StructuredMesh, coeffs: np.ndarray, xs, ncomp: int = 1):
@@ -767,6 +936,33 @@ def evaluate(mesh: StructuredMesh, coeffs: np.ndarray, xs, ncomp: int = 1):
     out = np.empty_like(srt)
     out[order] = srt
     return out[:, 0] if ncomp == 1 else out
+
+
+def evaluate_grid(mesh: StructuredMesh, coeffs: np.ndarray, xs, ys):
+    """Scalar field on the tensor grid of the samples xs and ys, shape
+    (len(ys), len(xs)).
+
+    Per axis, one locate call on that axis's samples (the other coordinate
+    at the mesh origin) gives each sample's cell and local coordinate, as
+    for evaluate, and so a table T[i, g] of the 1D modes at sample i on the
+    line dofs g of its cell, zero elsewhere.  With C = coeffs.reshape(n1x,
+    n1y), the scalar dofs gx * n1y + gy of cell_dofs, the values are
+    Ty (Tx C)^T.  They agree with evaluate at the grid points to round-off.
+    """
+    if np.size(coeffs) != mesh.n_scalar_dofs:
+        raise ValueError(f"coeffs holds {np.size(coeffs)} values, but the mesh has "
+                         f"{mesh.n_scalar_dofs} scalar dofs")
+    tables = []
+    for axis, (t, dofs, n) in enumerate(zip((xs, ys), (mesh._dof_1d_x, mesh._dof_1d_y),
+                                             (mesh.n1x, mesh.n1y))):
+        pts = np.tile(mesh.origin, (len(t), 1))
+        pts[:, axis] = t
+        cells, local = mesh.locate(pts)[axis::2]
+        table = np.zeros((len(t), n))
+        np.put_along_axis(table, dofs[cells], basis_mod.shape_functions_1d(mesh.degree, local)[0].T,
+                          axis=1)
+        tables.append(table)
+    return tables[1] @ (tables[0] @ np.asarray(coeffs).reshape(mesh.n1x, mesh.n1y)).T
 
 
 def strain_energy(volume_system: GlobalSystem, coeffs: np.ndarray) -> float:

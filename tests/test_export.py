@@ -118,11 +118,11 @@ def test_field_vtk_needs_two_samples_per_side(tmp_path, resolution):
 
 def test_field_vtk_values_are_reprs_of_each_float(monkeypatch, tmp_path):
     """The value lines are repr(float(v)) written one by one, signed zeros
-    and extreme magnitudes included."""
+    and extreme magnitudes included, x fastest as the sampler lists them."""
     rng = np.random.default_rng(7)
     vals = np.concatenate([rng.normal(scale=3.0, size=21), [0.0, -0.0, 1e-300, 1e300]])
     rng.shuffle(vals)
-    monkeypatch.setattr(export, "evaluate", lambda mesh, coeffs, pts: vals)
+    monkeypatch.setattr(export, "evaluate_grid", lambda mesh, coeffs, xs, ys: vals.reshape(5, 5))
     mesh = StructuredMesh((0.0, 0.0), (1.0, 1.0), 1, 1, 1)
     path = tmp_path / "field.vtk"
     write_field_vtk(path, mesh, np.zeros(mesh.n_scalar_dofs), resolution=5)
