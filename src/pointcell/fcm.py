@@ -14,15 +14,16 @@ A cell the indicator does not cut is one leaf on the rule's own abscissae,
 so all uncut cells share their 1D tables, and one contraction per distinct
 weight array gives the element matrix of every uncut cell that has it.
 
-StructuredMesh._dof_line alone fixes the dof numbering of each 1D line; the
-line patterns, cell dofs and places, boundary dofs and condensation plan all
-derive from it, so another numbering is a change to that one method.
-Likewise cell_of alone decides which cell holds a point, cell_index alone
-maps the cell numbers iy * nx + ix to (ix, iy), and StructuredMesh.places
-alone maps a (row, col) pair to its place in the data array, in closed form
-from the two 1D line patterns: the cells' places, the condensation plan, the
-strong pins and the lookup of an operator stored on another pattern all
-use its rule, and none scans the stored entries.
+StructuredMesh._dof_line alone fixes the dof numbering of each 1D line,
+along the line, so the row of each line dof is a run [lo, lo + length) of
+consecutive dofs; the line patterns, cell dofs and places, boundary dofs and
+condensation plan all derive from it, and a numbering whose rows are not
+runs is rejected.  Likewise cell_of alone decides which cell holds a point,
+cell_index alone maps the cell numbers iy * nx + ix to (ix, iy), and
+StructuredMesh._offsets alone gives a (row, col) pair's offset within its
+row by lo/length arithmetic: places, the cells' places, the condensation
+plan, the strong pins and the lookup of an operator stored on another
+pattern all use it, and none searches or scans the stored entries.
 Every operator on a mesh shares one sparsity pattern, the tensor product of
 the two 1D dof lines (StructuredMesh.pattern), and stores the entries it
 never touches as explicit zeros.  Cell matrices are added straight into its
@@ -98,32 +99,38 @@ class StructuredMesh:
     def _dof_line(self, ne):
         """Global ids of the 1D modes of each of ne elements, (ne, p + 1): left
         vertex, right vertex, internal modes.  The only code that knows the
-        order: vertices first, then each element's internal modes."""
-        e = np.arange(ne)[:, None]
-        return np.hstack([e, e + 1, (ne + 1) + e * (self.degree - 1) + np.arange(self.degree - 1)])
+        order: along the line, element e's left vertex e p, its internal modes
+        e p + 1, ..., e p + p - 1 and its right vertex e p + p."""
+        p = self.degree
+        return np.arange(ne)[:, None] * p + np.concatenate([[0, p], np.arange(1, p)])
 
     def _line_pattern(self, dofs):
         """The _Line of the dof line whose elements have the global dofs
         dofs, (ne, p + 1) from _dof_line: two dofs couple when they share an
-        element."""
+        element.  Raises ValueError unless every dof's row, the dofs it
+        couples with, is a run of consecutive ids."""
         n = dofs.size - dofs.shape[0] + 1
-        keys = np.unique(dofs[:, :, None] * n + dofs[:, None, :])
-        rows, indices = np.divmod(keys, n)
-        indptr = np.searchsorted(rows, np.arange(n + 1))
-        at, rank = _line_entry(indptr, keys, dofs[:, :, None], dofs[:, None, :])
-        # Local modes 0 and 1 are the vertices; an entry's vertex rank counts
-        # the vertex columns before it in its row.
+        rows, cols = np.divmod(np.unique(dofs[:, :, None] * n + dofs[:, None, :]), n)
+        length = np.bincount(rows, minlength=n)
+        ends = np.cumsum(length)
+        lo = cols[ends - length]
+        if not np.array_equal(cols[ends - 1] - lo + 1, length):
+            raise ValueError("the dof line numbering must give each row consecutive ids")
+        # Local modes 0 and 1 are the vertices; below[g] counts the vertices
+        # numbered before g.
         vertex = np.zeros(n, dtype=bool)
         vertex[dofs[:, :2]] = True
-        before = np.concatenate([[0], np.cumsum(vertex[indices])])
-        vrank = before[at] - before[indptr[dofs]][:, :, None]
-        length, nvertex = np.diff(indptr), np.diff(before[indptr])
-        kinds = {}
-        kind = np.array([kinds.setdefault(row.tobytes(), len(kinds)) for row in np.hstack(
-            [rank.reshape(len(dofs), -1), vrank.reshape(len(dofs), -1), length[dofs],
-             nvertex[dofs]])])
-        return _Line(indptr, indices, keys, rank, vertex, vrank, length, nvertex, kind,
-                     np.unique(kind, return_index=True)[1])
+        below = np.concatenate([[0], np.cumsum(vertex)])
+        nvertex = below[lo + length] - below[lo]
+        # What _offsets reads of an element: its dofs' places and vertex
+        # places within each other's rows, their row lengths and vertex counts.
+        row_lo = lo[dofs][:, :, None]
+        first = {}
+        kind = np.array([first.setdefault(key.tobytes(), e) for e, key in enumerate(np.hstack(
+            [(dofs[:, None, :] - row_lo).reshape(len(dofs), -1),
+             (below[dofs][:, None, :] - below[row_lo]).reshape(len(dofs), -1),
+             length[dofs], nvertex[dofs]]))])
+        return _Line(lo, length, vertex, below, nvertex, kind)
 
     def pattern(self, ncomp: int = 1):
         """CSR index arrays (indptr, indices) shared by every operator on the
@@ -145,54 +152,66 @@ class StructuredMesh:
         return self._patterns[ncomp]
 
     def _build_pattern(self, ncomp):
-        xp, xi = self._line_x.indptr, self._line_x.indices
-        yp, yi = self._line_y.indptr, self._line_y.indices
-        lx = np.diff(xp)
-        nnz = int(xi.size * yi.size * ncomp * ncomp)
+        lx, ly = self._line_x, self._line_y
+        nnz = int(lx.length.sum() * ly.length.sum() * ncomp * ncomp)
         dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-        # The y factor has one row per (gy, c), holding (gy', c') for gy' in
-        # row gy of the y line.  Row (gx, gy, c) holds, for each x neighbour
-        # gx' in turn, that y row shifted by ncomp n1y gx'.
-        ycols = (ncomp * yi[:, None] + np.arange(ncomp)).astype(dtype).reshape(-1)
-        yrows = [ycols[ncomp * yp[g]:ncomp * yp[g + 1]] for g in range(self.n1y)
-                 for _ in range(ncomp)]
-        ylen = np.array([r.size for r in yrows])
-        widths = np.unique(lx)
-        ypart = {L: np.concatenate([np.tile(r, L) for r in yrows]) for L in widths}
-        repeats = {L: np.repeat(ylen, L) for L in widths}
-        xcols = (ncomp * self.n1y * xi).astype(dtype)
-        xpart = np.concatenate([np.tile(xcols[xp[g]:xp[g + 1]], len(yrows))
-                                for g in range(self.n1x)])
-        indices = (np.repeat(xpart, np.concatenate([repeats[L] for L in lx]))
-                   + np.concatenate([ypart[L] for L in lx]))
-        indptr = np.zeros(self.n1x * len(yrows) + 1, dtype=dtype)
-        np.cumsum(np.outer(lx, ylen).reshape(-1), out=indptr[1:])
+        # A line row is the run [lo, lo + length), so the columns (gy', c')
+        # of row (gy, c) in the y factor are the run ncomp [lo, lo + length).
+        # Row (gx, gy, c) holds that run shifted by stride (lo_x(gx) + kx)
+        # for each kx < len_x(gx): all rows of one gx are the block of its
+        # length len_x(gx), shifted by stride lo_x(gx).
+        ystart, ylen = (np.repeat(ncomp * a, ncomp) for a in (ly.lo, ly.length))
+        stride = ncomp * self.n1y
+        block = {L: _runs((ystart[:, None] + stride * np.arange(L)).reshape(-1),
+                          np.repeat(ylen, L), dtype) for L in np.unique(lx.length)}
+        indptr = np.zeros(self.n1x * ystart.size + 1, dtype=dtype)
+        np.cumsum(np.outer(lx.length, ylen).reshape(-1), out=indptr[1:])
+        indices = np.empty(nnz, dtype=dtype)
+        at = indptr[::ystart.size].tolist()
+        for s, e, L, shift in zip(at, at[1:], lx.length.tolist(), (stride * lx.lo).tolist()):
+            np.add(block[L], shift, out=indices[s:e])
         indptr.flags.writeable = False
         indices.flags.writeable = False
         return indptr, indices
+
+    def _offsets(self, gx, gy, gx2, gy2, skeleton=False):
+        """Offset of each scalar column (gx2, gy2) within the row of scalar
+        dof (gx, gy), all four broadcast; ValueError for a pair outside the
+        pattern.  The one offset rule: with kx = gx2 - lo_x(gx) and ky = gy2
+        - lo_y(gy), it is kx len_y(gy) + ky in the pattern and, with
+        skeleton, vr_x (len_y - nv_y) + kx nv_y + (ky if gx2 is a vertex,
+        else vr_y) in the skeleton operator (_build_condensation), where nv_y
+        counts the vertex columns of row gy and vr those before gx2 and gy2
+        in their rows."""
+        lx, ly = self._line_x, self._line_y
+        lo_x, lo_y, len_y = lx.lo[gx], ly.lo[gy], ly.length[gy]
+        kx, ky = gx2 - lo_x, gy2 - lo_y
+        if not (np.all((kx >= 0) & (kx < lx.length[gx])) and np.all((ky >= 0) & (ky < len_y))):
+            raise ValueError("a (row, col) pair lies outside the mesh's sparsity pattern")
+        if not skeleton:
+            return kx * len_y + ky
+        nv = ly.nvertex[gy]
+        return ((lx.below[gx2] - lx.below[lo_x]) * (len_y - nv) + kx * nv
+                + np.where(lx.vertex[gx2], ky, ly.below[gy2] - ly.below[lo_y]))
 
     def places(self, rows, cols, ncomp: int = 1):
         """Place in pattern(ncomp)'s data array of each (row, col) pair of
         global dofs, rows and cols broadcast against each other; the result
         has the pattern's index dtype.
 
-        The one place rule of the package.  With row = component c of scalar
-        dof (gx, gy) and col = component c' of (gx', gy') (component_dofs),
-        the place is indptr[row] + (rank_x * len_y(gy) + rank_y) * ncomp + c',
-        where rank_x is the place of gx' in row gx of the x line pattern,
-        rank_y that of gy' in row gy of the y line and len_y(gy) the length
-        of that y row; nothing else is read.  Raises ValueError for a pair
-        outside the pattern.
+        With row = component c of scalar dof (gx, gy) and col = component c'
+        of (gx', gy') (component_dofs), the place is indptr[row] + offset *
+        ncomp + c', offset the place of (gx', gy') in row (gx, gy) that
+        _offsets gives from the two 1D line patterns; nothing else is read.
+        Raises ValueError for a pair outside the pattern.
         """
         n = self.n_scalar_dofs * ncomp
         rows, cols = np.asarray(rows), np.asarray(cols)
         if any(ids.size and (ids.min() < 0 or ids.max() >= n) for ids in (rows, cols)):
             raise ValueError(f"dof ids must lie in [0, {n}), the mesh's sparsity pattern")
         (gx, gy), (gx2, gy2) = (np.divmod(ids // ncomp, self.n1y) for ids in (rows, cols))
-        lx, ly = self._line_x, self._line_y
         indptr = self.pattern(ncomp)[0]
-        offset = ((_line_entry(lx.indptr, lx.keys, gx, gx2)[1] * ly.length[gy]
-                   + _line_entry(ly.indptr, ly.keys, gy, gy2)[1]) * ncomp + cols % ncomp)
+        offset = self._offsets(gx, gy, gx2, gy2) * ncomp + cols % ncomp
         return (indptr[rows] + offset).astype(indptr.dtype)
 
     def local_positions(self, ix, iy, ncomp: int = 1):
@@ -202,44 +221,32 @@ class StructuredMesh:
         The cell view of places: rows and columns are local dofs in the
         layout of component_dofs, mode (a, b) = N_a(x) N_b(y).  A row's
         start is indptr[row]; the offsets within the rows depend on the cell
-        only through the ranks and row lengths of its x and y elements, so
-        they are formed once per kind of element pair (_Line.kind) and added
-        to the starts.
+        only through the kinds of its x and y elements (_Line.kind), so
+        they are formed once per kind of element pair and added to the
+        starts.
         """
         every = (slice(None), slice(None))
         n1 = self.degree + 1
         return self._cell_places(ix, iy, ncomp, self.pattern(ncomp)[0], every,
                                  np.ix_(range(n1), range(n1), range(ncomp)))
 
-    def _cell_places(self, ix, iy, ncomp, starts, rows, cols, vertex_cols=None):
+    def _cell_places(self, ix, iy, ncomp, starts, rows, cols, skeleton=False):
         """Places of each cell's local rows (a, b, c) against its local
         columns, (m, rows, columns): rows is a pair of slices of a and b
         (every c), cols three broadcastable arrays of a', b' and c'.  The row
-        of global dof r starts at starts[r].  With vertex_cols, a boolean
-        array over the columns telling which have a vertex a', the offsets
-        within the rows are those of the skeleton operator (see
-        _build_condensation)."""
+        of global dof r starts at starts[r]; the offsets within the rows are
+        _offsets', of the skeleton operator with skeleton."""
         ix, iy = np.asarray(ix, dtype=int), np.asarray(iy, dtype=int)
         lx, ly = self._line_x, self._line_y
         (ra, rb), (a2, b2, c2) = rows, cols
         # The offsets within the rows, once per kind of (x, y) element pair
         # among the cells, on axes (pair, a, b) + the columns' shape.
-        kinds, pair = np.unique(lx.kind[ix] * ly.first.size + ly.kind[iy], return_inverse=True)
-        ex, ey = lx.first[kinds // ly.first.size], ly.first[kinds % ly.first.size]
-        y_rows = self._dof_1d_y[ey][:, None, rb]
-        y_rows = y_rows.reshape(y_rows.shape + (1,) * np.ndim(a2))
-
-        def block(table, e, r, s):
-            # rows r and columns s of each element e's (p + 1, p + 1) table
-            return table[e][:, r][:, :, s]
-
-        kx, ky = block(lx.rank, ex, ra, a2)[:, :, None], block(ly.rank, ey, rb, b2)[:, None]
-        if vertex_cols is None:
-            offsets = kx * ly.length[y_rows] + ky
-        else:
-            nv = ly.nvertex[y_rows]
-            offsets = (block(lx.vrank, ex, ra, a2)[:, :, None] * (ly.length[y_rows] - nv)
-                       + kx * nv + np.where(vertex_cols, ky, block(ly.vrank, ey, rb, b2)[:, None]))
+        kinds, pair = np.unique(lx.kind[ix] * self.ny + ly.kind[iy], return_inverse=True)
+        dx, dy = self._dof_1d_x[kinds // self.ny], self._dof_1d_y[kinds % self.ny]
+        pad = (1,) * np.ndim(a2)
+        gx, gy = dx[:, ra, None], dy[:, None, rb]
+        offsets = self._offsets(gx.reshape(gx.shape + pad), gy.reshape(gy.shape + pad),
+                                dx[:, None, None, a2], dy[:, None, None, b2], skeleton)
         # the same offsets for every row component c: axes (pair, a, b, c) + columns
         offsets = np.expand_dims(offsets * ncomp + c2, 3)
         shape = offsets.shape[:3] + (ncomp,) + offsets.shape[4:]
@@ -281,20 +288,18 @@ class StructuredMesh:
         # The skeleton operator keeps, in order, the entries of a skeleton row
         # (gx, gy, c) whose column (gx', gy', c') has a vertex gx' or gy': with
         # nv the vertex count of a line row, ncomp (nv_x len_y + (len_x -
-        # nv_x) nv_y) of them.  Before its entry (kx, ky, c'), with vr the
-        # vertex ranks, it keeps (vr_x (len_y - nv_y) + kx nv_y + (ky if gx'
-        # is a vertex, else vr_y)) ncomp + c' entries, which is places' rule
-        # when every dof is a vertex.  Each of its entries lies in some
-        # cell's skeleton block, so the blocks fill keep and indices.
+        # nv_x) nv_y) of them, and its entry (gx', gy', c') at offset
+        # _offsets(..., skeleton=True) ncomp + c'.  Each of its entries lies in
+        # some cell's skeleton block, so the blocks fill keep and indices.
         gx, gy = np.divmod(skeleton // ncomp, self.n1y)
         indptr = np.zeros(skeleton.size + 1, dtype=dt)
         np.cumsum(ncomp * (lx.nvertex[gx] * ly.length[gy]
                            + (lx.length[gx] - lx.nvertex[gx]) * ly.nvertex[gy]), out=indptr[1:])
 
-        def cell_places(starts, rows, cols, vertex_cols=None):
-            return self._cell_places(ix, iy, ncomp, starts, rows, cols, vertex_cols)
+        def cell_places(starts, rows, cols, skeleton=False):
+            return self._cell_places(ix, iy, ncomp, starts, rows, cols, skeleton)
 
-        ss = np.concatenate([cell_places(indptr[number], rows, skel_cols, skel_cols[0] < 2)
+        ss = np.concatenate([cell_places(indptr[number], rows, skel_cols, skeleton=True)
                              for rows in skel_rows], axis=1)
         at = ss.astype(np.intp)
         keep = np.empty(indptr[-1], dtype=dt)
@@ -380,40 +385,31 @@ class StructuredMesh:
         return np.nonzero(grid.reshape(-1))[0]
 
 
-def _line_entry(indptr, keys, g, g2):
-    """Entry number in a 1D line pattern (indptr and its ascending keys row
-    * n + col) of each pair (g, g2), and g2's rank within row g, at the
-    pairs' broadcast shape; ValueError when the two dofs share no element."""
-    key = g * (indptr.size - 1) + g2
-    at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-    if not np.array_equal(keys[at], key):
-        raise ValueError("a (row, col) pair lies outside the mesh's sparsity pattern")
-    return at, at - indptr[g]
+def _runs(starts, lengths, dtype):
+    """The runs [starts[i], starts[i] + lengths[i]) one after another, as one
+    array of the given dtype."""
+    ends = np.cumsum(lengths)
+    out = np.arange(ends[-1], dtype=dtype)
+    out += np.repeat((starts - (ends - lengths)).astype(dtype), lengths)
+    return out
 
 
 @dataclass(frozen=True)
 class _Line:
     """A 1D dof line as the place rules read it (StructuredMesh._line_pattern).
 
-    indptr and indices are its CSR pattern and keys its entries' row * n +
-    col in ascending order.  Per element e: rank[e, a, a'] is the place of
-    its dof a' within the row of its dof a, and vrank[e, a, a'] the number of
-    vertex columns before that entry.  Per dof: vertex flags the vertices,
-    length is the row's length and nvertex its vertex columns.  kind numbers
-    the elements alike in all of these, and first holds one element of each
-    kind.
+    Per dof g: its row, the dofs sharing an element with it, is the run
+    [lo[g], lo[g] + length[g]); vertex flags the vertices, below[g] counts
+    the vertices numbered before g and nvertex[g] those in its row.  Per
+    element e: kind[e] is the first element alike e in all of these.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    keys: np.ndarray
-    rank: np.ndarray
-    vertex: np.ndarray
-    vrank: np.ndarray
+    lo: np.ndarray
     length: np.ndarray
+    vertex: np.ndarray
+    below: np.ndarray
     nvertex: np.ndarray
     kind: np.ndarray
-    first: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,11 @@ _MESH1 = StructuredMesh((0.0, 0.0), (1.0, 1.0), 1, 1, 2)
 
 
 def _reference_pair(segs, pen, n_gauss):
-    """Dense reference (K, f) on _MESH1, whose one cell numbers its modes
-    as the global dofs: the cell's pair, symmetrized."""
+    """Dense reference (K, f) on _MESH1 in its one cell's local mode order
+    (cell_dofs): the cell's pair, symmetrized."""
     K, f, _ = assemble_reference_penalty(_MESH1, segs, pen, n_gauss)
-    return K.toarray(), f
+    d = _MESH1.cell_dofs(0, 0)
+    return K.toarray()[np.ix_(d, d)], f[d]
 
 
 def _line_cloud(y, spacing, lo=-0.5, hi=1.5):
@@ -654,7 +655,8 @@ def test_diffuse_assembler_stats_and_cell_consistency():
     pen = PenaltyParams(beta=2.0, u_hat=0.0)
     K, f, stats = assemble_diffuse_penalty(_MESH1, cloud, dp, diff, pen)
     Ke, fe, n = diffuse_penalty_cell(_MESH1, 0, 0, cloud, dp, diff, pen)
-    np.testing.assert_allclose(K.toarray(), Ke, rtol=1e-15)
+    d = _MESH1.cell_dofs(0, 0)
+    np.testing.assert_allclose(K.toarray()[np.ix_(d, d)], Ke, rtol=1e-15)
     assert stats == {"penalty_points": n, "cells": 1}
 
 
